@@ -12,7 +12,8 @@ Four families, mirroring the correctness argument of the modelled runtime:
   LCI packet/slot pools back to full (and never negative — a leak or
   double-free otherwise), no unexpected rendezvous headers, no deferred
   MPI transfers or announced-but-unserved RMA windows, empty deferred-GET
-  queues, and zero in-flight reliable-transport sends.
+  queues, no live flow release plans, and zero in-flight
+  reliable-transport sends.
 - **MPI matching soundness** — via the :class:`~repro.mpi.matching.
   MatchEngine` audit hook: every match pairs a compatible (src, tag)
   recv/envelope, nothing is matched twice or without being offered, and —
@@ -154,7 +155,8 @@ def check_quiescence(ctx) -> list:
     """Invariant: a completed run leaves no protocol state behind.
 
     Reads each backend's ``quiescence_report()``, every node's deferred-GET
-    queue, and the reliable transport's in-flight table; returns a list of
+    queue, the live flow release plans, and the reliable transport's
+    in-flight table; returns a list of
     :class:`Violation` (empty when clean).  Only meaningful after a run
     that completed without raising — an aborted run legitimately strands
     queue contents.
@@ -203,6 +205,13 @@ def check_quiescence(ctx) -> list:
         # the last task completes, which can legitimately strand a trailing
         # put-completion callback on the origin of the final flow; the leak
         # tests assert full drainage on runs whose shape guarantees it.
+    # Release plans, by contrast, must all be retired: every releasing
+    # node releases a flow before any of its consumers there can run.
+    # The plans are shared, so one node's report covers the context.
+    if ctx.nodes:
+        live = ctx.nodes[0].quiescence_report()["flow_plans"]
+        if live:
+            flag("quiescence", f"{live} flow release plans never retired")
     rel = ctx.fabric._rel
     if rel is not None and rel.inflight_count:
         flag("quiescence",

@@ -9,7 +9,6 @@ LCI lets each operation choose how completion is signalled (§5.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.config import LciCosts
@@ -19,16 +18,33 @@ from repro.sim.primitives import Store
 __all__ = ["CompletionRecord", "CompletionQueue", "Synchronizer"]
 
 
-@dataclass(frozen=True)
 class CompletionRecord:
-    """What completed: operation kind, peer, tag, size, and user context."""
+    """What completed: operation kind, peer, tag, size, and user context.
 
-    op: str  # "sendi" | "sendb" | "sendd" | "recvd" | "am"
-    peer: int
-    tag: int
-    size: int
-    user_ctx: Any = None
-    payload: Any = None
+    ``op`` is ``"sendb"``, ``"sendd"``, ``"recvd"``, ``"am"`` or
+    ``"putd_remote"``.  A plain ``__slots__`` class: one is built per
+    completion, and a frozen dataclass costs over twice as much to make.
+    """
+
+    __slots__ = ("op", "peer", "tag", "size", "user_ctx", "payload")
+
+    def __init__(
+        self, op: str, peer: int, tag: int, size: int,
+        user_ctx: Any = None, payload: Any = None,
+    ):
+        self.op = op
+        self.peer = peer
+        self.tag = tag
+        self.size = size
+        self.user_ctx = user_ctx
+        self.payload = payload
+
+    def __repr__(self) -> str:
+        return (
+            f"CompletionRecord(op={self.op!r}, peer={self.peer!r}, "
+            f"tag={self.tag!r}, size={self.size!r}, "
+            f"user_ctx={self.user_ctx!r}, payload={self.payload!r})"
+        )
 
 
 class CompletionQueue:

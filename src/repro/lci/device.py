@@ -182,6 +182,8 @@ class LciDevice:
         self._notify()
 
     def _notify(self) -> None:
+        if not self._waiters:
+            return
         waiters, self._waiters = self._waiters, []
         for w in waiters:
             if isinstance(w, Process):
@@ -255,19 +257,21 @@ class LciDevice:
 
     def _tx_packet_done(self, dst: int, tag: int, size: int, comp: Completion, user_ctx: Any) -> None:
         self.tx_packets_free += 1
-        self._signal(comp, CompletionRecord("sendb", dst, tag, size, user_ctx))
+        if comp is not None:
+            self._signal(comp, CompletionRecord("sendb", dst, tag, size, user_ctx))
         self._notify()
 
     def _send_am_wire(self, dst: int, tag: int, size: int, data: Any, proto: str) -> WireMessage:
+        # Positional construction: (src, dst, size, msg_class, payload,
+        # channel) — keyword calls cost measurably more on this hot path.
+        wire = size + _HEADER
         msg = WireMessage(
-            src=self.node,
-            dst=dst,
-            size=size + _HEADER,
-            msg_class=MessageClass.CONTROL
-            if size + _HEADER <= 4096
-            else MessageClass.DATA,
-            channel="lci",
-            payload={"kind": "am", "proto": proto, "tag": tag, "size": size, "data": data},
+            self.node,
+            dst,
+            wire,
+            MessageClass.CONTROL if wire <= 4096 else MessageClass.DATA,
+            {"kind": "am", "proto": proto, "tag": tag, "size": size, "data": data},
+            "lci",
         )
         self.world.fabric.send(msg)
         return msg
@@ -289,12 +293,12 @@ class LciDevice:
         yield self.costs.direct_post
         self.world.fabric.send(
             WireMessage(
-                src=self.node,
-                dst=dst,
-                size=_CTRL,
-                msg_class=MessageClass.CONTROL,
-                channel="lci",
-                payload={"kind": "rts", "tag": tag, "size": size, "sd": op.op_id},
+                self.node,
+                dst,
+                _CTRL,
+                MessageClass.CONTROL,
+                {"kind": "rts", "tag": tag, "size": size, "sd": op.op_id},
+                "lci",
             )
         )
         return LCI_OK
@@ -342,12 +346,7 @@ class LciDevice:
             payload["_fin"] = (op.op_id, fabric.base_latency(dst, self.node))
         deliver = fabric.send(
             WireMessage(
-                src=self.node,
-                dst=dst,
-                size=size + _HEADER,
-                msg_class=MessageClass.DATA,
-                channel="lci",
-                payload=payload,
+                self.node, dst, size + _HEADER, MessageClass.DATA, payload, "lci"
             )
         )
         if not self.faults.enabled and not deferred:
@@ -391,38 +390,43 @@ class LciDevice:
     def progress(self) -> Generator[Any, Any, int]:
         """One progress pass; returns the number of items processed."""
         n = 0
+        costs = self.costs
+        drain = costs.completion_drain
+        hw = self._hw
+        proto = self._rx_proto
+        rx_am = self._rx_am
         # 1. Hardware completions (send FINs, RDMA write arrivals).
-        while self._hw:
-            record = self._hw.popleft()
-            yield self.costs.completion_drain
+        while hw:
+            record = hw.popleft()
+            yield drain
             self._handle_hw(record)
             n += 1
         # 2. Protocol control messages (RTS/RTR).
-        while self._rx_proto:
-            msg = self._rx_proto.popleft()
-            yield self.costs.completion_drain
+        while proto:
+            msg = proto.popleft()
+            yield drain
             self._handle_proto(msg)
             n += 1
         # 3. Active messages, limited by RX packet availability.
-        while self._rx_am and self.rx_packets_free > 0:
-            msg = self._rx_am.popleft()
+        while rx_am and self.rx_packets_free > 0:
+            msg = rx_am.popleft()
             self.rx_packets_free -= 1
-            self._h_rx_pool.observe(self.costs.packet_pool_size - self.rx_packets_free)
-            yield self.costs.completion_drain + self.costs.refill_recv
+            self._h_rx_pool.observe(costs.packet_pool_size - self.rx_packets_free)
+            yield drain + costs.refill_recv
             p = msg.payload
             record = CompletionRecord(
-                "am", msg.src, p["tag"], p["size"], payload=p["data"]
+                "am", msg.src, p["tag"], p["size"], None, p["data"]
             )
             if self.am_handler is None:
                 raise LciError(f"node {self.node}: active message with no handler")
-            yield self.costs.handler_dispatch
+            yield costs.handler_dispatch
             result = self.am_handler(record)
             if hasattr(result, "send"):
                 # Generator handler: run it here so its CPU cost lands on the
                 # thread driving progress (the LCI progress thread).
                 yield from result
             n += 1
-        if self._rx_am and self.rx_packets_free <= 0:
+        if rx_am and self.rx_packets_free <= 0:
             # Hardware receive-queue depletion (§5.2): deliveries stall
             # until a consumer frees an RX packet.
             self._c_am_stall.inc()
@@ -480,12 +484,8 @@ class LciDevice:
                     op.op_id, fabric.base_latency(op.peer, self.node)
                 )
             data_msg = WireMessage(
-                src=self.node,
-                dst=op.peer,
-                size=op.size + _HEADER,
-                msg_class=MessageClass.DATA,
-                channel="lci",
-                payload=data_payload,
+                self.node, op.peer, op.size + _HEADER, MessageClass.DATA,
+                data_payload, "lci",
             )
             deliver = fabric.send(data_msg)
             if not self.faults.enabled and not deferred:
@@ -513,12 +513,12 @@ class LciDevice:
         op.size = rts_payload["size"]
         self.world.fabric.send(
             WireMessage(
-                src=self.node,
-                dst=src,
-                size=_CTRL,
-                msg_class=MessageClass.CONTROL,
-                channel="lci",
-                payload={"kind": "rtr", "sd": rts_payload["sd"], "rd": op.op_id},
+                self.node,
+                src,
+                _CTRL,
+                MessageClass.CONTROL,
+                {"kind": "rtr", "sd": rts_payload["sd"], "rd": op.op_id},
+                "lci",
             )
         )
 

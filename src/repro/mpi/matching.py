@@ -79,9 +79,14 @@ class MatchEngine:
     def arrive(self, env: Envelope) -> Optional[RecvRequest]:
         """An envelope arrived off the wire; returns the matching posted
         receive if any, else queues the envelope as unexpected."""
+        src = env.src
+        tag = env.tag
         for i, recv in enumerate(self.posted):
             self.walked += 1
-            if _compatible(recv, env.src, env.tag):
+            # _compatible(recv, src, tag), inlined: the hottest MPI loop.
+            r_src = recv.src
+            r_tag = recv.tag
+            if (r_src is None or r_src == src) and (r_tag is None or r_tag == tag):
                 del self.posted[i]
                 if self.audit is not None:
                     self.audit("arrive", recv, env)

@@ -307,10 +307,14 @@ class MpiRank:
         requests (deactivating them, like ``MPI_Testsome``)."""
         yield from self._acquire()
         try:
-            yield from self._progress_locked()
-            active = [r for r in requests if r is not None and r.active]
+            if self._inbox:
+                yield from self._progress_locked()
+            active = 0
+            for r in requests:
+                if r is not None and r.active:
+                    active += 1
             yield (self.costs.testsome_base
-                   + self.costs.testsome_per_request * len(active))
+                   + self.costs.testsome_per_request * active)
             out = []
             for i, req in enumerate(requests):
                 if req is not None and req.active and req.done:

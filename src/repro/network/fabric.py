@@ -223,24 +223,23 @@ class Fabric:
         delivery-driven ``_fin`` payload hint for source-side completions
         instead of the return value — exactly as in partitioned mode.
         """
-        self._check_node(msg.src)
-        self._check_node(msg.dst)
+        src = msg.src
+        dst = msg.dst
+        n = self.num_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_node(src)
+            self._check_node(dst)
         col = self._hcols.get(msg.channel)
-        handler = col[msg.dst] if col is not None else None
+        handler = col[dst] if col is not None else None
         if handler is None:
             raise NetworkError(
-                f"no handler for channel {msg.channel!r} at node {msg.dst}"
+                f"no handler for channel {msg.channel!r} at node {dst}"
             )
         now = self.sim.now
         msg.inject_time = now
         if self.message_log is not None:  # obs-allow-adhoc
             self.message_log.append(msg)  # obs-allow-adhoc
-        if self._rel is not None and msg.src != msg.dst:
-            # Fault-injection mode: the reliable transport owns stamping,
-            # delivery scheduling, and retransmission for wire traffic.
-            # Loopback never touches the wire and stays on the fast path.
-            return self._rel.send(msg, handler)
-        if msg.src == msg.dst:
+        if src == dst:
             deliver = now + self.LOOPBACK_LATENCY
             msg.depart_time = now
             msg.deliver_time = deliver
@@ -248,15 +247,25 @@ class Fabric:
             # Schedule the handler itself — no trampoline per delivery.
             self.sim.call_later(deliver - now, handler, msg)
             return deliver
-        depart = self.nics[msg.src].inject(now, msg.size, msg.msg_class)
-        arrival = depart + self.base_latency(msg.src, msg.dst)
+        if self._rel is not None:
+            # Fault-injection mode: the reliable transport owns stamping,
+            # delivery scheduling, and retransmission for wire traffic.
+            # Loopback never touches the wire and stays on the fast path.
+            return self._rel.send(msg, handler)
+        depart = self.nics[src].inject(now, msg.size, msg.msg_class)
+        lat = self._lat_flat[src * n + dst]
+        if lat != lat:  # not cached yet
+            lat = self.base_latency(src, dst)
+        arrival = depart + lat
         msg.depart_time = depart
         msg.deliver_time = math.nan
-        seq = self._src_seq[msg.src]
-        self._src_seq[msg.src] = seq + 1
-        if not self._pending_wire:
+        src_seq = self._src_seq
+        seq = src_seq[src]
+        src_seq[src] = seq + 1
+        pending = self._pending_wire
+        if not pending:
             self.sim.at_epoch_end(self._flush_epoch)
-        self._pending_wire.append((msg.src, seq, msg, arrival, handler))
+        pending.append((src, seq, msg, arrival, handler))
         return math.nan
 
     def _flush_epoch(self) -> None:
@@ -277,16 +286,19 @@ class Fabric:
         """
         buf = self._pending_wire
         self._pending_wire = []
-        buf.sort(key=_WIRE_KEY)
+        if len(buf) > 1:
+            buf.sort(key=_WIRE_KEY)
         sim = self.sim
         nics = self.nics
         now = sim.now
+        obs_on = self.obs.enabled
         for src, seq, msg, arrival, handler in buf:
             deliver = nics[msg.dst].eject(
                 now, arrival, msg.size, msg.msg_class
             )
             msg.deliver_time = deliver
-            self._emit_wire(msg, msg.depart_time, deliver, now)
+            if obs_on:
+                self._emit_wire(msg, msg.depart_time, deliver, now)
             sim.call_at(now + (deliver - now), handler, msg)
             payload = msg.payload
             if type(payload) is dict:

@@ -72,7 +72,10 @@ class NicState:
 
     def inject(self, now: float, size: int, msg_class: MessageClass) -> float:
         """Charge a transmit; returns the time the tail leaves the NIC."""
-        ser = self.serialization(size)
+        cfg = self.cfg
+        ser = size / cfg.bandwidth  # inlined serialization()
+        if cfg.message_gap > ser:
+            ser = cfg.message_gap
         if msg_class == MessageClass.CONTROL:
             depart = max(now, self.tx_ctrl_busy) + ser
             self.tx_ctrl_busy = depart
@@ -91,7 +94,10 @@ class NicState:
         ``arrival`` is when the message tail would reach the NIC with no
         receiver contention; delivery can only be later.
         """
-        ser = self.serialization(size)
+        cfg = self.cfg
+        ser = size / cfg.bandwidth  # inlined serialization()
+        if cfg.message_gap > ser:
+            ser = cfg.message_gap
         if msg_class == MessageClass.CONTROL:
             deliver = max(arrival, self.rx_ctrl_busy + ser)
             self.rx_ctrl_busy = deliver

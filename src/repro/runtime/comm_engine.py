@@ -20,7 +20,7 @@ its progress path.  One-sided completion callbacks have the same shape.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import RuntimeBackendError
 from repro.faults.transport import SeqTracker
@@ -167,6 +167,14 @@ class CommEngine:
         returns the number processed (0 ⇒ nothing to do)."""
         raise NotImplementedError
 
+    def idle(self) -> bool:
+        """True when :meth:`progress` would find nothing and cost nothing.
+
+        A poller may then skip building the progress generator.  The
+        default is ``False``: the poll itself costs time (MPI
+        ``Testsome``)."""
+        return False
+
     def activity_event(self) -> Event:
         """Event that fires when the engine (may) have work to progress."""
         raise NotImplementedError
@@ -194,15 +202,19 @@ class CommEngine:
 
     def _run_am_callback(
         self, tag: int, msg: Any, size: int, src: int, seq: Optional[int] = None
-    ) -> Generator:
+    ) -> Iterable:
+        """The registered callback's generator for one received AM, or
+        ``()`` when ``seq`` marks it a duplicate.  Callers ``yield from``
+        the result; returning the callback's own generator saves one
+        delegating frame per resume."""
         if seq is not None:
             tracker = self._am_rx.get(src)
             if tracker is None:
                 tracker = self._am_rx[src] = SeqTracker()
             if not tracker.accept(seq):
                 self._c_am_dup.inc()
-                return
+                return ()
         cb, cb_data = self._am_entry(tag)
         self.stats["am_recv"] += 1
         self._c_am_recv.inc()
-        yield from cb(self, tag, msg, size, src, cb_data)
+        return cb(self, tag, msg, size, src, cb_data)

@@ -246,6 +246,8 @@ class ParsecContext:
             self.has_progress_thread = True
             self.faults.schedule_pool_spikes(self.lci_world)
         self.faults.bind_stop(lambda: self.stopped)
+        #: Per-flow release plans shared by every node's runtime.
+        self.flow_plans: dict = {}
         self.nodes = [NodeRuntime(self, r) for r in range(n)]
         # Measurement clocks (§6.1.3 methodology), optional.
         self.clock_sync = clock_sync
@@ -404,6 +406,8 @@ class ParsecContext:
                 nd.rank: nd.busy_time for nd in self._owned_nodes()
             },
             "counters": self.obs.counter_totals(),
+            # Live release plans (diagnostic; not merged into RunStats).
+            "flow_plans": len(self.flow_plans),
         }
 
     def partition_finalize(self, workers: int) -> dict:

@@ -134,12 +134,9 @@ class LciBackend(CommEngine):
         self._am_entry(tag)
         self.stats["am_sent"] += 1
         self._c_am_sent.inc()
-        payload = {
-            "kind": "user_am",
-            "tag": tag,
-            "data": data,
-            "seq": self.am_seq(remote),
-        }
+        # User AMs ride as a plain ``(tag, data, seq)`` tuple; put
+        # handshakes (the only other LCI AM payload) are dicts.
+        payload = (tag, data, self.am_seq(remote))
         if size <= self.device.costs.immediate_max:
             yield from self.device.sendi(remote, tag, size, payload)
         else:
@@ -228,23 +225,26 @@ class LciBackend(CommEngine):
         """Comm-thread side: drain the completion FIFOs with the fairness
         policy of §5.3.4 (≤5 AM handles, then all data handles, loop)."""
         total = 0
-        cq_pop = self.device.costs.cq_pop
+        handle_cost = self.device.costs.cq_pop + self.rt.callback_exec
+        am_batch = range(self.rt.lci_am_batch)
+        am_pop = self.am_fifo.try_pop
+        data_pop = self.data_fifo.try_pop
         while True:
             n = 0
-            for _ in range(self.rt.lci_am_batch):
-                ok, handle = self.am_fifo.try_pop()
+            for _ in am_batch:
+                ok, handle = am_pop()
                 if not ok:
                     break
-                yield cq_pop + self.rt.callback_exec
+                yield handle_cost
                 tag, data, size, src, seq = handle
                 yield from self._run_am_callback(tag, data, size, src, seq)
                 n += 1
             stalled_retry = False
             while True:
-                ok, item = self.data_fifo.try_pop()
+                ok, item = data_pop()
                 if not ok:
                     break
-                yield cq_pop + self.rt.callback_exec
+                yield handle_cost
                 kind = item[0]
                 if kind == "r_data":
                     yield from self._deliver_put(item[1], item[2], item[3], item[4])
@@ -273,6 +273,10 @@ class LciBackend(CommEngine):
                 break
             total += n
         return total
+
+    def idle(self) -> bool:
+        """Both FIFOs empty: :meth:`progress` would find nothing."""
+        return not (self.am_fifo._items or self.data_fifo._items)
 
     def activity_event(self) -> Event:
         """Fires when either FIFO has handles for the comm thread."""
@@ -304,10 +308,9 @@ class LciBackend(CommEngine):
         """Runs inside LCI_progress on the progress thread: allocate a
         callback handle and push it to the right FIFO (§5.3.2/5.3.3)."""
         p = record.payload
-        if p["kind"] == "user_am":
-            self.am_fifo.push(
-                (p["tag"], p["data"], record.size, record.peer, p.get("seq"))
-            )
+        if type(p) is tuple:  # user AM: (tag, data, seq)
+            tag, data, seq = p
+            self.am_fifo.push((tag, data, record.size, record.peer, seq))
             self.device.free_rx_packet()
             return
         if p["kind"] != "put_hs":  # pragma: no cover - defensive
@@ -350,9 +353,11 @@ class LciBackend(CommEngine):
     # -- shared ----------------------------------------------------------------
 
     def _deliver_put(self, r_cb_data: Any, data: Any, size: int, src: int) -> Generator:
+        """The TAG_PUT_COMPLETE callback's generator for one arrived put
+        (returned, not delegated to, so each resume skips a frame)."""
         self.stats["puts_completed"] += 1
         cb, cb_data = self._am_entry(TAG_PUT_COMPLETE)
-        yield from cb(
+        return cb(
             self,
             TAG_PUT_COMPLETE,
             {"r_cb_data": r_cb_data, "data": data},

@@ -93,6 +93,9 @@ class MpiBackend(CommEngine):
         #: remote-completion notification are known liabilities).
         self.put_mode = put_mode
         self._am_slots: list[_AmSlot] = []
+        #: ``[slot.preq for slot in _am_slots]``, kept in step with it: the
+        #: fixed head of every Testsome request array.
+        self._slot_reqs: list[PersistentRecvRequest] = []
         self._transfers: list[_Transfer] = []
         #: FIFO of deferred work: ("send", ...) entries wait for array space
         #: before even posting; ("recv", transfer) entries are already-posted
@@ -148,6 +151,7 @@ class MpiBackend(CommEngine):
                 preq = self.rank.recv_init(ANY_SOURCE, tag, max_len)
                 yield from self.rank.start(preq)
                 self._am_slots.append(_AmSlot(tag, preq))
+                self._slot_reqs.append(preq)
 
     def send_am(self, tag: int, remote: int, data: Any, size: int) -> Generator:
         """Blocking eager MPI_Send with the registered tag (§4.2.1)."""
@@ -202,28 +206,32 @@ class MpiBackend(CommEngine):
         """Testsome loop: poll, run callbacks, compact, promote; repeat while
         completions keep arriving (§4.2.3)."""
         total = 0
+        slots = self._am_slots  # append-only: indices stay valid
         while True:
-            entries: list = list(self._am_slots) + list(self._transfers)
-            requests = [
-                e.preq if isinstance(e, _AmSlot) else e.req for e in entries
-            ]
+            # Request array: the persistent AM slots, then the transfers
+            # being polled (snapshotted — callbacks reshape the live list).
+            n_slots = len(self._slot_reqs)
+            transfers = list(self._transfers)
+            requests = self._slot_reqs + [t.req for t in transfers]
             idxs = yield from self.rank.testsome(requests)
             if not idxs:
                 # §4.2.3: promotion happens whenever there is free space in
                 # the array, even on passes that completed nothing.
                 yield from self._promote_deferred()
                 break
-            completed = [entries[i] for i in idxs]
             # Remove finished transfers before running callbacks (callbacks
             # may start new ones and reshape the array).
-            finished_transfers = {id(e) for e in completed if isinstance(e, _Transfer)}
+            finished_transfers = {
+                id(transfers[i - n_slots]) for i in idxs if i >= n_slots
+            }
             if finished_transfers:
                 self._transfers = [
                     t for t in self._transfers if id(t) not in finished_transfers
                 ]
-            for entry in completed:
+            for i in idxs:
                 yield self.rt.callback_exec
-                if isinstance(entry, _AmSlot):
+                if i < n_slots:
+                    entry = slots[i]
                     preq = entry.preq
                     msg = preq.payload["am"]
                     yield from self._run_am_callback(
@@ -233,7 +241,7 @@ class MpiBackend(CommEngine):
                     # Re-enable the persistent receive after the callback.
                     yield from self.rank.start(preq)
                 else:
-                    yield from self._finish_transfer(entry)
+                    yield from self._finish_transfer(transfers[i - n_slots])
             yield from self._promote_deferred()
             total += len(idxs)
         return total

@@ -32,7 +32,7 @@ from repro.sim.primitives import NotifyQueue, PriorityStore
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.context import ParsecContext
 
-__all__ = ["NodeRuntime", "binomial_tree"]
+__all__ = ["NodeRuntime", "binomial_tree", "build_flow_plan"]
 
 
 def binomial_tree(nodes: list[int]) -> tuple:
@@ -54,6 +54,58 @@ def binomial_tree(nodes: list[int]) -> tuple:
         return (nodes[lo], tuple(children))
 
     return subtree(0, len(nodes))
+
+
+class _FlowPlan:
+    """Release plan of one flow, shared by every node of a context.
+
+    Derived once from the flow's consumer list: the consumers grouped by
+    node (consumer order kept), the producer's multicast children, the
+    highest consumer priority and the payload size.  ``pending`` counts
+    the releases still to come in this process — the producer plus every
+    remote consumer node — and the plan is dropped when it reaches zero.
+    """
+
+    __slots__ = ("by_node", "children", "prio", "size", "pending")
+
+    def __init__(self, by_node, children, prio, size, pending):
+        self.by_node = by_node
+        self.children = children
+        self.prio = prio
+        self.size = size
+        self.pending = pending
+
+
+def build_flow_plan(graph: TaskGraph, fid: int, root: int, owned=None) -> _FlowPlan:
+    """Release plan of flow ``fid``, multicast tree rooted at ``root``.
+
+    ``owned`` (a per-node bool list, ``None`` = every node) restricts the
+    pending-release count to the nodes this process runs.
+    """
+    t_node = graph._t_node
+    t_prio = graph._t_prio
+    by_node: dict[int, list[int]] = {}
+    prio = None
+    for tid in graph.consumers_of(fid):
+        node = t_node[tid]
+        local = by_node.get(node)
+        if local is None:
+            by_node[node] = [tid]
+        else:
+            local.append(tid)
+        # Same selection rule as max(): keep the first of equal maxima.
+        p = t_prio[tid]
+        if prio is None or p > prio:
+            prio = p
+    remote = sorted(node for node in by_node if node != root)
+    children = binomial_tree([root] + remote)[1] if remote else ()
+    releasers = [root] + remote
+    if owned is not None:
+        releasers = [node for node in releasers if owned[node]]
+    return _FlowPlan(
+        by_node, children, 0.0 if prio is None else prio,
+        graph.flow_size(fid), len(releasers),
+    )
 
 
 class _FlowState:
@@ -93,9 +145,18 @@ class NodeRuntime:
         self.flow_states: dict[int, _FlowState] = {}
         self.input_remaining: dict[int, int] = {}
         self.serves_remaining: dict[int, int] = {}
-        #: Outstanding obligations per available flow: one per unsatisfied
-        #: local consumer plus one per multicast child still to be served.
+        #: Outstanding obligations per available flow: one per multicast
+        #: child still to be served (local consumers are satisfied at the
+        #: release itself).
         self.flow_refs: dict[int, int] = {}
+        #: Release plans of in-flight flows, shared by all nodes of the
+        #: context (see :class:`_FlowPlan`).
+        self.flow_plans: dict[int, _FlowPlan] = ctx.flow_plans
+        # Nodes whose releases happen in this process (None: all of them).
+        role = ctx.partition
+        self._owned = (
+            None if role is None else [o == role.index for o in role.owner]
+        )
         #: Flows fully consumed and dropped from the maps above.
         self.flows_retired = 0
         self.cleanups_done = 0
@@ -219,43 +280,64 @@ class NodeRuntime:
         """Data for ``fid`` is now available here: satisfy local consumers
         and activate the multicast subtree.
 
-        The flow is tracked with a reference count — one per local
-        consumer, one per multicast child to serve — and every map entry
-        for it is dropped the moment the count drains, so a node's live
-        protocol state scales with in-flight flows only."""
-        graph = self.graph
+        Local consumers are satisfied at once; the flow then stays
+        available with one reference per multicast child to serve, and
+        every map entry for it is dropped the moment the count drains, so
+        a node's live protocol state scales with in-flight flows only.
+
+        The consumer scan behind a release is done once per flow: the
+        first release builds a :class:`_FlowPlan` that the other releasing
+        nodes (the multicast subtree) reuse, and the last one drops it."""
         rank = self.rank
-        t_node = self._t_node
-        consumers = graph.consumers_of(fid)
-        local = [tid for tid in consumers if t_node[tid] == rank]
+        plans = self.flow_plans
+        plan = plans.get(fid)
+        if plan is None:
+            root = rank if initial else self._t_node[self.graph.flow_producer(fid)]
+            plan = build_flow_plan(self.graph, fid, root, self._owned)
+            # A flow without remote consumers is released exactly once.
+            if plan.pending > 1:
+                plans[fid] = plan
+                plan.pending -= 1
+        else:
+            plan.pending -= 1
+            if not plan.pending:
+                del plans[fid]
         if initial:
-            # Producer: build the multicast tree over remote consumer nodes.
-            remote = sorted({t_node[tid] for tid in consumers} - {rank})
-            children = binomial_tree([rank] + remote)[1] if remote else ()
             state = None
+            children = plan.children
         else:
             state = self.flow_states.get(fid)
             children = state.subtree[1] if state is not None else ()
-        refs = len(local) + len(children)
-        if not refs:
+        local = plan.by_node.get(rank, ())
+        if children:
+            self.flow_available.add(fid)
+            # One reference per multicast child (the local consumers below
+            # are satisfied before this method yields).
+            self.flow_refs[fid] = len(children)
+        # Local consumers (released to the originating worker's queue when
+        # the work-stealing scheduler is active — data affinity).
+        if local:
+            remaining_in = self.input_remaining
+            push = self.sched.push
+            t_prio = self._t_prio
+            for tid in local:
+                remaining = remaining_in[tid] - 1
+                remaining_in[tid] = remaining
+                if remaining == 0:
+                    push(-t_prio[tid], tid, origin)
+                elif remaining < 0:
+                    raise RuntimeBackendError(
+                        f"task {tid}: dependence count went negative"
+                    )
+        if not children:
             # Nothing at this node will ever read the flow again.
             self.flow_states.pop(fid, None)
             self.flows_retired += 1
             return
-        self.flow_available.add(fid)
-        self.flow_refs[fid] = refs
-        # Local consumers (released to the originating worker's queue when
-        # the work-stealing scheduler is active — data affinity).
-        for tid in local:
-            self._satisfy_input(tid, origin)
-            self._unref_flow(fid)
-        if not children:
-            return
         self.serves_remaining[fid] = len(children)
-        prio = max(
-            (self._t_prio[tid] for tid in consumers), default=0.0
-        )
-        flow_size = graph.flow_size(fid)
+        prio = plan.prio
+        flow_size = plan.size
+        obs = self.ctx.obs
         for child in children:
             # Latency stamps are taken when the activation is handed to the
             # communication layer ("send of the ACTIVATE message following
@@ -263,23 +345,15 @@ class NodeRuntime:
             # aggregation delay count toward the measured latency, which is
             # exactly what multithreaded ACTIVATE sending eliminates.
             now = self.sim.now
-            ad = {
-                "flow": fid,
-                "size": flow_size,
-                "holder": self.rank,
-                "sub": child,
-                "prio": prio,
-                "root": state.root if state is not None else self.rank,
-                "root_t": state.root_t if state is not None else now,
-                "hop_t": now,
-            }
-            if self.ctx.obs.enabled:
-                self.ctx.obs.emit(
-                    "activate_handoff", self.rank, key=(fid, child[0]), time=now
-                )
+            if state is None:
+                ad = (fid, flow_size, rank, child, prio, rank, now, now)
+            else:
+                ad = (fid, flow_size, rank, child, prio, state.root, state.root_t, now)
+            if obs.enabled:
+                obs.emit("activate_handoff", rank, key=(fid, child[0]), time=now)
             yield from self._emit_activate(child[0], ad)
 
-    def _emit_activate(self, dst: int, ad: dict) -> Generator:
+    def _emit_activate(self, dst: int, ad: tuple) -> Generator:
         if self.ctx.multithreaded_activate:
             # Workers send their own ACTIVATEs (§6.4.3): no aggregation,
             # possible library contention, but no comm-thread queueing delay.
@@ -289,16 +363,6 @@ class NodeRuntime:
             self.ctx.stats_activates += 1
         else:
             self.cmd_q.push(("activate", dst, ad))
-
-    def _satisfy_input(self, tid: int, origin: Optional[int] = None) -> None:
-        remaining = self.input_remaining[tid] - 1
-        self.input_remaining[tid] = remaining
-        if remaining == 0:
-            self.sched.push(-self._t_prio[tid], tid, origin)
-        elif remaining < 0:
-            raise RuntimeBackendError(
-                f"task {tid}: dependence count went negative"
-            )
 
     def _unref_flow(self, fid: int) -> None:
         """Drop one obligation on ``fid``; retire all its state at zero."""
@@ -316,13 +380,17 @@ class NodeRuntime:
 
     def quiescence_report(self) -> dict:
         """Depths of the per-flow protocol maps (all zero after a fully
-        drained run) plus the running retire counter."""
+        drained run) plus the running retire counter.
+
+        ``flow_plans`` counts the live release plans of the whole context
+        (they are shared, so every node reports the same number)."""
         return {
             "flow_available": len(self.flow_available),
             "flow_refs": len(self.flow_refs),
             "flow_states": len(self.flow_states),
             "serves_remaining": len(self.serves_remaining),
             "getdata_q": len(self.getdata_q),
+            "flow_plans": len(self.flow_plans),
             "flows_retired": self.flows_retired,
         }
 
@@ -342,7 +410,7 @@ class NodeRuntime:
             while True:
                 worked = 0
                 # (1) Aggregate ACTIVATE commands per destination.
-                by_dst: dict[int, list[dict]] = {}
+                by_dst: dict[int, list[tuple]] = {}
                 while True:
                     ok, cmd = self.cmd_q.try_pop()
                     if not ok:
@@ -359,8 +427,10 @@ class NodeRuntime:
                         if len(batch) > 1:
                             self.ctx.stats_aggregated += len(batch) - 1
                         worked += 1
-                # (2) Poll the engine progress function.
-                worked += yield from engine.progress()
+                # (2) Poll the engine progress function (an idle LCI
+                # engine would return 0 without yielding: skip the call).
+                if not engine.idle():
+                    worked += yield from engine.progress()
                 # (3) Send deferred GET DATA messages in priority order.
                 while True:
                     ok, item = self.getdata_q.try_get()
@@ -368,10 +438,7 @@ class NodeRuntime:
                         break
                     fid, holder = item
                     yield from engine.send_am(
-                        TAG_GETDATA,
-                        holder,
-                        {"flow": fid},
-                        self.rt.getdata_bytes,
+                        TAG_GETDATA, holder, fid, rt.getdata_bytes
                     )
                     worked += 1
                 # (4) Deferred puts are promoted inside engine.progress().
@@ -393,9 +460,13 @@ class NodeRuntime:
     def _progress_thread(self, me: list) -> Generator:
         """LCI progress thread (§5.3.1): drives LCI_progress exclusively."""
         device = self.engine.device
+        # The device's three progress queues (never rebound): a pass that
+        # finds all of them empty returns 0 without yielding, so the
+        # generator is only built when one holds work.
+        hw, proto, rx_am = device._hw, device._rx_proto, device._rx_am
         try:
             while True:
-                n = yield from device.progress()
+                n = (yield from device.progress()) if hw or proto or rx_am else 0
                 if n == 0:
                     if self.ctx.stopped:
                         return
@@ -412,26 +483,30 @@ class NodeRuntime:
 
     def _activate_cb(self, engine, tag, msg, size, src, cb_data) -> Generator:
         """Unpack aggregated activations, walk local descendants, enqueue
-        GET DATA requests (the "long callback" of §4.3)."""
-        for ad in msg:
-            yield self.rt.activate_unpack_per_flow
-            fid = ad["flow"]
-            if self.ctx.obs.enabled:
-                self.ctx.obs.emit("activate_cb", self.rank, key=(fid, self.rank))
-            state = _FlowState(
-                ad["size"], ad["holder"], ad["prio"], ad["sub"],
-                ad["root_t"], ad["hop_t"], ad["root"],
+        GET DATA requests (the "long callback" of §4.3).
+
+        Each descriptor is ``(flow, size, holder, subtree, prio, root,
+        root_t, hop_t)``."""
+        unpack = self.rt.activate_unpack_per_flow
+        obs = self.ctx.obs
+        flow_states = self.flow_states
+        for fid, fsize, holder, sub, prio, root, root_t, hop_t in msg:
+            yield unpack
+            if obs.enabled:
+                obs.emit("activate_cb", self.rank, key=(fid, self.rank))
+            flow_states[fid] = _FlowState(
+                fsize, holder, prio, sub, root_t, hop_t, root
             )
-            self.flow_states[fid] = state
             # Priority decides when the GET DATA goes out (§4.1); the comm
             # thread drains this queue highest-priority-first.
-            self.getdata_q.try_put((-state.priority, (fid, state.holder)))
+            self.getdata_q.try_put((-prio, (fid, holder)))
         self.ctx.stats_activate_flows += len(msg)
 
     def _getdata_cb(self, engine, tag, msg, size, src, cb_data) -> Generator:
-        """Serve a GET DATA: put the flow's data back to the requester."""
+        """Serve a GET DATA (``msg`` is the flow id): put the flow's data
+        back to the requester."""
         yield self.rt.getdata_handle
-        fid = msg["flow"]
+        fid = msg
         if self.ctx.obs.enabled:
             self.ctx.obs.emit("getdata_cb", self.rank, key=(fid, src))
         if fid not in self.flow_available:
@@ -443,7 +518,7 @@ class NodeRuntime:
             size=self.graph.flow_size(fid),
             remote=src,
             l_cb=self._put_local_cb,
-            r_cb_data={"flow": fid},
+            r_cb_data=fid,
             l_cb_data=fid,
         )
 
@@ -467,7 +542,7 @@ class NodeRuntime:
     def _put_complete_cb(self, engine, tag, msg, size, src, cb_data) -> Generator:
         """Target-side put completion: data arrived for a flow."""
         yield self.rt.callback_exec
-        fid = msg["r_cb_data"]["flow"]
+        fid = msg["r_cb_data"]
         state = self.flow_states.get(fid)
         if state is None:
             raise RuntimeBackendError(

@@ -10,7 +10,7 @@ from repro.hicma.ranks import RankModel
 from repro.hicma.dag import build_tlr_cholesky_graph, expected_task_count
 from repro.mpi.matching import Envelope, MatchEngine
 from repro.mpi.requests import RecvRequest
-from repro.runtime.node import binomial_tree
+from repro.runtime.node import binomial_tree, build_flow_plan
 from repro.sim.core import Simulator
 from repro.sim.primitives import Store, PriorityStore
 from repro.units import bytes_per_s_from_gbit, gbit_per_s
@@ -231,6 +231,69 @@ class TestUnitsProperties:
     @given(st.floats(min_value=1e-3, max_value=1e6))
     def test_gbit_round_trip(self, gbit):
         assert gbit_per_s(bytes_per_s_from_gbit(gbit)) == pytest.approx(gbit)
+
+
+@st.composite
+def _plan_graphs(draw):
+    """A random layered DAG, some of whose flows get rewired consumer
+    lists (``FlowSpec.consumers`` assignment, i.e. ``_cons_override``)."""
+    from repro.runtime import TaskGraph
+
+    num_nodes = draw(st.integers(1, 6))
+    # Signed zeros and ties pin max()'s keep-the-first-maximum rule.
+    prios = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, -3.0])
+    g = TaskGraph()
+    prev: list = []
+    for width in draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)):
+        new = []
+        for _ in range(width):
+            inputs = (
+                draw(st.lists(st.sampled_from(prev), max_size=3, unique=True))
+                if prev else []
+            )
+            t = g.add_task(
+                node=draw(st.integers(0, num_nodes - 1)), duration=1e-6,
+                priority=draw(prios), inputs=inputs,
+            )
+            new.append(g.add_flow(t, draw(st.integers(0, 1 << 20))))
+        prev = new
+    tasks = st.integers(0, g.num_tasks - 1)
+    for fid in draw(st.lists(st.integers(0, g.num_flows - 1), max_size=3, unique=True)):
+        g.flows[fid].consumers = draw(st.lists(tasks, max_size=6))
+    return g, num_nodes
+
+
+class TestFlowPlanProperties:
+    """A release plan must reproduce the per-release consumer scan it
+    replaced: local consumers, multicast children, priority, size."""
+
+    @given(_plan_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_plan_matches_per_release_scan(self, graph_spec, data):
+        import math
+
+        g, num_nodes = graph_spec
+        t_node, t_prio = g._t_node, g._t_prio
+        owned = data.draw(st.lists(st.booleans(), min_size=num_nodes,
+                                   max_size=num_nodes))
+        for fid in range(g.num_flows):
+            consumers = g.consumers_of(fid)
+            root = t_node[g.flow_producer(fid)]
+            plan = build_flow_plan(g, fid, root)
+            # The scan _release_flow ran on every releasing node.
+            remote = sorted({t_node[tid] for tid in consumers} - {root})
+            children = binomial_tree([root] + remote)[1] if remote else ()
+            prio = max((t_prio[tid] for tid in consumers), default=0.0)
+            for rank in range(num_nodes):
+                local = [tid for tid in consumers if t_node[tid] == rank]
+                assert list(plan.by_node.get(rank, ())) == local
+            assert plan.children == children
+            assert plan.prio == prio
+            assert math.copysign(1.0, plan.prio) == math.copysign(1.0, prio)
+            assert plan.size == g.flow_size(fid)
+            assert plan.pending == 1 + len(remote)
+            partial = build_flow_plan(g, fid, root, owned)
+            assert partial.pending == sum(owned[n] for n in [root] + remote)
 
 
 class TestRuntimeExecutionProperties:

@@ -1,5 +1,6 @@
 """Tests for the docs generator and assorted uncovered branches."""
 
+import json
 import subprocess
 import sys
 import pathlib
@@ -121,6 +122,28 @@ class TestRepoCheckers:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "bench_ab OK: cores bit-identical" in proc.stdout
+
+    @pytest.mark.parametrize("backend,sha", [
+        ("mpi", "2006e32fbd234cf2dc79d8cf070140a00f36cb7be2cae0a615f0eb9a877f16ee"),
+        ("lci", "86d7ba7b0e506c93d30762da6424ee20b8bbeff02f1de969fbb20598f2f0fe15"),
+    ])
+    def test_bench_ab_stack_obs_stream_pinned(self, backend, sha):
+        # The perf fingerprints run with observability off; this pins the
+        # obs-on path (every emitted event of bench_ab's default-size stack
+        # workload) to the value recorded before the per-message host-path
+        # rewrite, so payload and wire-emit changes cannot drift it.  The
+        # run needs a fresh interpreter: put data tags come from a
+        # process-wide counter and appear in the MPI event keys.
+        spec = {"workload": "stack", "backend": backend,
+                "layers": [8, 12, 12, 12, 8]}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bench_ab.py"),
+             "--child", json.dumps(spec)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["trace_sha256"] == sha
 
     def test_paper_scale_budget(self, tmp_path):
         # Build-only mode (~5 s): asserts the NT=150 graph build/memory
