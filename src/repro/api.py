@@ -178,10 +178,7 @@ class Experiment:
     :class:`BackendKind` or its string value; ``nodes``/``seed`` inject
     into the workload config; ``faults`` is a
     :class:`~repro.config.FaultConfig` or a named plan from
-    :data:`~repro.faults.plans.FAULT_PLANS`; ``partitions`` selects the
-    partitioned PDES engine (an ``int`` worker-process count or a
-    :class:`~repro.config.PartitionConfig`, for workloads declaring
-    ``accepts_partitions``); remaining keyword arguments
+    :data:`~repro.faults.plans.FAULT_PLANS`; remaining keyword arguments
     are workload-config fields (e.g. ``fragment_size`` for ping-pong,
     ``width``/``depth``/``pattern`` for taskbench) and are validated
     eagerly against the workload's parameter schema — an unknown name
@@ -197,10 +194,8 @@ class Experiment:
         nodes: Optional[int] = None,
         seed: int = 0,
         faults: Any = None,
-        partitions: Any = None,
         **params: Any,
     ):
-        from repro.config import as_partition_config
         from repro.workloads import get_workload
 
         self._spec = get_workload(workload)
@@ -213,10 +208,6 @@ class Experiment:
 
             faults = fault_plan(faults)
         self.faults = faults
-        # Eager validation: an int/PartitionConfig/None contract violation
-        # surfaces here, not mid-run.  ``None`` defers to the
-        # ``REPRO_SIM_PARTITIONS`` environment default at run time.
-        self.partitions = as_partition_config(partitions)
         self.params = dict(params)
         # Eager validation: building the config surfaces unknown or
         # invalid parameters immediately.
@@ -250,17 +241,8 @@ class Experiment:
         ``progress``/``guards`` are accepted only by workloads declaring
         ``accepts_progress`` (currently ``hicma``) — elsewhere a non-None
         value raises :class:`~repro.errors.ConfigError` rather than
-        silently dropping a supervision request.  The partitioned PDES
-        engine is selected by ``Experiment(partitions=...)`` — or, when
-        that is unset, by the ``REPRO_SIM_PARTITIONS`` environment
-        variable — and requires the workload to declare
-        ``accepts_partitions``.
+        silently dropping a supervision request.
         """
-        partitions = self.partitions
-        if partitions is None:
-            from repro.config import default_partitions
-
-            partitions = default_partitions()
         raw = self._spec.run(
             self.backend,
             self.config(),
@@ -270,7 +252,6 @@ class Experiment:
             ctx_observer=ctx_observer,
             progress=progress,
             guards=guards,
-            partitions=partitions,
         )
         return self._spec.freeze(raw, self.backend)
 

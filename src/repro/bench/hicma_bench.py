@@ -21,7 +21,6 @@ from repro.analysis.stats import summarize
 from repro.codec import DictCodec
 from repro.config import (
     PlatformConfig,
-    as_partition_config,
     paper_scale_enabled,
     scaled_platform,
 )
@@ -120,7 +119,6 @@ def run_hicma_benchmark(
     ctx_observer=None,
     progress=None,
     guards=None,
-    partitions=None,
 ) -> HicmaResult:
     """Execute one TLR Cholesky on the simulated runtime.
 
@@ -132,12 +130,8 @@ def run_hicma_benchmark(
     ``guards`` (:class:`~repro.supervise.guards.RunGuards`) enforces hard
     run budgets; on violation the structured abort carries a diagnostic
     snapshot and partial stats (see :meth:`~repro.runtime.context.
-    ParsecContext.run`).  ``partitions`` (an ``int``, a
-    :class:`~repro.config.PartitionConfig`, or ``None`` for serial)
-    selects the partitioned PDES engine (:mod:`repro.sim.partition`) —
-    measurements stay bit-identical to the serial kernel.
+    ParsecContext.run`).
     """
-    pcfg = as_partition_config(partitions)
     if platform is None:
         if paper_scale_enabled():
             from repro.config import expanse_platform
@@ -145,27 +139,6 @@ def run_hicma_benchmark(
             platform = expanse_platform(num_nodes=cfg.num_nodes)
         else:
             platform = scaled_platform(num_nodes=cfg.num_nodes, cores_per_node=8)
-    if pcfg is not None:
-        from repro.sim.partition import run_partitioned_graph
-        from repro.workloads.builtin import _hicma_graph
-
-        stats = run_partitioned_graph(
-            _hicma_graph,
-            backend,
-            cfg,
-            platform,
-            pcfg,
-            faults=faults,
-            schedule_policy=schedule_policy,
-            ctx_observer=ctx_observer,
-            progress=progress,
-            guards=guards,
-            ctx_kwargs={
-                "multithreaded_activate": cfg.multithreaded_activate,
-                "clock_sync": cfg.clock_sync,
-            },
-        )
-        return _hicma_result(cfg, backend, stats)
     ranks = RankModel(cfg.nt, cfg.tile_size, cfg.maxrank)
     times = KernelTimeModel(platform.compute)
     t_build = time.perf_counter()
@@ -201,13 +174,7 @@ def run_hicma_benchmark(
     if ctx_observer is not None:
         ctx_observer(ctx)
     stats = ctx.run(graph, until=36_000.0, progress=progress, guards=guards)
-    return _hicma_result(cfg, backend, stats)
-
-
-def _hicma_result(cfg: HicmaConfig, backend: str, stats) -> HicmaResult:
-    """Flatten :class:`~repro.runtime.context.RunStats` into the raw
-    result record (shared by the serial and partitioned paths)."""
-    result = HicmaResult(
+    return HicmaResult(
         config=cfg,
         backend=backend,
         time_to_solution=stats.makespan,
@@ -219,12 +186,6 @@ def _hicma_result(cfg: HicmaConfig, backend: str, stats) -> HicmaResult:
         worker_utilization=stats.worker_utilization,
         events_processed=stats.events_processed,
     )
-    # Partitioned runs attach sync-protocol telemetry as an undeclared
-    # attribute (kept out of dataclasses.asdict fingerprints).
-    sync = getattr(stats, "partition_sync", None)
-    if sync is not None:
-        result.partition_sync = sync
-    return result
 
 
 def best_tile_scan(

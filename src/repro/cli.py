@@ -19,11 +19,9 @@ Commands
 ``info``         print the calibrated platform constants
 
 Every verb spells the shared knobs identically — ``--backend``,
-``--seed``, ``--nodes``, ``--jobs``, ``--partitions`` — via a common
-parent parser (:func:`_common_flags`); old spellings (``--num-nodes``)
-remain as hidden aliases.  Verbs that cannot partition (``chaos``,
-``explore``) still take ``--partitions`` and reject it with a clear
-:class:`~repro.errors.ConfigError` instead of not knowing the flag.
+``--seed``, ``--nodes``, ``--jobs`` — via a common parent parser
+(:func:`_common_flags`); old spellings (``--num-nodes``) remain as hidden
+aliases.
 """
 
 from __future__ import annotations
@@ -57,16 +55,12 @@ def _common_flags(
     seed: Optional[int] = None,
     nodes: Optional[int] = None,
     jobs: Optional[int] = None,
-    partitions: bool = False,
     backend_choices: Sequence[str] = ("mpi", "lci"),
 ) -> argparse.ArgumentParser:
     """Parent parser for the flags every verb spells identically.
 
     Pass a default to include a flag on the verb; leave it ``None`` to
     omit it.  ``--num-nodes`` is kept as a hidden alias for ``--nodes``.
-    ``partitions=True`` adds ``--partitions`` (the partitioned PDES
-    engine; its default stays ``None`` = serial or the
-    ``REPRO_SIM_PARTITIONS`` environment default).
     """
     p = argparse.ArgumentParser(add_help=False)
     if backend is not None:
@@ -83,34 +77,7 @@ def _common_flags(
     if jobs is not None:
         p.add_argument("--jobs", type=int, default=jobs,
                        help="worker processes (1 = run in-process)")
-    if partitions:
-        p.add_argument("--partitions", type=int, default=None, metavar="P",
-                       help="run the partitioned PDES engine with P worker "
-                       "processes (default: serial, or "
-                       "$REPRO_SIM_PARTITIONS); results are bit-identical "
-                       "to serial execution")
-        p.add_argument("--window-batch", type=int, default=None, metavar="K",
-                       help="sync windows per coordinator round-trip for "
-                       "--partitions (default: the batched protocol's "
-                       "PartitionConfig.window_batch; 1 = classic "
-                       "per-window protocol)")
     return p
-
-
-def _resolve_partitions(args):
-    """Combine ``--partitions``/``--window-batch`` into the one
-    ``partitions=`` value every API layer accepts (``None``, an int, or
-    a :class:`~repro.config.PartitionConfig`)."""
-    partitions = getattr(args, "partitions", None)
-    batch = getattr(args, "window_batch", None)
-    if batch is None:
-        return partitions
-    from repro.config import PartitionConfig
-    from repro.errors import ConfigError
-
-    if partitions is None:
-        raise ConfigError("--window-batch requires --partitions")
-    return PartitionConfig(partitions=partitions, window_batch=batch)
 
 
 def _param_value(text: str):
@@ -177,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run any registered workload once and print its result "
         "(see docs/workloads.md for the scenario catalog)",
-        parents=[_common_flags(backend="lci", seed=0, partitions=True)],
+        parents=[_common_flags(backend="lci", seed=0)],
     )
     rn.add_argument("workload", choices=list(workload_names()),
                     help="which registered workload to run")
@@ -214,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--total", type=_size, default=None)
 
     hc = sub.add_parser("hicma", help="TLR Cholesky (Fig. 4/5)",
-                        parents=[_common_flags(backend="lci", seed=0, nodes=4,
-                                               partitions=True)])
+                        parents=[_common_flags(backend="lci", seed=0, nodes=4)])
     hc.add_argument("--matrix", type=int, default=None,
                     help="matrix dimension N (default 36,000, or 360,000 "
                     "under REPRO_PAPER_SCALE=1)")
@@ -252,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a named experiment grid through the parallel, cached "
         "sweep engine and print its figure table",
-        parents=[_common_flags(jobs=1, partitions=True)],
+        parents=[_common_flags(jobs=1)],
     )
     sw.add_argument("grid", choices=["fig4", "fig5", "pingpong", "taskbench"],
                     help="which experiment grid to run")
@@ -299,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explore",
         help="explore alternative schedules of a scenario and check "
         "protocol invariants (quiescence, matching, deadlock, invariance)",
-        parents=[_common_flags(backend="lci", seed=0, nodes=2, jobs=1,
-                               partitions=True)],
+        parents=[_common_flags(backend="lci", seed=0, nodes=2, jobs=1)],
     )
     ex.add_argument("scenario", nargs="?", choices=list(SCENARIO_KINDS),
                     default="pingpong",
@@ -344,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-fault-kind injection/recovery counts (default: a small "
         "TLR Cholesky job)",
         parents=[_common_flags(backend="both", seed=0, nodes=2,
-                               partitions=True,
                                backend_choices=("mpi", "lci", "both"))],
     )
     ch.add_argument("--plan", choices=sorted(FAULT_PLANS), default="chaos")
@@ -393,7 +357,6 @@ def cmd_run(args) -> int:
             nodes=args.nodes,
             seed=args.seed,
             faults=args.faults,
-            partitions=_resolve_partitions(args),
             **params,
         ).run()
     except ConfigError as exc:
@@ -489,7 +452,7 @@ def _report_abort(exc) -> int:
 
 def cmd_hicma(args) -> int:
     """Run one simulated TLR Cholesky configuration."""
-    from repro.errors import ConfigError, SupervisionError
+    from repro.errors import SupervisionError
     from repro.bench.hicma_bench import (
         HicmaConfig,
         default_matrix_size,
@@ -524,23 +487,7 @@ def cmd_hicma(args) -> int:
         from repro.supervise import RunGuards
 
         guards = RunGuards(deadline=args.deadline, max_events=args.max_events)
-    try:
-        partitions = _resolve_partitions(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if partitions is None:
-        from repro.config import default_partitions
-
-        partitions = default_partitions()
     if args.native_put:
-        if partitions is not None:
-            print(
-                "error: --native-put drives the context directly and does "
-                "not support --partitions",
-                file=sys.stderr,
-            )
-            return 2
         platform = scaled_platform(num_nodes=cfg.num_nodes, cores_per_node=8)
         graph = build_tlr_cholesky_graph(
             cfg.nt, cfg.tile_size, num_nodes=cfg.num_nodes,
@@ -562,7 +509,7 @@ def cmd_hicma(args) -> int:
         return 0
     try:
         result = run_hicma_benchmark(args.backend, cfg, progress=progress,
-                                     guards=guards, partitions=partitions)
+                                     guards=guards)
     except SupervisionError as exc:
         return _report_abort(exc)
     print(result.summary())
@@ -622,13 +569,6 @@ def cmd_explore(args) -> int:
         write_schedule,
     )
 
-    if args.partitions is not None or args.window_batch is not None:
-        print(
-            "error: the schedule explorer drives event interleavings "
-            "in-process and does not support --partitions/--window-batch",
-            file=sys.stderr,
-        )
-        return 2
     if args.replay:
         scenario, record = replay_schedule(args.replay)
         violations = record["violations"]
@@ -704,13 +644,6 @@ def cmd_chaos(args) -> int:
     from repro.bench.chaos import ChaosConfig, run_chaos
     from repro.faults.plans import fault_plan
 
-    if args.partitions is not None or args.window_batch is not None:
-        print(
-            "error: fault injection consumes RNG streams in global send "
-            "order and is incompatible with --partitions/--window-batch",
-            file=sys.stderr,
-        )
-        return 2
     cfg = ChaosConfig(
         plan_name=args.plan,
         plan=fault_plan(args.plan),
@@ -747,7 +680,7 @@ def cmd_sweep(args) -> int:
     """Run a named experiment grid through the sweep engine."""
     from repro.analysis.sweep_tables import render_outcome
     from repro.config import SweepConfig
-    from repro.errors import ConfigError, SweepInterrupted
+    from repro.errors import SweepInterrupted
     from repro.sweep import ResultCache, named_grid, run_sweep
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -767,27 +700,6 @@ def cmd_sweep(args) -> int:
             "streams": args.streams,
         }
     spec = named_grid(args.grid, **kwargs)
-    try:
-        cli_partitions = _resolve_partitions(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cli_partitions is not None:
-        # Stamp the engine selection onto every point.  Workloads without
-        # accepts_partitions fail their points loudly (ConfigError) rather
-        # than silently running serial; cache keys change only when the
-        # flag is actually set.
-        import dataclasses as _dc
-
-        from repro.sweep import SweepSpec
-
-        spec = SweepSpec(
-            name=spec.name,
-            points=tuple(
-                _dc.replace(p, partitions=cli_partitions)
-                for p in spec.points
-            ),
-        )
     config = SweepConfig(
         jobs=args.jobs,
         cache_enabled=not args.no_cache,

@@ -44,12 +44,9 @@ __all__ = [
     "PlatformConfig",
     "FaultConfig",
     "SweepConfig",
-    "PartitionConfig",
-    "as_partition_config",
     "expanse_platform",
     "scaled_platform",
     "paper_scale_enabled",
-    "default_partitions",
 ]
 
 
@@ -438,121 +435,6 @@ class SweepConfig(DictCodec):
             "SweepConfig.heartbeat_timeout must be > 0 "
             f"(got {self.heartbeat_timeout!r})",
         )
-
-
-def default_partitions() -> "int | None":
-    """The ``REPRO_SIM_PARTITIONS`` environment override, or ``None``.
-
-    The companion of ``REPRO_SWEEP_JOBS``: where that knob sets how many
-    *sweep points* run concurrently, this one sets how many partition
-    worker processes one simulation shards its nodes across (see
-    :mod:`repro.sim.partition`).  An unset/empty variable means "no
-    override" — the experiment's explicit ``partitions=`` (or serial
-    execution) wins.  A non-integer or non-positive value raises
-    :class:`~repro.errors.ConfigError` rather than silently serialising.
-    """
-    raw = os.environ.get("REPRO_SIM_PARTITIONS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_SIM_PARTITIONS={raw!r} is not an integer"
-        ) from None
-    _require(value >= 1, f"REPRO_SIM_PARTITIONS must be >= 1 (got {value})")
-    return value
-
-
-@dataclass(frozen=True)
-class PartitionConfig(DictCodec):
-    """Execution policy for one partitioned (PDES) simulation run.
-
-    ``partitions`` counts worker *processes* the simulated nodes are
-    sharded across; 1 still exercises the partitioned engine (one worker,
-    useful for parity testing), while ``None`` at the API layer means
-    "serial in-process execution".  The dataclass round-trips through the
-    canonical-JSON codec so it can ride sweep points and job specs; sweep
-    cache keys only include it when a partition count is explicitly set,
-    which keeps historical keys stable (partitioned execution is
-    bit-identical, so a cached serial record answers a partitioned
-    request and vice versa).
-    """
-
-    #: Partition worker processes (simulated nodes are block-distributed).
-    partitions: int = 1
-    #: Conservative lookahead override (s); ``None`` derives the bound
-    #: from the platform's LogGP link latency (see
-    #: :func:`repro.sim.partition.lookahead_bound`).
-    lookahead: "float | None" = None
-    #: Wall-clock seconds a partition worker may stay silent before the
-    #: coordinator presumes it hung/died and retries the run.
-    heartbeat_timeout: float = 60.0
-    #: Whole-run retries after a transient worker failure (SIGKILL, OOM).
-    retries: int = 1
-    #: Sync windows each worker runs per coordinator round-trip.  1
-    #: reproduces the classic two-round-trip-per-window pipe protocol;
-    #: >1 lets the fleet self-synchronize up to this many windows at a
-    #: time over pairwise worker pipes (wire records and completion
-    #: notices exchange directly, every worker replaying the same
-    #: canonical ``(inject, src, seq)`` merge), cutting coordinator
-    #: round-trips by ~2x the batch length.  Overridable per process
-    #: via the ``REPRO_PARTITION_WINDOW_BATCH`` environment variable.
-    window_batch: int = 64
-
-    def __post_init__(self) -> None:
-        _require(
-            isinstance(self.partitions, int)
-            and not isinstance(self.partitions, bool)
-            and self.partitions >= 1,
-            f"PartitionConfig.partitions must be an int >= 1 "
-            f"(got {self.partitions!r})",
-        )
-        _require(
-            self.lookahead is None
-            or (isinstance(self.lookahead, (int, float)) and self.lookahead > 0),
-            f"PartitionConfig.lookahead must be > 0 or None "
-            f"(got {self.lookahead!r})",
-        )
-        _require(
-            isinstance(self.heartbeat_timeout, (int, float))
-            and self.heartbeat_timeout > 0,
-            "PartitionConfig.heartbeat_timeout must be > 0 "
-            f"(got {self.heartbeat_timeout!r})",
-        )
-        _require(
-            isinstance(self.retries, int) and self.retries >= 0,
-            f"PartitionConfig.retries must be an int >= 0 (got {self.retries!r})",
-        )
-        _require(
-            isinstance(self.window_batch, int)
-            and not isinstance(self.window_batch, bool)
-            and self.window_batch >= 1,
-            f"PartitionConfig.window_batch must be an int >= 1 "
-            f"(got {self.window_batch!r})",
-        )
-
-
-def as_partition_config(value) -> "PartitionConfig | None":
-    """Normalize a user-facing ``partitions`` value.
-
-    ``None`` passes through (serial execution); an ``int`` becomes a
-    default-policy :class:`PartitionConfig`; a ``PartitionConfig`` is
-    returned as-is.  Anything else — including ``bool`` — raises
-    :class:`~repro.errors.ConfigError`.  This is the one normalization
-    point shared by ``Experiment``, the CLI verbs, and the workload
-    drivers, so every layer spells ``partitions=`` identically.
-    """
-    if value is None:
-        return None
-    if isinstance(value, PartitionConfig):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return PartitionConfig(partitions=value)
-    raise ConfigError(
-        f"partitions must be an int >= 1, a PartitionConfig, or None "
-        f"(got {value!r})"
-    )
 
 
 @dataclass(frozen=True)

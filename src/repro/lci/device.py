@@ -156,12 +156,11 @@ class LciDevice:
                 self.sim.call_later(ack, src_dev._push_hw, ("fin", p["sd"]))
                 return
             if self.world.fabric.defers_wire and msg.src != self.node:
-                # Deferred-ejection mode (serial epoch flush or partition
-                # barrier): the delivery time is only resolved at the
-                # destination NIC, so completions are delivery-driven —
-                # the receiver raises its CQE here, and the sender's FIN
-                # is raised from the ``_fin`` payload hint (the fabric's
-                # fin applier serially, a barrier notice when partitioned).
+                # Deferred-ejection mode (end-of-epoch flush): the delivery
+                # time is only resolved at the destination NIC, so
+                # completions are delivery-driven — the receiver raises
+                # its CQE here, and the sender's FIN is raised from the
+                # ``_fin`` payload hint by the fabric's fin applier.
                 p = msg.payload
                 if p.get("one_sided"):
                     self._push_hw(("pcomp",) + p["pcomp"])

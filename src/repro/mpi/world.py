@@ -383,9 +383,9 @@ class MpiRank:
                 # origin-side completion at actual delivery (see _on_wire).
                 wire_payload["req"] = req
             elif deferred:
-                # Deferred wire put (serial epoch flush or partitioned
-                # barrier): origin completion is applied one ack latency
-                # after the resolved delivery via the ``_fin`` hint.
+                # Deferred wire put (end-of-epoch flush): origin
+                # completion is applied one ack latency after the
+                # resolved delivery via the ``_fin`` hint.
                 ack = fabric.base_latency(dst, self.rank)
                 wire_payload["_fin"] = (req.req_id, ack)
                 self._pending_fin[req.req_id] = ("rma", req)
@@ -494,10 +494,9 @@ class MpiRank:
             deferred = fabric.defers_wire and sreq.dst != self.rank
             if deferred:
                 # Deferred wire send: local completion is modelled at data
-                # delivery, which is only resolved at ejection (the serial
-                # epoch flush, or the destination partition's barrier
-                # deliver) — it comes back through the ``_fin`` hint
-                # (extra 0.0 keeps the timestamp identical).
+                # delivery, which is only resolved at ejection (the
+                # end-of-epoch flush) — it comes back through the ``_fin``
+                # hint (extra 0.0 keeps the timestamp identical).
                 rdata_payload["_fin"] = (sreq.req_id, 0.0)
                 self._pending_fin[sreq.req_id] = ("send", sreq)
             deliver = fabric.send(
@@ -573,9 +572,8 @@ class MpiRank:
         """Apply a deferred source-side completion (``_fin`` hint).
 
         ``ref`` is the ``req_id`` registered in ``_pending_fin`` when the
-        send/put was issued.  The serial fabric's epoch flush and the
-        partition driver's barrier notices both land here, at the same
-        timestamp by construction.
+        send/put was issued.  The fabric's end-of-epoch flush schedules
+        it one ``extra`` delay after the resolved delivery.
         """
         kind, req = self._pending_fin.pop(ref)
         if kind == "send":

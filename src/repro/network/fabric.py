@@ -11,47 +11,25 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from repro.config import NetworkConfig
 from repro.errors import NetworkError
 from repro.faults.engine import NULL_FAULTS
-from repro.network.message import MessageClass, WireMessage
+from repro.network.message import WireMessage
 from repro.network.nic import NicState
 from repro.network.topology import FatTreeTopology
 from repro.obs.bus import NULL_BUS, ObsBus
 from repro.sim.core import Simulator
 from repro.units import US
 
-__all__ = ["Fabric", "PartitionFabric", "WireRecord", "partition_owner"]
+__all__ = ["Fabric"]
 
 Handler = Callable[[WireMessage], None]
 
 #: Sort key for the epoch flush buffer: ``(src, seq)``.  Seqs are unique
 #: per source, so tuple comparison never reaches the message object.
 _WIRE_KEY = operator.itemgetter(0, 1)
-
-#: Sort key for the coordinator's global outbox merge: the canonical
-#: ``(inject, src, seq)`` total order every engine replays.
-WIRE_MERGE_KEY = operator.attrgetter("inject", "src", "seq")
-
-
-def partition_owner(num_nodes: int, partitions: int) -> list[int]:
-    """Block ownership map: ``owner[node]`` = partition index.
-
-    Nodes are distributed in contiguous blocks (partition ``p`` owns ranks
-    ``[p*N/P, (p+1)*N/P)``), which keeps the paper's 2D block-cyclic HiCMA
-    neighbours mostly partition-local.  Every partition owns at least one
-    node; asking for more partitions than nodes is a configuration error.
-    """
-    if partitions < 1:
-        raise NetworkError(f"partitions must be >= 1 (got {partitions})")
-    if partitions > num_nodes:
-        raise NetworkError(
-            f"cannot split {num_nodes} node(s) across {partitions} "
-            f"partitions; each partition needs at least one node"
-        )
-    return [node * partitions // num_nodes for node in range(num_nodes)]
 
 
 class Fabric:
@@ -66,20 +44,15 @@ class Fabric:
     #: Delivery latency of a loopback (shared-memory) message.
     LOOPBACK_LATENCY = 0.4 * US
 
-    #: True on :class:`PartitionFabric`: wire sends are deferred to the
-    #: synchronization barrier and completions are delivery-driven.  The
-    #: communication libraries branch on this instead of isinstance checks.
-    partitioned = False
-
     #: True when wire sends do not resolve a delivery time at the
-    #: ``send()`` call: destination-NIC ejection is deferred — to the end
-    #: of the injecting epoch on the serial fabric, to the barrier merge
-    #: on :class:`PartitionFabric` — and happens in canonical ``(inject,
-    #: src, seq)`` order, so equal-timestamp arrivals at one NIC resolve
-    #: identically in both engines.  ``send()`` returns ``nan`` for wire
-    #: messages and source-side completions are delivery-driven (the
-    #: ``_fin`` payload hint).  False only when the reliable transport
-    #: owns delivery scheduling (fault-injection mode).  Set per instance.
+    #: ``send()`` call: destination-NIC ejection is deferred to the end of
+    #: the injecting epoch and happens in canonical ``(inject, src, seq)``
+    #: order.  ``NicState.eject`` depends on call order, so this keeps
+    #: equal-timestamp arrivals at one NIC independent of the order the
+    #: sends were issued in.  ``send()`` returns ``nan`` for wire messages
+    #: and source-side completions are delivery-driven (the ``_fin``
+    #: payload hint).  False only when the reliable transport owns
+    #: delivery scheduling (fault-injection mode).  Set per instance.
     defers_wire = True
 
     def __init__(
@@ -131,8 +104,8 @@ class Fabric:
         #: ejection: ``(src, seq, msg, arrival, handler)``, flushed in
         #: ``(src, seq)`` order at epoch end (all share one inject time).
         self._pending_wire: list = []
-        #: Per-channel source-side completion appliers (``fn(node, ref)``),
-        #: the serial twin of the partition driver's ``_fin_call``.
+        #: Per-channel source-side completion appliers (``fn(node, ref)``)
+        #: for the ``_fin`` payload hint (see :meth:`register_fin_applier`).
         self._fin_appliers: dict[str, Callable[[int, int], None]] = {}
         #: Deprecated raw-WireMessage log — see :meth:`enable_message_log`.
         self.message_log: Optional[list[WireMessage]] = None  # obs-allow-adhoc
@@ -186,9 +159,7 @@ class Fabric:
         Deferred wire sends carry their source-side completion as a
         ``_fin = (ref, extra)`` payload hint; once the destination NIC
         resolves the delivery time the fabric schedules ``fn(src, ref)``
-        at ``inject + ((deliver - inject) + extra)`` — the same float
-        arithmetic, and the same applier, the partition driver uses for
-        barrier FIN notices (``repro.sim.partition._fin_call``).
+        at ``inject + ((deliver - inject) + extra)``.
         """
         self._fin_appliers[channel] = fn
 
@@ -221,7 +192,7 @@ class Fabric:
         canonical ``(inject, src, seq)`` order (see :meth:`_flush_epoch`),
         so the delivery time is not knowable at the call.  Callers use the
         delivery-driven ``_fin`` payload hint for source-side completions
-        instead of the return value — exactly as in partitioned mode.
+        instead of the return value.
         """
         src = msg.src
         dst = msg.dst
@@ -274,15 +245,15 @@ class Fabric:
         Runs at the end of the injecting epoch (``Simulator.at_epoch_end``)
         with the clock still at the shared injection time.  Records are
         ejected in ``(src, seq)`` order — with one inject time this *is*
-        the canonical ``(inject, src, seq)`` total order — so receiver-
-        contention bookkeeping (``NicState.eject`` is call-order-sensitive)
-        resolves equal-timestamp arrivals identically to the partitioned
-        engine's barrier merge.  For each record the delivery handler is
-        scheduled at ``inject + (deliver - inject)`` and any ``_fin``
-        payload hint becomes a source-side completion at ``inject +
-        ((deliver - inject) + extra)`` — both the exact float expressions
-        of the partition driver — in record order, delivery before fin, so
-        equal-fire-time heap ties also replay identically.
+        the canonical ``(inject, src, seq)`` total order.  Receiver-
+        contention bookkeeping (``NicState.eject``) depends on call order,
+        so sorting makes equal-timestamp arrivals at one NIC resolve the
+        same way whatever order the sends were issued in.  For each record
+        the delivery handler is scheduled at ``inject + (deliver -
+        inject)`` and any ``_fin`` payload hint becomes a source-side
+        completion at ``inject + ((deliver - inject) + extra)``, in record
+        order, delivery before fin, so equal-fire-time heap ties are
+        canonical too.
         """
         buf = self._pending_wire
         self._pending_wire = []
@@ -331,185 +302,3 @@ class Fabric:
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise NetworkError(f"node {node} out of range [0, {self.num_nodes})")
-
-
-class WireRecord(NamedTuple):
-    """One deferred wire transmission, as exchanged between partitions.
-
-    The pickled unit of the PDES barrier protocol: everything a receiving
-    partition needs to eject the message at the destination NIC and
-    schedule its delivery handler bit-identically to the serial kernel.
-    The canonical global merge order is the ``(inject, src, seq)`` total
-    order (:data:`WIRE_MERGE_KEY`): the same key the serial fabric's
-    epoch flush replays, which is what makes equal-timestamp arrivals at
-    one destination NIC resolve identically in every engine regardless of
-    which partition observed which send.
-    """
-
-    #: Fabric injection time (``sim.now`` at the ``send()`` call).
-    inject: float
-    #: Source node rank.
-    src: int
-    #: Per-source-node send sequence number (canonical tie-break).
-    seq: int
-    #: Destination node rank.
-    dst: int
-    #: Wire arrival time at the destination NIC (tail departure + route
-    #: latency); receiver contention is charged by the destination
-    #: partition's ``eject`` in canonical order.
-    arrival: float
-    #: NIC tail-departure time at the source.
-    depart: float
-    #: Wire size in bytes.
-    size: int
-    #: ``MessageClass`` value (int, pickle-stable).
-    msg_class: int
-    #: Library channel (``"mpi"`` / ``"lci"``).
-    channel: str
-    #: Opaque library payload (must be picklable in partitioned mode).
-    payload: object
-
-
-class PartitionFabric(Fabric):
-    """Fabric for one partition worker of a conservative-sync PDES run.
-
-    The worker owns a contiguous block of node ranks (``owner`` maps every
-    rank to its partition).  Loopback messages never touch NICs or the
-    wire and stay on the serial fast path; **every** wire send — including
-    one whose destination happens to live in this partition — is charged
-    at the source NIC immediately but *deferred* as a :class:`WireRecord`
-    into :attr:`outbox` instead of being delivery-scheduled.  The barrier
-    exchange merges all partitions' records in canonical ``(inject, src,
-    seq)`` order and hands each destination partition its slice through
-    :meth:`apply_delivery`, which ejects at the destination NIC and
-    schedules the handler at exactly the serial kernel's event time
-    (``inject + (deliver - inject)`` — the same float arithmetic as the
-    serial ``call_later(deliver - now)`` path).
-
-    Fault injection is not supported: the fault engine consumes its RNG
-    streams in global send order, which no partitioning can reproduce.
-    """
-
-    partitioned = True
-
-    def __init__(
-        self,
-        sim: Simulator,
-        num_nodes: int,
-        cfg: Optional[NetworkConfig] = None,
-        obs: Optional[ObsBus] = None,
-        faults=None,
-        *,
-        owner: Optional[list[int]] = None,
-        local_partition: int = 0,
-    ):
-        super().__init__(sim, num_nodes, cfg, obs, faults)
-        if self._rel is not None:
-            raise NetworkError(
-                "fault injection is incompatible with partitioned execution "
-                "(fault RNG streams are consumed in global send order)"
-            )
-        self.owner = list(owner) if owner is not None else [0] * num_nodes
-        if len(self.owner) != num_nodes:
-            raise NetworkError(
-                f"ownership map covers {len(self.owner)} nodes, "
-                f"fabric has {num_nodes}"
-            )
-        self.local_partition = local_partition
-        #: Deferred wire sends since the last barrier, in send order
-        #: (``_src_seq`` lives on the base class).
-        self.outbox: list[WireRecord] = []
-
-    def owner_of(self, node: int) -> int:
-        """The partition index owning ``node``."""
-        self._check_node(node)
-        return self.owner[node]
-
-    def send(self, msg: WireMessage) -> float:
-        """Inject ``msg``; wire sends are deferred to the barrier.
-
-        Loopback returns the real delivery time (serial fast path); a wire
-        send returns ``nan`` — its delivery time is not knowable until the
-        destination partition ejects it in canonical order.  Partitioned-
-        aware callers never use the return value for wire messages.
-        """
-        self._check_node(msg.src)
-        self._check_node(msg.dst)
-        col = self._hcols.get(msg.channel)
-        handler = col[msg.dst] if col is not None else None
-        if handler is None:
-            raise NetworkError(
-                f"no handler for channel {msg.channel!r} at node {msg.dst}"
-            )
-        now = self.sim.now
-        msg.inject_time = now
-        if self.message_log is not None:  # obs-allow-adhoc
-            self.message_log.append(msg)  # obs-allow-adhoc
-        if msg.src == msg.dst:
-            # Loopback (zero-latency self-channel): partition-local by
-            # construction — it never reaches a NIC, so it neither enters
-            # the lookahead bound nor the barrier exchange.
-            deliver = now + self.LOOPBACK_LATENCY
-            msg.depart_time = now
-            msg.deliver_time = deliver
-            self._emit_wire(msg, now, deliver, now)
-            self.sim.call_later(deliver - now, handler, msg)
-            return deliver
-        depart = self.nics[msg.src].inject(now, msg.size, msg.msg_class)
-        arrival = depart + self.base_latency(msg.src, msg.dst)
-        msg.depart_time = depart
-        msg.deliver_time = math.nan
-        seq = self._src_seq[msg.src]
-        self._src_seq[msg.src] = seq + 1
-        self.outbox.append(WireRecord(
-            inject=now, src=msg.src, seq=seq, dst=msg.dst, arrival=arrival,
-            depart=depart, size=msg.size, msg_class=int(msg.msg_class),
-            channel=msg.channel, payload=msg.payload,
-        ))
-        self._emit_wire(msg, depart, math.nan, now)
-        return math.nan
-
-    def take_outbox(self) -> list[WireRecord]:
-        """Drain and return the deferred sends since the last barrier."""
-        out, self.outbox = self.outbox, []
-        return out
-
-    def eject_delivery(
-        self, rec: WireRecord
-    ) -> tuple[WireMessage, float, float, Handler]:
-        """Eject one merged record at its destination NIC.
-
-        Must be called in canonical (coordinator-merged) order across
-        *all* records destined to this partition — receiver-contention
-        state (``NicState.eject``) is order-sensitive, and the merge
-        order replays the serial kernel's send-call order.  Returns
-        ``(msg, deliver, when, handler)``: the reconstructed message, its
-        NIC delivery time, the exact event time to schedule the handler
-        at, and the handler itself.  Scheduling is the *caller's* job —
-        the partition driver defers all insertions so that equal-time
-        events enter the heap in the serial kernel's scheduling order.
-        """
-        msg = WireMessage(
-            src=rec.src, dst=rec.dst, size=rec.size,
-            msg_class=MessageClass(rec.msg_class), payload=rec.payload,
-            channel=rec.channel,
-        )
-        msg.inject_time = rec.inject
-        msg.depart_time = rec.depart
-        deliver = self.nics[rec.dst].eject(
-            rec.inject, rec.arrival, rec.size, msg.msg_class
-        )
-        msg.deliver_time = deliver
-        handler = self._hcols[rec.channel][rec.dst]
-        # Replicate the serial float arithmetic exactly: the serial kernel
-        # schedules via call_later(deliver - now), so the realised event
-        # time is inject + (deliver - inject), not the raw ``deliver``.
-        return msg, deliver, rec.inject + (deliver - rec.inject), handler
-
-    def apply_delivery(self, rec: WireRecord) -> tuple[WireMessage, float]:
-        """Eject one merged record and schedule its delivery handler
-        immediately (see :meth:`eject_delivery` for the ordering
-        contract and the deferred-scheduling variant)."""
-        msg, deliver, when, handler = self.eject_delivery(rec)
-        self.sim.call_at(when, handler, msg)
-        return msg, deliver

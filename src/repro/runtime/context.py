@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config import FaultConfig, PlatformConfig, scaled_platform
-from repro.errors import ConfigError, RuntimeBackendError
+from repro.errors import RuntimeBackendError
 from repro.faults.engine import FaultEngine, NULL_FAULTS
 from repro.lci.device import LciWorld
 from repro.mpi.world import MpiWorld
@@ -123,7 +123,6 @@ class ParsecContext:
         observability: Optional[bool] = None,
         faults: Optional[FaultConfig] = None,
         schedule_policy: Optional[SchedulePolicy] = None,
-        partition_role=None,
     ):
         if backend not in ("mpi", "lci"):
             raise RuntimeBackendError(f"unknown backend {backend!r}")
@@ -149,28 +148,10 @@ class ParsecContext:
         self.platform = platform or scaled_platform()
         self.backend = backend
         self.multithreaded_activate = multithreaded_activate
-        #: Partition role for PDES workers (``None`` for serial runs): an
-        #: object with ``index``, ``partitions`` and an ``owner`` rank map
-        #: (see :class:`repro.sim.partition.PartitionRole`).  The context
-        #: builds the *whole* world either way — construction is passive —
-        #: but a partition worker loads and threads only its owned nodes.
-        self.partition = partition_role
         #: ``schedule_policy`` plugs alternative same-timestamp tie-breaking
         #: into the kernel (see :class:`~repro.sim.core.SchedulePolicy`);
         #: ``None`` keeps the default bit-identical FIFO fast path.
-        if partition_role is not None:
-            if faults is not None and faults.enabled:
-                raise ConfigError(
-                    "fault injection is not supported in partitioned runs "
-                    "(the fault RNG is consumed in global send order, which "
-                    "no partition worker observes); set partitions=None or "
-                    "disable the fault plan"
-                )
-            from repro.sim.partition import PartitionSimulator
-
-            self.sim = PartitionSimulator(obs=self.obs, policy=schedule_policy)
-        else:
-            self.sim = Simulator(obs=self.obs, policy=schedule_policy)
+        self.sim = Simulator(obs=self.obs, policy=schedule_policy)
         self.obs.bind_clock(self.sim)
         self.rng = RngStreams(seed)
         n = self.platform.num_nodes
@@ -180,21 +161,9 @@ class ParsecContext:
             self.faults = FaultEngine(faults, sim=self.sim, rng=self.rng, obs=self.obs)
         else:
             self.faults = NULL_FAULTS
-        if partition_role is not None:
-            from repro.network.fabric import PartitionFabric
-
-            self.fabric = PartitionFabric(
-                self.sim,
-                n,
-                self.platform.network,
-                faults=self.faults,
-                owner=partition_role.owner,
-                local_partition=partition_role.index,
-            )
-        else:
-            self.fabric = Fabric(
-                self.sim, n, self.platform.network, faults=self.faults
-            )
+        self.fabric = Fabric(
+            self.sim, n, self.platform.network, faults=self.faults
+        )
         penalty = (
             1.0
             if self.platform.dedicated_comm_cores
@@ -263,16 +232,9 @@ class ParsecContext:
         self._total_tasks = 0
         self._executed = 0
         self._makespan = 0.0
-        self._last_task_t = 0.0
-        self._guards = None
         self.stats_activates = 0
         self.stats_aggregated = 0
         self.stats_activate_flows = 0
-        # Partition workers time-tag latency samples so the coordinator can
-        # merge all partitions' lists back into the serial kernel's append
-        # order (stable merge by time, worker index breaking cross-partition
-        # ties); serial runs keep plain floats.
-        self._timed_lat = partition_role is not None
         self._flow_lat: list = []
         self._msg_lat: list = []
 
@@ -289,22 +251,15 @@ class ParsecContext:
             sample = t_arr - t_snd
         else:
             sample = true_latency
-        if self._timed_lat:
-            self._flow_lat.append((self.sim.now, sample))
-        else:
-            self._flow_lat.append(sample)
+        self._flow_lat.append(sample)
 
     def record_msg_latency(self, latency: float) -> None:
         """Record one per-hop message latency sample."""
-        if self._timed_lat:
-            self._msg_lat.append((self.sim.now, latency))
-        else:
-            self._msg_lat.append(latency)
+        self._msg_lat.append(latency)
 
     def on_task_done(self, task) -> None:
         """Count a task completion; stops the run when all have executed."""
         self._executed += 1
-        self._last_task_t = self.sim.now
         if self._executed >= self._total_tasks:
             self._makespan = self.sim.now
             self.stopped = True
@@ -335,104 +290,6 @@ class ParsecContext:
             obs_counters=self.obs.counter_totals(),
         )
 
-    # -- partitioned execution (driven by repro.sim.partition) --------------
-
-    def _owned_nodes(self):
-        role = self.partition
-        return [nd for nd in self.nodes if role.owner[nd.rank] == role.index]
-
-    def partition_prepare(self, graph: TaskGraph, guards=None) -> int:
-        """Load and thread this partition's nodes; returns workers/node.
-
-        The window loop itself is driven by the partition worker (see
-        :mod:`repro.sim.partition`) — this context never calls
-        ``sim.run()`` on its own in partitioned mode.  ``guards`` install
-        exactly as in :meth:`run` and enforce *per-worker* budgets.
-        """
-        if self.partition is None:
-            raise RuntimeBackendError(
-                "partition_prepare requires a partition_role"
-            )
-        n = self.platform.num_nodes
-        graph.validate(num_nodes=n)
-        self._total_tasks = graph.num_tasks
-        workers = self.platform.workers_for(self.backend, multinode=n > 1)
-        owned = self._owned_nodes()
-        for node in owned:
-            node.load(graph, workers)
-        for node in owned:
-            node.start_threads(workers)
-        if guards is not None and guards.enabled:
-            guards.install(self)
-            self._guards = guards
-        return workers
-
-    def partition_check_threads(self) -> None:
-        """Raise if any owned worker/comm thread died with an exception.
-
-        A crashed thread looks like premature quiescence from the window
-        loop; the driver calls this whenever the local heap goes idle so
-        the real exception surfaces instead of a coordinator-side
-        task-count mismatch.
-        """
-        for node in self._owned_nodes():
-            for proc in node._threads + node._workers:
-                if proc.triggered and not proc.ok:
-                    raise RuntimeBackendError(
-                        f"thread {proc.name} died: {proc.value!r}"
-                    ) from proc.value
-
-    def partition_fragment(self, workers: int) -> dict:
-        """Picklable per-partition stats fragment for coordinator merge.
-
-        Latency lists carry ``(time, value)`` pairs (see ``_timed_lat``);
-        ``busy`` is per-owned-rank so the coordinator can sum in global
-        rank order, reproducing the serial kernel's float-addition order.
-        """
-        role = self.partition
-        return {
-            "partition": role.index,
-            "workers": workers,
-            "executed": self._executed,
-            "last_task_t": self._last_task_t,
-            "flow_lat": list(self._flow_lat),
-            "msg_lat": list(self._msg_lat),
-            "activates": self.stats_activates,
-            "aggregated": self.stats_aggregated,
-            "activate_flows": self.stats_activate_flows,
-            "wire_bytes": self.fabric.total_bytes(),
-            "events": self.sim.events_processed,
-            "busy": {
-                nd.rank: nd.busy_time for nd in self._owned_nodes()
-            },
-            "counters": self.obs.counter_totals(),
-            # Live release plans (diagnostic; not merged into RunStats).
-            "flow_plans": len(self.flow_plans),
-        }
-
-    def partition_finalize(self, workers: int) -> dict:
-        """Stop owned threads, drain the heap, and build the fragment."""
-        if self._guards is not None:
-            self._guards.finish()
-            self._guards = None
-        if not self.stopped and any(
-            nd.rank == 0 for nd in self._owned_nodes()
-        ):
-            # Multi-partition runs detect global completion on the
-            # coordinator, so no single worker ever sees
-            # ``_executed >= _total_tasks``.  Retire the run-wide stop
-            # event here — in the rank-0 partition, exactly once — so
-            # the fleet processes the same kernel event set as the
-            # serial engine: one stop dispatch plus one wake-or-
-            # interrupt resume per parked thread.
-            self.stopped = True
-            self.stop_event.succeed()
-            self.sim.run()
-        for node in self._owned_nodes():
-            node.stop_threads()
-        self.sim.run()  # drain remaining events (thread interrupts etc.)
-        return self.partition_fragment(workers)
-
     def run(
         self,
         graph: TaskGraph,
@@ -455,11 +312,6 @@ class ParsecContext:
         snapshot plus salvaged partial :class:`RunStats` (``exc.partial``)
         for whatever the run completed before the abort.
         """
-        if self.partition is not None:
-            raise RuntimeBackendError(
-                "a partitioned context is driven through partition_prepare/"
-                "partition_finalize by repro.sim.partition, not run()"
-            )
         n = self.platform.num_nodes
         graph.validate(num_nodes=n)
         self._total_tasks = graph.num_tasks

@@ -62,8 +62,8 @@ class _FlowPlan:
     Derived once from the flow's consumer list: the consumers grouped by
     node (consumer order kept), the producer's multicast children, the
     highest consumer priority and the payload size.  ``pending`` counts
-    the releases still to come in this process — the producer plus every
-    remote consumer node — and the plan is dropped when it reaches zero.
+    the releases still to come — the producer plus every remote consumer
+    node — and the plan is dropped when it reaches zero.
     """
 
     __slots__ = ("by_node", "children", "prio", "size", "pending")
@@ -76,12 +76,8 @@ class _FlowPlan:
         self.pending = pending
 
 
-def build_flow_plan(graph: TaskGraph, fid: int, root: int, owned=None) -> _FlowPlan:
-    """Release plan of flow ``fid``, multicast tree rooted at ``root``.
-
-    ``owned`` (a per-node bool list, ``None`` = every node) restricts the
-    pending-release count to the nodes this process runs.
-    """
+def build_flow_plan(graph: TaskGraph, fid: int, root: int) -> _FlowPlan:
+    """Release plan of flow ``fid``, multicast tree rooted at ``root``."""
     t_node = graph._t_node
     t_prio = graph._t_prio
     by_node: dict[int, list[int]] = {}
@@ -99,12 +95,9 @@ def build_flow_plan(graph: TaskGraph, fid: int, root: int, owned=None) -> _FlowP
             prio = p
     remote = sorted(node for node in by_node if node != root)
     children = binomial_tree([root] + remote)[1] if remote else ()
-    releasers = [root] + remote
-    if owned is not None:
-        releasers = [node for node in releasers if owned[node]]
     return _FlowPlan(
         by_node, children, 0.0 if prio is None else prio,
-        graph.flow_size(fid), len(releasers),
+        graph.flow_size(fid), 1 + len(remote),
     )
 
 
@@ -152,11 +145,6 @@ class NodeRuntime:
         #: Release plans of in-flight flows, shared by all nodes of the
         #: context (see :class:`_FlowPlan`).
         self.flow_plans: dict[int, _FlowPlan] = ctx.flow_plans
-        # Nodes whose releases happen in this process (None: all of them).
-        role = ctx.partition
-        self._owned = (
-            None if role is None else [o == role.index for o in role.owner]
-        )
         #: Flows fully consumed and dropped from the maps above.
         self.flows_retired = 0
         self.cleanups_done = 0
@@ -293,7 +281,7 @@ class NodeRuntime:
         plan = plans.get(fid)
         if plan is None:
             root = rank if initial else self._t_node[self.graph.flow_producer(fid)]
-            plan = build_flow_plan(self.graph, fid, root, self._owned)
+            plan = build_flow_plan(self.graph, fid, root)
             # A flow without remote consumers is released exactly once.
             if plan.pending > 1:
                 plans[fid] = plan

@@ -6,18 +6,12 @@ of timestamped events; generator coroutines (:class:`Process`) yield
 and are resumed when those complete.  Tie-breaking is by schedule order, so
 every run is bit-for-bit reproducible.
 
-Kernel selection goes through :func:`build_simulator` — the one place that
-knows about the serial epoch-batched core, the frozen ``REPRO_SIM_CORE=
-legacy`` twin, and the partitioned (PDES) worker kernel.  Constructing
-:class:`Simulator` directly from user code is deprecated (a
-:class:`DeprecationWarning` shim delegates identically); internal modules
-import the class from :mod:`repro.sim.core`, which stays warning-free.
+:class:`Simulator` is the epoch-batched core of :mod:`repro.sim.core`
+(or its frozen twin when ``REPRO_SIM_CORE=legacy`` is set at import time).
 """
 
-import warnings
-
-from repro.sim.core import Simulator as _CoreSimulator
 from repro.sim.core import (
+    Simulator,
     Event,
     Timeout,
     Process,
@@ -40,7 +34,6 @@ from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Simulator",
-    "build_simulator",
     "Event",
     "Timeout",
     "Process",
@@ -61,53 +54,3 @@ __all__ = [
     "TraceRecorder",
     "TraceEvent",
 ]
-
-
-def build_simulator(config=None, *, obs=None, policy=None):
-    """Build the right DES kernel for a run — the one construction point.
-
-    ``config`` is ``None`` for a serial in-process run (returns the core
-    :class:`~repro.sim.core.Simulator`, honouring the ``REPRO_SIM_CORE=
-    legacy`` twin selected at import time) or a
-    :class:`~repro.config.PartitionConfig` for a partitioned run (returns
-    a :class:`~repro.sim.partition.PartitionSimulator`, the window-capable
-    kernel a partition worker drives).  ``obs``/``policy`` forward to the
-    kernel constructor unchanged.
-
-    This factory is the supported public entry point; constructing
-    :class:`Simulator` directly still works but emits a
-    :class:`DeprecationWarning`.
-    """
-    if config is None:
-        return _CoreSimulator(obs=obs, policy=policy)
-    from repro.config import PartitionConfig
-    from repro.errors import ConfigError
-
-    if not isinstance(config, PartitionConfig):
-        raise ConfigError(
-            f"build_simulator expects a PartitionConfig or None, "
-            f"got {type(config).__name__}"
-        )
-    from repro.sim.partition import PartitionSimulator
-
-    return PartitionSimulator(obs=obs, policy=policy)
-
-
-class Simulator(_CoreSimulator):
-    """Deprecated direct-construction shim over the selected DES core.
-
-    ``repro.sim.Simulator(...)`` still builds the exact kernel
-    :func:`build_simulator` would pick for a serial run — same class
-    hierarchy, same behaviour, bit-identical schedules — but direct
-    construction from user code is deprecated in favour of the factory,
-    which also knows about the partitioned core.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "constructing repro.sim.Simulator directly is deprecated; use "
-            "repro.sim.build_simulator(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

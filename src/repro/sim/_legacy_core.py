@@ -439,7 +439,7 @@ class Simulator:
 
         Exact-timestamp twin of :meth:`call_later` (see the batched
         kernel's docstring); kept API-identical so the legacy core stays a
-        drop-in A/B twin for the partitioned engine too.
+        drop-in A/B twin.
         """
         if when < self.now:
             raise SimulationError(
@@ -461,12 +461,6 @@ class Simulator:
         at destination NICs in canonical ``(inject, src, seq)`` order.
         """
         self._epoch_cbs.append(fn)
-
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest pending entry (``inf`` when idle)."""
-        if self._ready:
-            return self.now
-        return self._heap[0][0] if self._heap else math.inf
 
     # -- public API ------------------------------------------------------
 

@@ -490,9 +490,8 @@ class Simulator:
 
         The exact-timestamp twin of :meth:`call_later`, for callers that
         must hit a precomputed absolute time without the ``now + (when -
-        now)`` float round-trip — the partitioned engine injects remote
-        deliveries and completion notices this way so their event times
-        are bit-identical to the serial kernel's.
+        now)`` float round-trip — the fabric's end-of-epoch flush
+        schedules deliveries and completion notices this way.
         """
         if when < self.now:
             raise SimulationError(
@@ -517,25 +516,12 @@ class Simulator:
         This is the hook the serial :class:`~repro.network.fabric.Fabric`
         uses to defer destination-NIC ejection to the end of the send's
         epoch, so equal-timestamp wire sends eject in the canonical
-        ``(inject, src, seq)`` order — the same total order the partitioned
-        engine's barrier merge replays (see ``repro.sim.partition``).
+        ``(inject, src, seq)`` order rather than in call order.
 
         Callbacks registered while no :meth:`run` is active fire at the end
         of the first epoch of the next :meth:`run` call.
         """
         self._epoch_cbs.append(fn)
-
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest pending entry (``inf`` when idle).
-
-        Current-time batch entries report ``now``; otherwise the heap head.
-        Only meaningful between :meth:`run` calls — the conservative-
-        synchronization coordinator polls this to compute the next safe
-        horizon.
-        """
-        if self._ready:
-            return self.now
-        return self._heap[0][0] if self._heap else math.inf
 
     # -- public API ------------------------------------------------------
 

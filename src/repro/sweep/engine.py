@@ -94,10 +94,6 @@ def execute_point(point: SweepPoint, progress=None) -> dict:
     spec = get_workload(point.kind)
     cfg = spec.build_config(**point.params)
     kwargs = {"progress": progress} if spec.accepts_progress else {}
-    if point.partitions is not None:
-        # Forwarded only when set; a workload without accepts_partitions
-        # raises ConfigError (a deterministic failure — no retries).
-        kwargs["partitions"] = point.partitions
     result = spec.run(point.backend, cfg, **kwargs)
     return _record_of(result)
 

@@ -52,10 +52,6 @@ class SweepPoint:
     backend: str
     #: Fully resolved workload parameters (the benchmark config's fields).
     params: dict = field(default_factory=dict)
-    #: Partitioned PDES worker count (``None`` = serial).  Results are
-    #: bit-identical either way, but the execution engine is part of the
-    #: point's identity when explicitly requested.
-    partitions: Optional[int] = None
 
     def __post_init__(self) -> None:
         from repro.workloads import workload_names
@@ -64,41 +60,22 @@ class SweepPoint:
             raise SweepError(f"unknown sweep point kind {self.kind!r}")
         if self.backend not in ("mpi", "lci"):
             raise SweepError(f"unknown backend {self.backend!r}")
-        if self.partitions is not None and (
-            not isinstance(self.partitions, int)
-            or isinstance(self.partitions, bool)
-            or self.partitions < 1
-        ):
-            raise SweepError(
-                f"partitions must be a positive int or None "
-                f"(got {self.partitions!r})"
-            )
 
     @property
     def label(self) -> str:
         """Short human-readable identifier for progress reporting."""
         parts = [f"{k}={v}" for k, v in sorted(self.params.items())]
-        if self.partitions is not None:
-            parts.append(f"partitions={self.partitions}")
         return f"{self.kind}[{self.backend}] " + " ".join(parts)
 
     def to_dict(self) -> dict:
-        """Plain-dict form (picklable / JSON-able) for worker processes.
-
-        ``partitions`` appears only when set, so documents written by
-        serial sweeps are byte-identical to pre-partitioning ones.
-        """
-        doc = {"kind": self.kind, "backend": self.backend, "params": dict(self.params)}
-        if self.partitions is not None:
-            doc["partitions"] = self.partitions
-        return doc
+        """Plain-dict form (picklable / JSON-able) for worker processes."""
+        return {"kind": self.kind, "backend": self.backend, "params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepPoint":
         """Inverse of :meth:`to_dict`."""
         return cls(kind=doc["kind"], backend=doc["backend"],
-                   params=dict(doc["params"]),
-                   partitions=doc.get("partitions"))
+                   params=dict(doc["params"]))
 
 
 @dataclass(frozen=True)
@@ -146,10 +123,6 @@ def point_key(point: SweepPoint) -> str:
         "platform": platform.to_dict(),
         "version": __version__,
     }
-    if point.partitions is not None:
-        # Only when set: keys of serial points (and every historical
-        # cache entry) stay exactly what they were before partitioning.
-        payload["partitions"] = point.partitions
     return stable_hash(payload)
 
 

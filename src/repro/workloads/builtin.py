@@ -50,7 +50,7 @@ def _freeze_hicma(raw, backend):
     """Reduce the raw bench result to :class:`~repro.api.HicmaResult`."""
     from repro.api import HicmaResult
 
-    result = HicmaResult(
+    return HicmaResult(
         workload="hicma",
         backend=backend,
         makespan=raw.time_to_solution,
@@ -62,12 +62,6 @@ def _freeze_hicma(raw, backend):
         wire_bytes=raw.wire_bytes,
         worker_utilization=raw.worker_utilization,
     )
-    sync = getattr(raw, "partition_sync", None)
-    if sync is not None:
-        # Frozen dataclass; telemetry rides along undeclared so asdict()
-        # fingerprints stay engine-agnostic.
-        object.__setattr__(result, "partition_sync", sync)
-    return result
 
 
 def _pingpong_graph(cfg, platform):
@@ -222,6 +216,5 @@ HICMA = register(WorkloadSpec(
         ("tile_size", 1200),
     ),
     accepts_progress=True,
-    accepts_partitions=True,
     tags=("paper", "builtin"),
 ))

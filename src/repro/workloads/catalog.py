@@ -72,13 +72,11 @@ def _chain_graph(cfg: ChainConfig, platform):
 
 
 def run_chain_benchmark(backend, cfg, platform=None, *, faults=None,
-                        schedule_policy=None, ctx_observer=None,
-                        partitions=None):
+                        schedule_policy=None, ctx_observer=None):
     """Run the ``chain`` workload (see :class:`ChainConfig`)."""
     return run_graph_benchmark(
         "chain", _chain_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,11 @@ def _fanout_graph(cfg: FanOutConfig, platform):
 
 
 def run_fanout_benchmark(backend, cfg, platform=None, *, faults=None,
-                         schedule_policy=None, ctx_observer=None,
-                         partitions=None):
+                         schedule_policy=None, ctx_observer=None):
     """Run the ``fanout`` workload (see :class:`FanOutConfig`)."""
     return run_graph_benchmark(
         "fanout", _fanout_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -139,13 +135,11 @@ def _halo_graph(cfg: HaloConfig, platform):
 
 
 def run_halo_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None,
-                       partitions=None):
+                       schedule_policy=None, ctx_observer=None):
     """Run the ``halo`` workload (see :class:`HaloConfig`)."""
     return run_graph_benchmark(
         "halo", _halo_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -176,13 +170,11 @@ def _randomdag_graph(cfg: RandomDagConfig, platform):
 
 
 def run_randomdag_benchmark(backend, cfg, platform=None, *, faults=None,
-                            schedule_policy=None, ctx_observer=None,
-                            partitions=None):
+                            schedule_policy=None, ctx_observer=None):
     """Run the ``randomdag`` workload (see :class:`RandomDagConfig`)."""
     return run_graph_benchmark(
         "randomdag", _randomdag_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -208,13 +200,11 @@ def _alltoall_graph(cfg: AllToAllConfig, platform):
 
 
 def run_alltoall_benchmark(backend, cfg, platform=None, *, faults=None,
-                           schedule_policy=None, ctx_observer=None,
-                           partitions=None):
+                           schedule_policy=None, ctx_observer=None):
     """Run the ``alltoall`` workload (see :class:`AllToAllConfig`)."""
     return run_graph_benchmark(
         "alltoall", _alltoall_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +242,11 @@ def _stencil_graph(cfg: StencilConfig, platform):
 
 
 def run_stencil_benchmark(backend, cfg, platform=None, *, faults=None,
-                          schedule_policy=None, ctx_observer=None,
-                          partitions=None):
+                          schedule_policy=None, ctx_observer=None):
     """Run the ``stencil`` workload (see :class:`StencilConfig`)."""
     return run_graph_benchmark(
         "stencil", _stencil_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -294,13 +282,11 @@ def _tree_graph(cfg: TreeConfig, platform):
 
 
 def run_tree_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None,
-                       partitions=None):
+                       schedule_policy=None, ctx_observer=None):
     """Run the ``tree`` workload (see :class:`TreeConfig`)."""
     return run_graph_benchmark(
         "tree", _tree_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -325,13 +311,11 @@ def _ring_graph(cfg: RingConfig, platform):
 
 
 def run_ring_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None,
-                       partitions=None):
+                       schedule_policy=None, ctx_observer=None):
     """Run the ``ring`` workload (see :class:`RingConfig`)."""
     return run_graph_benchmark(
         "ring", _ring_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -359,13 +343,11 @@ def _forkjoin_graph(cfg: ForkJoinConfig, platform):
 
 
 def run_forkjoin_benchmark(backend, cfg, platform=None, *, faults=None,
-                           schedule_policy=None, ctx_observer=None,
-                           partitions=None):
+                           schedule_policy=None, ctx_observer=None):
     """Run the ``forkjoin`` workload (see :class:`ForkJoinConfig`)."""
     return run_graph_benchmark(
         "forkjoin", _forkjoin_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -408,13 +390,11 @@ def _taskbench_graph(cfg: TaskBenchConfig, platform):
 
 
 def run_taskbench_benchmark(backend, cfg, platform=None, *, faults=None,
-                            schedule_policy=None, ctx_observer=None,
-                            partitions=None):
+                            schedule_policy=None, ctx_observer=None):
     """Run the ``taskbench`` workload (see :class:`TaskBenchConfig`)."""
     return run_graph_benchmark(
         "taskbench", _taskbench_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
+        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +417,6 @@ register(WorkloadSpec(
     config="repro.workloads.catalog:ChainConfig",
     driver="repro.workloads.catalog:run_chain_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_chain_graph",
     param_docs=(
         ("length", "Tasks in the chain."),
@@ -467,7 +446,6 @@ register(WorkloadSpec(
     config="repro.workloads.catalog:FanOutConfig",
     driver="repro.workloads.catalog:run_fanout_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_fanout_graph",
     param_docs=(
         ("consumers_per_node", "Consumer tasks per node."),
@@ -497,7 +475,6 @@ step s+1: [tile0..tileT]@n0  <-halo->  ...""",
     config="repro.workloads.catalog:HaloConfig",
     driver="repro.workloads.catalog:run_halo_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_halo_graph",
     param_docs=(
         ("steps", "Stencil steps (DAG depth)."),
@@ -528,7 +505,6 @@ layer 1: [t]@n? [t]@n? ...  parents from the layer above)""",
     config="repro.workloads.catalog:RandomDagConfig",
     driver="repro.workloads.catalog:run_randomdag_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_randomdag_graph",
     param_docs=(
         ("layers", "DAG depth (number of layers)."),
@@ -560,7 +536,6 @@ round r+1: [t]@n0   [t]@n1   [t]@n2    every node's next task)""",
     config="repro.workloads.catalog:AllToAllConfig",
     driver="repro.workloads.catalog:run_alltoall_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_alltoall_graph",
     param_docs=(
         ("rounds", "Exchange rounds (DAG depth)."),
@@ -592,7 +567,6 @@ node 1:  rows k+1..2k   | every step""",
     config="repro.workloads.catalog:StencilConfig",
     driver="repro.workloads.catalog:run_stencil_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_stencil_graph",
     param_docs=(
         ("grid", "Tiles per side (the mesh is grid × grid)."),
@@ -623,7 +597,6 @@ allreduce:  leaves -> [root] -> leaves   (per round)""",
     config="repro.workloads.catalog:TreeConfig",
     driver="repro.workloads.catalog:run_tree_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_tree_graph",
     param_docs=(
         ("fanout", "Tree arity (children per vertex)."),
@@ -657,7 +630,6 @@ step s+1: [t]@n0 -> [t]@n1 -> [t]@n2    next step)""",
     config="repro.workloads.catalog:RingConfig",
     driver="repro.workloads.catalog:run_ring_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_ring_graph",
     param_docs=(
         ("steps", "Shift steps (DAG depth)."),
@@ -688,7 +660,6 @@ register(WorkloadSpec(
     config="repro.workloads.catalog:ForkJoinConfig",
     driver="repro.workloads.catalog:run_forkjoin_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_forkjoin_graph",
     param_docs=(
         ("fanout", "Children per fork (and join arity)."),
@@ -725,7 +696,6 @@ layer 1:  [c0] [c1] [c2] ... [cW]   fft: butterfly; ...)""",
     config="repro.workloads.catalog:TaskBenchConfig",
     driver="repro.workloads.catalog:run_taskbench_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_taskbench_graph",
     param_docs=(
         ("width", "Columns (parallel tasks per layer)."),

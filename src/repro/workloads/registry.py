@@ -121,8 +121,6 @@ class WorkloadSpec:
     explore_params: tuple = ()
     #: Driver takes ``progress=``/``guards=`` keywords (long-running).
     accepts_progress: bool = False
-    #: Driver takes a ``partitions=`` keyword (partitioned PDES engine).
-    accepts_partitions: bool = False
     #: Free-form labels (``"paper"``, ``"taskbench"``, ``"collective"``).
     tags: tuple = ()
 
@@ -201,16 +199,13 @@ class WorkloadSpec:
         ctx_observer: Any = None,
         progress: Any = None,
         guards: Any = None,
-        partitions: Any = None,
     ):
         """Execute one run through the workload's driver.
 
         ``progress``/``guards`` are forwarded only to drivers declaring
         ``accepts_progress``; passing them to any other workload raises
         :class:`~repro.errors.ConfigError` instead of silently dropping
-        a supervision request.  ``partitions`` (partitioned PDES engine)
-        likewise requires ``accepts_partitions`` — an unsupported
-        workload fails loudly rather than silently running serial.
+        a supervision request.
         """
         kwargs = {
             "faults": faults,
@@ -225,13 +220,6 @@ class WorkloadSpec:
                 f"workload {self.name!r} does not support progress "
                 f"reporting or run guards"
             )
-        if partitions is not None:
-            if not self.accepts_partitions:
-                raise ConfigError(
-                    f"workload {self.name!r} does not support partitioned "
-                    f"execution (partitions=...)"
-                )
-            kwargs["partitions"] = partitions
         return self.driver_fn()(backend, config, platform, **kwargs)
 
     def freeze(self, raw: Any, backend: str):

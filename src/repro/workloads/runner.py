@@ -65,7 +65,6 @@ def run_graph_benchmark(
     ctx_observer: Any = None,
     progress: Any = None,
     guards: Any = None,
-    partitions: Any = None,
 ) -> GraphBenchResult:
     """Build ``builder(cfg, platform)`` and execute it on the runtime.
 
@@ -74,33 +73,12 @@ def run_graph_benchmark(
     ``guards`` follow :func:`repro.bench.hicma_bench.run_hicma_benchmark`.
     The default platform is the CI-scale cluster sized to the config's
     ``num_nodes``.
-
-    ``partitions`` (an ``int``, a :class:`~repro.config.PartitionConfig`,
-    or ``None`` for serial) selects the partitioned PDES engine — the run
-    shards simulated nodes across worker processes but produces
-    bit-identical measurements (see :mod:`repro.sim.partition`).
     """
-    from repro.config import as_partition_config, scaled_platform
+    from repro.analysis.stats import summarize
+    from repro.config import scaled_platform
     from repro.runtime.context import ParsecContext
 
-    pcfg = as_partition_config(partitions)
     platform = platform or scaled_platform(num_nodes=cfg.num_nodes)
-    if pcfg is not None:
-        from repro.sim.partition import run_partitioned_graph
-
-        stats = run_partitioned_graph(
-            builder,
-            backend,
-            cfg,
-            platform,
-            pcfg,
-            faults=faults,
-            schedule_policy=schedule_policy,
-            ctx_observer=ctx_observer,
-            progress=progress,
-            guards=guards,
-        )
-        return _graph_result(workload, backend, cfg, stats)
     graph = builder(cfg, platform)
     graph.validate(num_nodes=cfg.num_nodes)
     ctx = ParsecContext(
@@ -113,17 +91,7 @@ def run_graph_benchmark(
     if ctx_observer is not None:
         ctx_observer(ctx)
     stats = ctx.run(graph, until=36_000.0, progress=progress, guards=guards)
-    return _graph_result(workload, backend, cfg, stats)
-
-
-def _graph_result(
-    workload: str, backend: str, cfg: Any, stats: Any
-) -> GraphBenchResult:
-    """Flatten :class:`~repro.runtime.context.RunStats` into the raw
-    result record (shared by the serial and partitioned paths)."""
-    from repro.analysis.stats import summarize
-
-    result = GraphBenchResult(
+    return GraphBenchResult(
         config=cfg,
         backend=backend,
         workload=workload,
@@ -136,13 +104,6 @@ def _graph_result(
         worker_utilization=stats.worker_utilization,
         events_processed=stats.events_processed,
     )
-    # Partitioned runs attach sync-protocol telemetry (window counts,
-    # coordinator round-trips) as an undeclared attribute so
-    # dataclasses.asdict() fingerprints stay comparable with serial runs.
-    sync = getattr(stats, "partition_sync", None)
-    if sync is not None:
-        result.partition_sync = sync
-    return result
 
 
 def freeze_graph_result(raw: GraphBenchResult, backend: str):
@@ -151,7 +112,7 @@ def freeze_graph_result(raw: GraphBenchResult, backend: str):
     registered scenario workload)."""
     from repro.api import GraphResult
 
-    result = GraphResult(
+    return GraphResult(
         workload=raw.workload,
         backend=backend,
         makespan=raw.makespan,
@@ -162,9 +123,3 @@ def freeze_graph_result(raw: GraphBenchResult, backend: str):
         worker_utilization=raw.worker_utilization,
         events_processed=raw.events_processed,
     )
-    sync = getattr(raw, "partition_sync", None)
-    if sync is not None:
-        # GraphResult is frozen; telemetry rides along undeclared so
-        # asdict() fingerprints stay engine-agnostic.
-        object.__setattr__(result, "partition_sync", sync)
-    return result

@@ -189,6 +189,39 @@ class TestFabric:
         assert fabric.total_bytes() == 150
 
 
+class TestNicTieBreak:
+    @staticmethod
+    def _deliveries(send_order):
+        """Send two same-timestamp 4 KiB messages into node 2's NIC from
+        ranks 0 and 1 (in ``send_order``) inside one epoch; return the
+        per-source delivery times."""
+        sim = Simulator()
+        fabric = Fabric(sim, 4)
+        fabric.register_handler(2, "t", lambda msg: None)
+        sent = {}
+
+        def send_all():
+            for src in send_order:
+                sent[src] = WireMessage(
+                    src=src, dst=2, size=4 * KiB,
+                    msg_class=MessageClass.CONTROL, channel="t",
+                )
+                fabric.send(sent[src])
+
+        sim.call_soon(send_all)
+        sim.run()
+        assert sent[0].inject_time == sent[1].inject_time  # a genuine tie
+        return {src: msg.deliver_time for src, msg in sent.items()}
+
+    def test_equal_timestamp_ejection_order_is_canonical(self):
+        # Destination-NIC ejection is order-sensitive (receiver
+        # contention); the canonical (inject, src, seq) order must make
+        # the outcome independent of which source's send() ran first.
+        first = self._deliveries([0, 1])
+        assert first[0] != first[1]  # the NIC really serialized them
+        assert first == self._deliveries([1, 0])
+
+
 class TestNetpipe:
     def test_rtt_small_message_is_microseconds(self):
         rtt = netpipe_rtt(8)

@@ -79,34 +79,6 @@ class TestFlowRelease:
         # intermediate multicast-tree node that re-released it locally.
         assert retired >= graph.num_flows
 
-    @pytest.mark.parametrize("backend", ["lci", "mpi"])
-    def test_release_plans_retire_under_partitions(self, backend, monkeypatch):
-        """Each partition worker retires every release plan it built.
-
-        A worker counts only the releases of the nodes it owns, so a plan
-        built for a flow whose producer lives in the other partition must
-        still drain there.  The fragments are captured on their way into
-        the coordinator's merge.
-        """
-        import repro.sim.partition as partition
-        from repro.api import Experiment
-
-        frags = []
-        merge = partition._merge_fragments
-
-        def capture(fragments, **kwargs):
-            frags.extend(fragments)
-            return merge(fragments, **kwargs)
-
-        monkeypatch.setattr(partition, "_merge_fragments", capture)
-        result = Experiment(
-            workload="taskbench", backend=backend, nodes=4, seed=3,
-            partitions=2,
-        ).run()
-        assert result.tasks > 0
-        assert len(frags) == 2
-        assert [f["flow_plans"] for f in frags] == [0, 0]
-
 
 class TestSimulatorTick:
     def test_tick_fires_and_clears(self):

@@ -267,15 +267,13 @@ class TestFlowPlanProperties:
     """A release plan must reproduce the per-release consumer scan it
     replaced: local consumers, multicast children, priority, size."""
 
-    @given(_plan_graphs(), st.data())
+    @given(_plan_graphs())
     @settings(max_examples=60, deadline=None)
-    def test_plan_matches_per_release_scan(self, graph_spec, data):
+    def test_plan_matches_per_release_scan(self, graph_spec):
         import math
 
         g, num_nodes = graph_spec
         t_node, t_prio = g._t_node, g._t_prio
-        owned = data.draw(st.lists(st.booleans(), min_size=num_nodes,
-                                   max_size=num_nodes))
         for fid in range(g.num_flows):
             consumers = g.consumers_of(fid)
             root = t_node[g.flow_producer(fid)]
@@ -292,8 +290,6 @@ class TestFlowPlanProperties:
             assert math.copysign(1.0, plan.prio) == math.copysign(1.0, prio)
             assert plan.size == g.flow_size(fid)
             assert plan.pending == 1 + len(remote)
-            partial = build_flow_plan(g, fid, root, owned)
-            assert partial.pending == sum(owned[n] for n in [root] + remote)
 
 
 class TestRuntimeExecutionProperties:

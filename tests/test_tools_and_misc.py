@@ -148,15 +148,29 @@ class TestRepoCheckers:
     def test_paper_scale_budget(self, tmp_path):
         # Build-only mode (~5 s): asserts the NT=150 graph build/memory
         # budgets; --out keeps the checked-in BENCH_scale.json untouched.
-        proc = subprocess.run(
-            [sys.executable,
-             str(ROOT / "tools" / "check_paper_scale_budget.py"),
-             "--out", str(tmp_path / "BENCH_scale.json")],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "paper-scale budgets OK" in proc.stdout
+        # A second (smaller, NT=50) run into the same file must append a
+        # history entry, not overwrite the first one or other keys.
+        out = tmp_path / "BENCH_scale.json"
+        out.write_text(json.dumps({"full_run": {"run_wall_seconds": 54.5}}))
+        tool = str(ROOT / "tools" / "check_paper_scale_budget.py")
+        for extra in ([], ["--tile", "7200", "--no-deadline-smoke"]):
+            proc = subprocess.run(
+                [sys.executable, tool, "--out", str(out), *extra],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            assert "paper-scale budgets OK" in proc.stdout
+        doc = json.loads(out.read_text())
+        assert doc["full_run"] == {"run_wall_seconds": 54.5}
+        history = doc["history"]
+        assert [(h["nodes"], h["tile"], h["nt"]) for h in history] == [
+            (16, 2400, 150), (16, 7200, 50),
+        ]
+        for entry in history:
+            assert entry["host_cpus"] >= 1 and entry["python"] and entry["rev"]
+            assert entry["run_wall_seconds"] is None  # build-only
+            assert entry["events_per_second"] is None
 
     def test_explorer_finds_planted_bugs(self):
         # The mutation smoke test: the explorer must catch both known-bad

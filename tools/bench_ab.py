@@ -12,26 +12,13 @@ and compares the two cores on identical workloads:
   fingerprint (makespan, task/event counts, wire bytes, and a SHA-256
   over every emitted obs event) is **bit-identical** across cores, and
   reports the full-stack events/second delta.
-- **partition** — a catalog workload run serially and under the
-  partitioned PDES engine (``partitions`` ∈ {2, 4}); asserts the
-  SHA-256 fingerprint of the complete typed result — every field,
-  ``events_processed`` included — is **bit-identical** per partition
-  count, and reports min-of-N events/second for each engine.
 
 Any fingerprint divergence exits 1 — the batched kernel's contract is
-"same execution, faster", the partitioned engine's is "same results,
-more processes", and this harness is the enforcement.
-
-``--partition-batch`` runs a dedicated fourth mode instead: the batched
-sync-window protocol (``PartitionConfig.window_batch``, default) against
-the classic two-round-trip-per-window coordinator protocol
-(``window_batch=1``) — fingerprints must be bit-identical, and the
-report shows walls plus the coordinator round-trip reduction.
+"same execution, faster", and this harness is the enforcement.
 
 Run as::
 
     python tools/bench_ab.py [--smoke] [--reps 3] [--backend mpi|lci|both]
-        [--partition-batch]
 
 ``--smoke`` shrinks both workloads to seconds of wall time (used by the
 test suite); the default sizes give stable ratios for the performance
@@ -109,45 +96,10 @@ def _run_stack(backend: str, layers: list) -> dict:
     }
 
 
-def _run_partition(backend: str, partitions, scale: dict) -> dict:
-    """One catalog-workload run, serial or partitioned, fingerprinted.
-
-    The fingerprint hashes the full typed result — ``events_processed``
-    included.  Serial and partitioned engines schedule the identical
-    kernel event set now that wire ejection is deferred to end of epoch
-    and replayed in ``(inject, src, seq)`` order in both.
-    """
-    import dataclasses
-
-    from repro.api import Experiment
-
-    t0 = time.perf_counter()
-    result = Experiment(
-        workload=scale["workload"], backend=backend, nodes=scale["nodes"],
-        seed=3, partitions=partitions, **scale["params"],
-    ).run()
-    wall = time.perf_counter() - t0
-    doc = dataclasses.asdict(result)
-    events = doc.get("events_processed", 0)
-    digest = hashlib.sha256(
-        json.dumps(doc, sort_keys=True, default=repr).encode()
-    ).hexdigest()
-    return {
-        "fingerprint": digest,
-        "events": events,
-        "wall": wall,
-        # Sync-protocol telemetry (partitioned runs only) rides outside
-        # the fingerprint: it describes the transport, not the simulation.
-        "sync": getattr(result, "partition_sync", None),
-    }
-
-
 def _child_main(spec: dict) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     if spec["workload"] == "micro":
         out = _run_micro(spec["events"])
-    elif spec["workload"] == "partition":
-        out = _run_partition(spec["backend"], spec["partitions"], spec["scale"])
     else:
         out = _run_stack(spec["backend"], spec["layers"])
     json.dump(out, sys.stdout)
@@ -158,8 +110,8 @@ def _child_main(spec: dict) -> int:
 # parent side: spawn per-core children, compare
 # ----------------------------------------------------------------------
 
-def _spawn(core: str, spec: dict, extra_env: dict | None = None) -> dict:
-    env = dict(os.environ, REPRO_SIM_CORE=core, **(extra_env or {}))
+def _spawn(core: str, spec: dict) -> dict:
+    env = dict(os.environ, REPRO_SIM_CORE=core)
     proc = subprocess.run(
         [sys.executable, __file__, "--child", json.dumps(spec)],
         capture_output=True,
@@ -190,12 +142,6 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=3,
                     help="micro-benchmark repetitions per core (min-of-N)")
     ap.add_argument("--backend", choices=["mpi", "lci", "both"], default="both")
-    ap.add_argument(
-        "--partition-batch", action="store_true",
-        help="A/B the batched sync-window protocol (window_batch=default) "
-             "against the classic two-round-trip-per-window protocol "
-             "(window_batch=1): fingerprints must match, walls and "
-             "coordinator round-trips are reported; runs only this mode")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
@@ -204,69 +150,10 @@ def main(argv=None) -> int:
 
     if args.smoke:
         micro_events, layers, reps = 100_000, [3, 4, 4, 3], 1
-        scale = {"workload": "stencil", "nodes": 4,
-                 "params": {"grid": 4, "steps": 4}}
     else:
         micro_events, layers, reps = 2_000_000, [8, 12, 12, 12, 8], args.reps
-        scale = {"workload": "stencil", "nodes": 4,
-                 "params": {"grid": 16, "steps": 16}}
     backends = ["mpi", "lci"] if args.backend == "both" else [args.backend]
     failed = False
-
-    if args.partition_batch:
-        # Dedicated A/B of the sync-window transport: classic
-        # (window_batch=1, two coordinator round-trips per window) vs the
-        # default batched protocol.  Same simulation, fewer round-trips.
-        for backend in backends:
-            base = {"workload": "partition", "backend": backend,
-                    "scale": scale}
-            serial = min(
-                (_spawn("batched", dict(base, partitions=None))
-                 for _ in range(reps)),
-                key=lambda r: r["wall"],
-            )
-            for count in (2, 4):
-                sides = {}
-                for side, env in (
-                    ("classic", {"REPRO_PARTITION_WINDOW_BATCH": "1"}),
-                    ("batched", {}),
-                ):
-                    sides[side] = min(
-                        (_spawn("batched", dict(base, partitions=count), env)
-                         for _ in range(reps)),
-                        key=lambda r: r["wall"],
-                    )
-                prints = {s: r["fingerprint"] for s, r in sides.items()}
-                if len({serial["fingerprint"], *prints.values()}) != 1:
-                    failed = True
-                    print(
-                        f"FAIL [{backend}] partitions={count}: sync "
-                        f"protocols diverge:\n"
-                        f"  serial  {serial['fingerprint']}\n"
-                        f"  classic {prints['classic']}\n"
-                        f"  batched {prints['batched']}"
-                    )
-                    continue
-                rts = {s: r["sync"]["coordinator_roundtrips"]
-                       for s, r in sides.items()}
-                print(
-                    f"batch  [{backend}] P={count} "
-                    f"(windows={sides['batched']['sync']['sync_windows']:,}, "
-                    f"fingerprint {serial['fingerprint'][:12]}..., "
-                    f"best of {reps}): bit-identical; "
-                    f"classic {rts['classic']:,} RTs "
-                    f"{sides['classic']['wall']:.2f}s, "
-                    f"batched {rts['batched']:,} RTs "
-                    f"{sides['batched']['wall']:.2f}s "
-                    f"-> {rts['classic'] / rts['batched']:.1f}x fewer "
-                    f"round-trips, "
-                    f"{sides['classic']['wall'] / sides['batched']['wall']:.2f}x "
-                    f"wall"
-                )
-        if failed:
-            return 1
-        print("bench_ab OK: sync-window protocols bit-identical")
-        return 0
 
     micro_spec = {"workload": "micro", "events": micro_events}
     rates = {c: _best_events_per_sec(c, micro_spec, reps) for c in CORES}
@@ -298,33 +185,6 @@ def main(argv=None) -> int:
             f"legacy {events / walls['legacy']:,.0f} ev/s, "
             f"batched {events / walls['batched']:,.0f} ev/s "
             f"-> {walls['legacy'] / walls['batched']:.2f}x"
-        )
-
-    for backend in backends:
-        base = {"workload": "partition", "backend": backend, "scale": scale}
-        runs = [_spawn("batched", dict(base, partitions=None))
-                for _ in range(reps)]
-        serial = min(runs, key=lambda r: r["wall"])
-        line = (
-            f"serial {serial['events'] / serial['wall']:,.0f} ev/s"
-        )
-        for count in (2, 4):
-            runs = [_spawn("batched", dict(base, partitions=count))
-                    for _ in range(reps)]
-            part = min(runs, key=lambda r: r["wall"])
-            if part["fingerprint"] != serial["fingerprint"]:
-                failed = True
-                print(
-                    f"FAIL [{backend}] partitions={count}: result diverged "
-                    f"from serial:\n"
-                    f"  serial      {serial['fingerprint']}\n"
-                    f"  partitioned {part['fingerprint']}"
-                )
-                continue
-            line += f", P={count} {part['events'] / part['wall']:,.0f} ev/s"
-        print(
-            f"part   [{backend}] ({scale['workload']}, fingerprint "
-            f"{serial['fingerprint'][:12]}..., best of {reps}): {line}"
         )
 
     if failed:

@@ -68,8 +68,6 @@ WORKLOADS_SRC = ROOT / "src" / "repro" / "workloads"
 REQUIRED_DOCUMENTED_FLAGS = {
     "sweep": ("--journal", "--resume", "--out", "--heartbeat-timeout"),
     "hicma": ("--deadline", "--max-events"),
-    # The partitioned-PDES engine selector (docs/performance.md runbook).
-    "run": ("--partitions",),
 }
 
 
@@ -169,7 +167,6 @@ _COMMON_PARENT_FLAGS = {
     "seed": ("--seed",),
     "nodes": ("--nodes", "--num-nodes"),
     "jobs": ("--jobs",),
-    "partitions": ("--partitions",),
 }
 
 

@@ -18,21 +18,10 @@ drive the epoch-batched kernel to a violation-free run with a stable
 digest — the cross-subsystem proof that ``SchedulePolicy`` still sees
 the same runnable sets the schedule was recorded against.
 
-Finally checks the partitioned PDES engine's bit-identity contract: a
-4-node workload run serially and with ``partitions`` ∈ {1, 2, 4} must
-produce identical results field for field — *including*
-``events_processed``, since both engines now schedule the identical
-kernel event set (wire ejections are deferred to end of epoch and
-replayed in ``(inject, src, seq)`` order in either engine).  On the
-LCI backend the sweep always includes the ``alltoall`` and
-``taskbench`` collision workloads, which drive many same-timestamp
-cross-partition sends into one NIC — the exact tie the deterministic
-merge key exists to break.
-
 Run as::
 
     python tools/check_fault_determinism.py [--backend mpi|lci|both]
-        [--plan NAME] [--schedule PATH] [--partition-workload NAME]
+        [--plan NAME] [--schedule PATH]
 """
 
 from __future__ import annotations
@@ -99,45 +88,6 @@ def check_schedule_replay(path: Path) -> list[str]:
     return problems
 
 
-PARTITION_COUNTS = (1, 2, 4)
-
-# Workloads whose communication patterns pile many same-timestamp
-# cross-partition sends onto a single destination NIC — regression
-# guards for the deterministic (inject, src, seq) ejection order.
-# Always swept on the LCI backend, whose hardware-queue model is the
-# most tie-sensitive.
-COLLISION_WORKLOADS = ("alltoall", "taskbench")
-
-
-def partition_fingerprint(backend: str, workload: str, partitions) -> dict:
-    """Run a 4-node catalog workload; return its full comparable result.
-
-    Every field is compared, ``events_processed`` included: serial and
-    partitioned engines schedule the identical kernel event set now
-    that wire ejection is deferred to end of epoch in both.
-    """
-    import dataclasses
-
-    from repro.api import Experiment
-
-    result = Experiment(
-        workload=workload, backend=backend, nodes=4, seed=3,
-        partitions=partitions,
-    ).run()
-    return dataclasses.asdict(result)
-
-
-def check_partitions(backend: str, workload: str) -> list:
-    """Serial vs partitions ∈ {1,2,4} bit-identity; return problems."""
-    problems = []
-    serial = partition_fingerprint(backend, workload, None)
-    for count in PARTITION_COUNTS:
-        partitioned = partition_fingerprint(backend, workload, count)
-        for line in diff(serial, partitioned):
-            problems.append(f"  [partitions={count}]{line}")
-    return problems
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--backend", choices=["mpi", "lci", "both"], default="both")
@@ -145,13 +95,6 @@ def main(argv=None) -> int:
     ap.add_argument("--schedule", default=str(
         Path(__file__).resolve().parent.parent
         / "tests" / "data" / "schedule_pingpong.json"))
-    ap.add_argument(
-        "--partition-workload", action="append", default=None,
-        metavar="NAME",
-        help="4-node catalog workload(s) for the partitioned "
-             "bit-identity check (repeatable; default: stencil, plus "
-             "the NIC-collision workloads "
-             f"{'/'.join(COLLISION_WORKLOADS)} on the lci backend)")
     args = ap.parse_args(argv)
     backends = ["mpi", "lci"] if args.backend == "both" else [args.backend]
     failed = False
@@ -184,27 +127,6 @@ def main(argv=None) -> int:
             print("\n".join(problems))
         else:
             print(f"ok [{backend}]: disabled plan is bit-identical to no plan")
-
-        workloads = list(args.partition_workload or ["stencil"])
-        if backend == "lci":
-            workloads += [
-                wl for wl in COLLISION_WORKLOADS if wl not in workloads
-            ]
-        for workload in workloads:
-            problems = check_partitions(backend, workload)
-            if problems:
-                failed = True
-                print(
-                    f"FAIL [{backend}] workload={workload!r}: "
-                    f"partitioned run diverged from serial:"
-                )
-                print("\n".join(problems))
-            else:
-                counts = ", ".join(str(c) for c in PARTITION_COUNTS)
-                print(
-                    f"ok [{backend}] workload={workload!r}: "
-                    f"partitions {{{counts}}} bit-identical to serial"
-                )
 
     problems = check_schedule_replay(Path(args.schedule))
     if problems:

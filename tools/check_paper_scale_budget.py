@@ -15,49 +15,38 @@ meet:
   diagnostic snapshot and salvaged partial stats — the smoke test for
   supervising a real paper-scale run (skip with ``--no-deadline-smoke``).
 
-With ``--partitions P`` (alongside ``--full``) the same point is also
-simulated under the partitioned PDES engine and gated per worker: the
-``--events-floor`` then applies to events/second *per partition worker*,
-the ``--wall-budget`` ceiling covers the partitioned wall clock, and the
-peak-RSS ceiling includes the worker children.  The measured wall-clock
-speedup over the serial run is recorded next to the ``--speedup-target``
-(the paper-point goal on a multi-core host; on a single-core host the
-measured value is honestly below 1 — the gate only *fails* when
-``--enforce-speedup`` is passed, so CI boxes without real parallelism
-record the number without lying about it).  The partitioned record also
-captures the sync-protocol telemetry — ``sync_windows``,
-``coordinator_roundtrips``, and the ``window_batch`` in effect (override
-with ``--window-batch``; 1 reproduces the classic
-two-round-trip-per-window protocol) — and the gate requires at least one
-coordinator progress beat.
-
-Results land in ``BENCH_scale.json`` next to the repo root (build seconds,
-peak RSS, tasks/flows, and — with ``--full`` — the end-to-end simulated
-run's wall time, kernel events/second, and makespan).  Records for other
-node counts already present in the output file are preserved under
-``"points"``, so the checked-in file accumulates e.g. the 16-node and
-32-node paper points across invocations.  The default mode checks
+Each invocation appends one entry to the ``"history"`` list of
+``BENCH_scale.json`` next to the repo root: host facts (``rev``,
+``host_cpus``, ``python``), the point (``nodes``, ``tile``, ``nt``),
+build seconds, peak RSS, tasks/flows and — with ``--full`` — the
+end-to-end simulated run's wall time, kernel events/second and makespan
+(``run_wall_seconds``/``events_per_second`` are ``null`` for a
+build-only entry).  Every other key already in the output file is left
+as it is, so earlier records stay readable.  The default mode checks
 construction only, so it is cheap enough for the test suite; the
-``--full`` run is the acceptance gate behind the EXPERIMENTS.md paper-scale
-runbook.
+``--full`` run is the acceptance gate behind the EXPERIMENTS.md
+paper-scale runbook.
 
 Run as::
 
     python tools/check_paper_scale_budget.py [--full] [--nodes 16]
         [--tile 2400] [--build-budget 60] [--rss-budget 4.0]
-        [--partitions 4] [--window-batch K] [--wall-budget 1800]
-        [--out PATH]
+        [--wall-budget 1800] [--out PATH]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.hicma.dag import build_tlr_cholesky_graph, expected_task_count  # noqa: E402
 from repro.obs.progress import peak_rss_bytes  # noqa: E402
@@ -128,47 +117,20 @@ def deadline_smoke() -> "tuple[dict, list]":
     return doc, problems
 
 
-def _peak_rss_with_children() -> int:
-    """Peak RSS including reaped child processes (partition workers)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return peak_rss_bytes()
-    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    if sys.platform != "darwin":
-        child *= 1024
-    return max(peak_rss_bytes(), child)
-
-
-def full_run(nodes: int, tile: int, partitions=None, window_batch=None) -> dict:
-    """Simulate the paper-scale point end to end; return run metrics.
-
-    With ``partitions`` set the run executes under the partitioned PDES
-    engine (bit-identical results), the peak-RSS figure includes the
-    worker child processes, and the record carries the sync-protocol
-    telemetry (``sync_windows``, ``coordinator_roundtrips``,
-    ``window_batch``).  ``window_batch`` overrides the batched sync
-    protocol's default batch length (1 = classic per-window protocol).
-    """
+def full_run(nodes: int, tile: int) -> dict:
+    """Simulate the paper-scale point end to end; return run metrics."""
     from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
-    from repro.config import PartitionConfig, expanse_platform
+    from repro.config import expanse_platform
     from repro.obs.progress import ProgressReporter
 
     cfg = HicmaConfig(matrix_size=PAPER_N, tile_size=tile, num_nodes=nodes)
-    pcfg = partitions
-    if partitions and window_batch is not None:
-        pcfg = PartitionConfig(
-            partitions=int(partitions), window_batch=int(window_batch)
-        )
     reporter = ProgressReporter(interval=10.0, stream=sys.stderr)
     t0 = time.perf_counter()
     result = run_hicma_benchmark(
         "lci", cfg, expanse_platform(num_nodes=nodes), progress=reporter,
-        partitions=pcfg,
     )
     wall = time.perf_counter() - t0
-    rss = _peak_rss_with_children() if partitions else peak_rss_bytes()
-    doc = {
+    return {
         "run_wall_seconds": round(wall, 1),
         "makespan_seconds": result.time_to_solution,
         "tasks_executed": result.tasks,
@@ -177,17 +139,45 @@ def full_run(nodes: int, tile: int, partitions=None, window_batch=None) -> dict:
         "wire_bytes": result.wire_bytes,
         "events_total": result.events_processed,
         "events_per_second": round(result.events_processed / wall, 1),
-        "peak_rss_gib": round(rss / 2**30, 3),
+        "peak_rss_gib": round(peak_rss_bytes() / 2**30, 3),
         "progress_beats": reporter.beats,
     }
-    if partitions:
-        doc["partitions"] = int(partitions)
-        sync = getattr(result, "partition_sync", None)
-        if sync is not None:
-            doc["window_batch"] = sync["window_batch"]
-            doc["sync_windows"] = sync["sync_windows"]
-            doc["coordinator_roundtrips"] = sync["coordinator_roundtrips"]
-    return doc
+
+
+def _git_rev() -> str:
+    """Short git revision of this checkout (``unknown`` outside git)."""
+    try:
+        rev = subprocess.run(
+            ["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=30,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        rev = ""
+    return rev or "unknown"
+
+
+def history_entry(doc: dict) -> dict:
+    """One ``history`` record: host facts, the point, build and run."""
+    run = doc.get("full_run", {})
+    entry = {
+        "rev": _git_rev(),
+        "host_cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "nodes": doc["num_nodes"],
+        "tile": doc["tile_size"],
+        "nt": doc["nt"],
+        "tasks": doc["tasks"],
+        "flows": doc["flows"],
+        "total_build_seconds": doc["total_build_seconds"],
+        "build_peak_rss_gib": doc["peak_rss_gib"],
+        "run_wall_seconds": run.get("run_wall_seconds"),
+        "events_per_second": run.get("events_per_second"),
+    }
+    for key in ("events_total", "makespan_seconds", "peak_rss_gib",
+                "progress_beats"):
+        if key in run:
+            entry[key] = run[key]
+    return entry
 
 
 def main(argv=None) -> int:
@@ -200,31 +190,13 @@ def main(argv=None) -> int:
                     help="max seconds for build+freeze+validate")
     ap.add_argument("--rss-budget", type=float, default=4.0,
                     help="max peak RSS in GiB")
-    ap.add_argument("--events-floor", type=float, default=None,
-                    help="min kernel events/second for the --full run, "
-                         "per worker when partitioned (default: 50,000 "
-                         "serial; 1,000/worker partitioned — the "
-                         "conservative-sync engine is window-bound, not "
-                         "event-bound)")
-    ap.add_argument("--partitions", type=int, default=None, metavar="P",
-                    help="also run the --full point under the partitioned "
-                         "PDES engine with P workers and gate it")
-    ap.add_argument("--window-batch", type=int, default=None, metavar="K",
-                    help="sync windows per coordinator round-trip for the "
-                         "partitioned run (default: PartitionConfig's "
-                         "batched protocol; 1 = classic per-window "
-                         "protocol)")
+    ap.add_argument("--events-floor", type=float, default=50_000.0,
+                    help="min kernel events/second for the --full run")
     ap.add_argument("--wall-budget", type=float, default=1800.0,
                     help="max wall-clock seconds for a --full run")
-    ap.add_argument("--speedup-target", type=float, default=1.5,
-                    help="recorded partitioned-vs-serial speedup goal")
-    ap.add_argument("--enforce-speedup", action="store_true",
-                    help="fail when the measured speedup misses the target "
-                         "(only meaningful on a multi-core host)")
     ap.add_argument("--no-deadline-smoke", action="store_true",
                     help="skip the run-guard structured-abort smoke test")
-    ap.add_argument("--out", default=str(
-        Path(__file__).resolve().parent.parent / "BENCH_scale.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     args = ap.parse_args(argv)
 
     doc = build_check(args.nodes, args.tile)
@@ -251,7 +223,6 @@ def main(argv=None) -> int:
         smoke, smoke_problems = deadline_smoke()
         problems.extend(smoke_problems)
         if smoke:
-            doc["deadline_smoke"] = smoke
             print(
                 f"deadline smoke: guarded run aborted structurally "
                 f"({smoke['reason']}; {smoke['partial_tasks']} tasks salvaged)"
@@ -265,13 +236,10 @@ def main(argv=None) -> int:
                 f"full-run peak RSS {run['peak_rss_gib']:.2f} GiB "
                 f"(> {args.rss_budget:.1f} GiB budget)"
             )
-        serial_floor = (
-            args.events_floor if args.events_floor is not None else 50_000.0
-        )
-        if run["events_per_second"] < serial_floor:
+        if run["events_per_second"] < args.events_floor:
             problems.append(
                 f"kernel throughput {run['events_per_second']:,.0f} events/s "
-                f"(< {serial_floor:,.0f} floor)"
+                f"(< {args.events_floor:,.0f} floor)"
             )
         if run["run_wall_seconds"] > args.wall_budget:
             problems.append(
@@ -287,86 +255,18 @@ def main(argv=None) -> int:
             f"{run['peak_rss_gib']:.2f} GiB, {run['progress_beats']} progress beats"
         )
 
-        if args.partitions:
-            import os
-
-            prun = full_run(
-                args.nodes, args.tile, partitions=args.partitions,
-                window_batch=args.window_batch,
-            )
-            speedup = run["run_wall_seconds"] / prun["run_wall_seconds"]
-            prun["speedup_vs_serial"] = round(speedup, 3)
-            prun["speedup_target"] = args.speedup_target
-            prun["host_cpus"] = os.cpu_count()
-            doc["partitioned_run"] = prun
-            if prun["makespan_seconds"] != run["makespan_seconds"]:
-                problems.append(
-                    f"partitioned makespan {prun['makespan_seconds']!r} != "
-                    f"serial {run['makespan_seconds']!r} (bit-identity broken)"
-                )
-            if prun["progress_beats"] < 1:
-                problems.append(
-                    "partitioned run recorded 0 progress beats (the "
-                    "coordinator reporter must emit at least the "
-                    "end-of-run beat)"
-                )
-            if prun["peak_rss_gib"] > args.rss_budget:
-                problems.append(
-                    f"partitioned peak RSS {prun['peak_rss_gib']:.2f} GiB "
-                    f"(> {args.rss_budget:.1f} GiB budget)"
-                )
-            if prun["run_wall_seconds"] > args.wall_budget:
-                problems.append(
-                    f"partitioned wall {prun['run_wall_seconds']:.0f}s "
-                    f"(> {args.wall_budget:.0f}s budget)"
-                )
-            per_worker = prun["events_per_second"] / args.partitions
-            worker_floor = (
-                args.events_floor if args.events_floor is not None
-                else 1_000.0
-            )
-            if per_worker < worker_floor:
-                problems.append(
-                    f"partitioned throughput {per_worker:,.0f} events/s "
-                    f"per worker (< {worker_floor:,.0f} floor)"
-                )
-            if args.enforce_speedup and speedup < args.speedup_target:
-                problems.append(
-                    f"partitioned speedup {speedup:.2f}x "
-                    f"(< {args.speedup_target:.2f}x target)"
-                )
-            print(
-                f"partitioned run (P={args.partitions}, "
-                f"window_batch={prun.get('window_batch', '?')}): makespan "
-                f"{prun['makespan_seconds']:.1f}s (bit-identical) in "
-                f"{prun['run_wall_seconds']:.0f}s wall "
-                f"({per_worker:,.0f} ev/s per worker, "
-                f"{prun.get('sync_windows', 0):,} windows over "
-                f"{prun.get('coordinator_roundtrips', 0):,} coordinator "
-                f"round-trips), peak RSS "
-                f"{prun['peak_rss_gib']:.2f} GiB -> speedup "
-                f"{speedup:.2f}x vs serial (target "
-                f"{args.speedup_target:.1f}x, {prun['host_cpus']} host cpus)"
-            )
-
-    # Accumulate per-node-count records: keep every other node count's
-    # entry from an existing output file so the checked-in document can
-    # hold the 16- and 32-node paper points side by side.
-    points = {}
+    # Append, never overwrite: the file keeps every earlier record.
+    out = {}
     try:
         with open(args.out) as fp:
-            points = json.load(fp).get("points", {})
-    except (OSError, ValueError):
+            out = json.load(fp)
+    except FileNotFoundError:
         pass
-    points[str(args.nodes)] = {
-        k: v for k, v in doc.items() if k != "deadline_smoke"
-    }
-    doc["points"] = points
-
+    out.setdefault("history", []).append(history_entry(doc))
     with open(args.out, "w") as fp:
-        json.dump(doc, fp, indent=2, sort_keys=True)
+        json.dump(out, fp, indent=2, sort_keys=True)
         fp.write("\n")
-    print(f"wrote {args.out}")
+    print(f"appended history entry {len(out['history'])} to {args.out}")
 
     if problems:
         for p in problems:

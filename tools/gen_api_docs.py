@@ -24,8 +24,8 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Dotted prefixes where every public symbol must carry a docstring.
-STRICT_PACKAGES = ("repro.api", "repro.explore", "repro.sim.partition",
-                   "repro.supervise", "repro.sweep", "repro.workloads")
+STRICT_PACKAGES = ("repro.api", "repro.explore", "repro.supervise",
+                   "repro.sweep", "repro.workloads")
 
 
 def first_line(doc: str | None) -> str:
