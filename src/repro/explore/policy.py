@@ -27,7 +27,7 @@ import random
 import re
 from typing import Optional
 
-from repro.sim.core import K_CALL, K_EVT, K_RESUME, SchedulePolicy  # noqa: F401
+from repro.sim.core import K_CALL, K_EVT, K_RESUME, SchedulePolicy, noop  # noqa: F401
 
 __all__ = [
     "MAX_BRANCH",
@@ -68,6 +68,10 @@ def scope_of(entry) -> Optional[frozenset]:
         args = b if kind == K_CALL else ()
     else:
         _seq, event, fn, args = entry
+    if fn is noop:
+        # An inert entry (MPI request completion) observes nothing, like an
+        # event with no callbacks.
+        return frozenset()
     if fn is not None:
         ranks = set()
         owner = getattr(fn, "__self__", None)

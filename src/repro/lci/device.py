@@ -40,6 +40,10 @@ __all__ = ["LciDevice", "LciWorld"]
 _HEADER = 32
 #: RTS/RTR control message size.
 _CTRL = 64
+#: Module-level copies: a global read is much cheaper than an enum
+#: class-attribute read on the per-message path.
+_CONTROL = MessageClass.CONTROL
+_DATA = MessageClass.DATA
 
 _op_ids = itertools.count()
 
@@ -268,7 +272,7 @@ class LciDevice:
             self.node,
             dst,
             wire,
-            MessageClass.CONTROL if wire <= 4096 else MessageClass.DATA,
+            _CONTROL if wire <= 4096 else _DATA,
             {"kind": "am", "proto": proto, "tag": tag, "size": size, "data": data},
             "lci",
         )
@@ -295,7 +299,7 @@ class LciDevice:
                 self.node,
                 dst,
                 _CTRL,
-                MessageClass.CONTROL,
+                _CONTROL,
                 {"kind": "rts", "tag": tag, "size": size, "sd": op.op_id},
                 "lci",
             )
@@ -345,7 +349,7 @@ class LciDevice:
             payload["_fin"] = (op.op_id, fabric.base_latency(dst, self.node))
         deliver = fabric.send(
             WireMessage(
-                self.node, dst, size + _HEADER, MessageClass.DATA, payload, "lci"
+                self.node, dst, size + _HEADER, _DATA, payload, "lci"
             )
         )
         if not self.faults.enabled and not deferred:
@@ -483,7 +487,7 @@ class LciDevice:
                     op.op_id, fabric.base_latency(op.peer, self.node)
                 )
             data_msg = WireMessage(
-                self.node, op.peer, op.size + _HEADER, MessageClass.DATA,
+                self.node, op.peer, op.size + _HEADER, _DATA,
                 data_payload, "lci",
             )
             deliver = fabric.send(data_msg)
@@ -515,7 +519,7 @@ class LciDevice:
                 self.node,
                 src,
                 _CTRL,
-                MessageClass.CONTROL,
+                _CONTROL,
                 {"kind": "rtr", "sd": rts_payload["sd"], "rd": op.op_id},
                 "lci",
             )

@@ -26,6 +26,10 @@ from repro.network.message import MessageClass
 
 __all__ = ["NicState"]
 
+#: Module-level copy: a global read is much cheaper than an enum
+#: class-attribute read on the per-message path.
+_CONTROL = MessageClass.CONTROL
+
 
 class NicState:
     """Injection/ejection bookkeeping for one node's NIC."""
@@ -76,13 +80,24 @@ class NicState:
         ser = size / cfg.bandwidth  # inlined serialization()
         if cfg.message_gap > ser:
             ser = cfg.message_gap
-        if msg_class == MessageClass.CONTROL:
-            depart = max(now, self.tx_ctrl_busy) + ser
+        # ``max`` written out as comparisons that keep its rule (the first
+        # of equal values wins), so every float is unchanged.
+        if msg_class == _CONTROL:
+            busy = self.tx_ctrl_busy
+            depart = (busy if busy > now else now) + ser
             self.tx_ctrl_busy = depart
             # Steal the bandwidth from the data channel.
-            self.tx_data_busy = max(self.tx_data_busy, now) + ser
+            busy = self.tx_data_busy
+            self.tx_data_busy = (now if now > busy else busy) + ser
         else:
-            depart = max(now, self.tx_data_busy, self.tx_ctrl_busy - ser) + ser
+            start = now
+            busy = self.tx_data_busy
+            if busy > start:
+                start = busy
+            busy = self.tx_ctrl_busy - ser
+            if busy > start:
+                start = busy
+            depart = start + ser
             self.tx_data_busy = depart
         self.tx_bytes += size
         self.tx_msgs += 1
@@ -98,12 +113,16 @@ class NicState:
         ser = size / cfg.bandwidth  # inlined serialization()
         if cfg.message_gap > ser:
             ser = cfg.message_gap
-        if msg_class == MessageClass.CONTROL:
-            deliver = max(arrival, self.rx_ctrl_busy + ser)
+        if msg_class == _CONTROL:
+            free = self.rx_ctrl_busy + ser
+            deliver = free if free > arrival else arrival
             self.rx_ctrl_busy = deliver
-            self.rx_data_busy = max(self.rx_data_busy, arrival - ser) + ser
+            busy = self.rx_data_busy
+            free = arrival - ser
+            self.rx_data_busy = (free if free > busy else busy) + ser
         else:
-            deliver = max(arrival, self.rx_data_busy + ser)
+            free = self.rx_data_busy + ser
+            deliver = free if free > arrival else arrival
             self.rx_data_busy = deliver
         self.rx_bytes += size
         self.rx_msgs += 1

@@ -25,7 +25,7 @@ from typing import Any, Generator, Optional
 
 from repro.config import RuntimeCosts
 from repro.errors import RuntimeBackendError
-from repro.mpi.requests import PersistentRecvRequest, Request
+from repro.mpi.requests import PersistentRecvRequest, Request, RequestArray
 from repro.mpi.world import ANY_SOURCE, MpiRank
 from repro.runtime.comm_engine import (
     BackoffPolicy,
@@ -87,16 +87,19 @@ class MpiBackend(CommEngine):
             raise RuntimeBackendError(f"unknown put mode {put_mode!r}")
         self.rank = rank
         self.rt = rt_costs or RuntimeCosts()
+        #: Instruments are null no-ops on a disabled bus: skip them there.
+        self._obs_on = self.obs.enabled
         #: "twosided" emulates puts with a handshake + send (the backend the
         #: paper ships); "rma" uses MPI dynamic-window RMA (the alternative
         #: §4.2.2 leaves unexplored because attach/detach and the missing
         #: remote-completion notification are known liabilities).
         self.put_mode = put_mode
         self._am_slots: list[_AmSlot] = []
-        #: ``[slot.preq for slot in _am_slots]``, kept in step with it: the
-        #: fixed head of every Testsome request array.
-        self._slot_reqs: list[PersistentRecvRequest] = []
         self._transfers: list[_Transfer] = []
+        #: The global Testsome array: ``_am_slots``' requests at fixed
+        #: positions, then ``_transfers``' requests in the same order (every
+        #: change to either list is mirrored here).
+        self._array = RequestArray()
         #: FIFO of deferred work: ("send", ...) entries wait for array space
         #: before even posting; ("recv", transfer) entries are already-posted
         #: dynamic receives waiting to be *polled*.
@@ -151,16 +154,20 @@ class MpiBackend(CommEngine):
                 preq = self.rank.recv_init(ANY_SOURCE, tag, max_len)
                 yield from self.rank.start(preq)
                 self._am_slots.append(_AmSlot(tag, preq))
-                self._slot_reqs.append(preq)
+                self._array._add_fixed(preq)
 
     def send_am(self, tag: int, remote: int, data: Any, size: int) -> Generator:
         """Blocking eager MPI_Send with the registered tag (§4.2.1)."""
         self._am_entry(tag)  # raises on unregistered tag
         self.stats["am_sent"] += 1
-        self._c_am_sent.inc()
-        yield from self.rank.send(
+        if self._obs_on:
+            self._c_am_sent.inc()
+        rank = self.rank
+        sreq = yield from rank.isend(
             remote, tag, size, payload={"am": data, "seq": self.am_seq(remote)}
         )
+        if not sreq.done:
+            yield from rank.wait(sreq)
 
     def put(
         self,
@@ -175,8 +182,9 @@ class MpiBackend(CommEngine):
         data_tag = next_data_tag()
         self.stats["puts_started"] += 1
         self.stats["bytes_put"] += size
-        self._c_puts.inc()
-        self._h_put_bytes.observe(size)
+        if self._obs_on:
+            self._c_puts.inc()
+            self._h_put_bytes.observe(size)
         if self.put_mode == "rma":
             # Round 1: ask the target to attach window memory; the actual
             # MPI_Put happens when its READY reply arrives (_rma_ready_cb).
@@ -207,42 +215,46 @@ class MpiBackend(CommEngine):
         completions keep arriving (§4.2.3)."""
         total = 0
         slots = self._am_slots  # append-only: indices stay valid
+        transfers = self._transfers
+        arr = self._array
+        rank = self.rank
+        callback_exec = self.rt.callback_exec
         while True:
-            # Request array: the persistent AM slots, then the transfers
-            # being polled (snapshotted — callbacks reshape the live list).
-            n_slots = len(self._slot_reqs)
-            transfers = list(self._transfers)
-            requests = self._slot_reqs + [t.req for t in transfers]
-            idxs = yield from self.rank.testsome(requests)
+            idxs = yield from rank.testsome(arr)
             if not idxs:
                 # §4.2.3: promotion happens whenever there is free space in
                 # the array, even on passes that completed nothing.
-                yield from self._promote_deferred()
+                if self._deferred:
+                    yield from self._promote_deferred()
                 break
-            # Remove finished transfers before running callbacks (callbacks
-            # may start new ones and reshape the array).
-            finished_transfers = {
-                id(transfers[i - n_slots]) for i in idxs if i >= n_slots
-            }
-            if finished_transfers:
-                self._transfers = [
-                    t for t in self._transfers if id(t) not in finished_transfers
-                ]
+            n_slots = len(slots)
+            finished = None
+            if idxs[-1] >= n_slots:
+                # Remove finished transfers before running callbacks
+                # (callbacks may start new ones and reshape the array);
+                # back to front, so the positions still ahead stay valid.
+                finished = []
+                for i in reversed(idxs):
+                    if i < n_slots:
+                        break
+                    finished.append(transfers.pop(i - n_slots))
+                    arr._pop(i)
             for i in idxs:
-                yield self.rt.callback_exec
+                yield callback_exec
                 if i < n_slots:
                     entry = slots[i]
                     preq = entry.preq
-                    msg = preq.payload["am"]
+                    payload = preq.payload
                     yield from self._run_am_callback(
-                        entry.tag, msg, preq.recv_size, preq.source,
-                        preq.payload.get("seq"),
+                        entry.tag, payload["am"], preq.recv_size, preq.source,
+                        payload.get("seq"),
                     )
                     # Re-enable the persistent receive after the callback.
-                    yield from self.rank.start(preq)
+                    yield from rank.start(preq)
                 else:
-                    yield from self._finish_transfer(transfers[i - n_slots])
-            yield from self._promote_deferred()
+                    yield from self._finish_transfer(finished.pop())
+            if self._deferred:
+                yield from self._promote_deferred()
             total += len(idxs)
         return total
 
@@ -263,7 +275,12 @@ class MpiBackend(CommEngine):
         self, remote: int, data_tag: int, size: int, data: Any, l_cb, l_cb_data
     ) -> Generator:
         sreq = yield from self.rank.isend(remote, data_tag, size, payload={"put": data})
-        self._transfers.append(_Transfer("send", sreq, l_cb, l_cb_data, size, remote))
+        self._track(_Transfer("send", sreq, l_cb, l_cb_data, size, remote))
+
+    def _track(self, t: _Transfer) -> None:
+        """Start polling ``t`` in the global array."""
+        self._transfers.append(t)
+        self._array._append(t.req)
 
     def _handshake_cb(self, engine, tag, msg, size, src, cb_data) -> Generator:
         """Target side of a put: post the matching receive (§4.2.2)."""
@@ -279,7 +296,7 @@ class MpiBackend(CommEngine):
         rreq = yield from self.rank.irecv(src, data_tag, data_size)
         transfer = _Transfer("recv", rreq, None, msg["r_cb_data"], data_size, src)
         if self._array_has_space():
-            self._transfers.append(transfer)
+            self._track(transfer)
         else:
             # Posted (so it matches and the wire moves), but polled only
             # after promotion into the global array.
@@ -354,7 +371,7 @@ class MpiBackend(CommEngine):
         while self._deferred and self._array_has_space():
             item = self._deferred.popleft()
             if item[0] == "recv":
-                self._transfers.append(item[1])
+                self._track(item[1])
             else:
                 _kind, remote, data_tag, size, data, l_cb, l_cb_data = item
                 yield from self._post_data_send(

@@ -6,7 +6,7 @@ the kind-coded entry tuples mean the same thing under either
 ``REPRO_SIM_CORE`` selection.
 """
 
-__all__ = ["K_EVT", "K_CALL", "K_RESUME", "PARK"]
+__all__ = ["K_EVT", "K_CALL", "K_RESUME", "PARK", "noop"]
 
 #: Entry kinds (the ``kind`` slot of every scheduled entry).
 K_EVT = 0      #: generic event dispatch: ``a._dispatch()``
@@ -28,3 +28,14 @@ class _ParkSentinel:
 #: next runs).  This is the allocation-free replacement for parking on an
 #: ``AnyOf`` over per-wait notification events.
 PARK = _ParkSentinel()
+
+
+def noop() -> None:
+    """An inert callback: ``sim.call_soon(noop)`` takes one seq and one
+    processed entry and touches no state.
+
+    MPI request completion schedules it so that the completion notice still
+    occupies its place in the event stream (``events_processed`` and the
+    seq numbering are part of the output fingerprint).  The schedule
+    explorer treats it as commuting with everything.
+    """

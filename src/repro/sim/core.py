@@ -78,7 +78,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.bus import NULL_BUS
-from repro.sim._kinds import K_CALL, K_EVT, K_RESUME, PARK
+from repro.sim._kinds import K_CALL, K_EVT, K_RESUME, PARK, noop
 
 __all__ = [
     "Simulator",
@@ -93,6 +93,7 @@ __all__ = [
     "K_CALL",
     "K_RESUME",
     "PARK",
+    "noop",
 ]
 
 _PENDING = object()

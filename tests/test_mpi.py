@@ -6,7 +6,7 @@ from repro.config import MpiCosts
 from repro.errors import MpiError
 from repro.mpi import ANY_SOURCE, MpiWorld
 from repro.mpi.matching import Envelope, MatchEngine
-from repro.mpi.requests import RecvRequest
+from repro.mpi.requests import RecvRequest, Request, RequestArray
 from repro.network import Fabric
 from repro.sim.core import Simulator
 from repro.units import KiB, MiB
@@ -309,6 +309,120 @@ class TestTestsome:
 
         assert sim.run_process(proc()) == []
 
+    def test_request_array_reports_in_position_order(self):
+        sim, world = make_world()
+        r0, r1 = world.ranks
+        arr = RequestArray()
+
+        def sender():
+            for tag in (3, 2, 1):
+                yield from r0.send(dst=1, tag=tag, size=64, payload=tag)
+
+        def receiver():
+            reqs = []
+            for tag in (1, 2, 3):
+                reqs.append((yield from r1.irecv(src=0, tag=tag, max_size=64)))
+                arr._append(reqs[-1])
+            done = []
+            while len(done) < 3:
+                done += yield from r1.testsome(arr)
+                if len(done) < 3:
+                    yield r1.activity_event()
+            return done, [r.payload for r in reqs]
+
+        sim.process(sender())
+        done, payloads = sim.run_process(receiver())
+        assert sorted(done) == [0, 1, 2]
+        assert payloads == [1, 2, 3]
+        assert arr._active == 0
+
+    def test_persistent_slot_matched_in_first_start_is_reported(self):
+        """A persistent receive that matches an unexpected message inside
+        its first ``start()`` is already complete when it joins the array,
+        and must still be reported — exactly once."""
+        sim, world = make_world()
+        r0, r1 = world.ranks
+        preq = r1.recv_init(ANY_SOURCE, 7, 1 * KiB)
+        arr = RequestArray()
+
+        def sender():
+            yield from r0.send(dst=1, tag=7, size=32, payload="early")
+
+        def receiver():
+            yield sim.timeout(1e-3)
+            yield from r1.progress()  # the message is now unexpected
+            yield from r1.start(preq)
+            assert preq.done and preq.active
+            arr._add_fixed(preq)
+            first = yield from r1.testsome(arr)
+            second = yield from r1.testsome(arr)
+            return first, second, preq.payload
+
+        sim.process(sender())
+        assert sim.run_process(receiver()) == ([0], [], "early")
+
+    def test_wait_retired_request_is_not_reported(self):
+        sim, world = make_world()
+        r0 = world.ranks[0]
+        arr = RequestArray()
+
+        def proc():
+            sreq = yield from r0.isend(dst=1, tag=1, size=64)
+            arr._append(sreq)
+            yield from r0.wait(sreq)
+            return (yield from r0.testsome(arr)), arr._active
+
+        assert sim.run_process(proc()) == ([], 0)
+
+    def test_request_enrolled_during_testsome_waits_for_next_call(self):
+        """A call tests the array as it stood when the call began: entries
+        enrolled while it runs are neither charged nor reported by it."""
+        sim, world = make_world()
+        r0 = world.ranks[0]
+        costs = world.costs
+        arr = RequestArray()
+        early, late, late_fixed = (Request(sim) for _ in range(3))
+        for req in (early, late, late_fixed):
+            req._complete()
+        arr._append(early)
+
+        def sender():
+            # Lands in rank 0's inbox: the first Testsome progresses it.
+            yield from world.ranks[1].send(dst=0, tag=9, size=64)
+
+        def poller():
+            yield 1e-3
+            t0 = sim.now
+            first = yield from r0.testsome(arr)
+            t1 = sim.now
+            second = yield from r0.testsome(arr)
+            return first, t1 - t0, second, sim.now - t1
+
+        def enroller():
+            yield 1e-3 + costs.match / 2  # inside the poller's first call
+            arr._append(late)
+            arr._add_fixed(late_fixed)
+
+        proc = sim.process(poller())
+        sim.process(sender())
+        sim.process(enroller())
+        sim.run()
+        first, dt1, second, dt2 = proc.value
+        per = costs.testsome_per_request
+        unexpected_eager = costs.match + 64 * costs.eager_copy_per_byte
+        # Positions are in the array as it is when the call returns.
+        assert first == [1]
+        assert dt1 == pytest.approx(unexpected_eager + costs.testsome_base + per)
+        assert second == [0, 2]
+        assert dt2 == pytest.approx(costs.testsome_base + 2 * per)
+
+    def test_request_in_two_arrays_rejected(self):
+        sim, _world = make_world()
+        req = RecvRequest(sim, 0, 1, 64)
+        RequestArray([req])
+        with pytest.raises(MpiError, match="already in a request array"):
+            RequestArray([req])
+
 
 class TestConcurrency:
     def test_lock_serializes_threads(self):
@@ -347,6 +461,45 @@ class TestConcurrency:
 
         with pytest.raises(MpiError, match="negative"):
             sim.run_process(proc())
+
+    @pytest.mark.parametrize("src", [2, 7, -1])
+    def test_irecv_invalid_source_rejected(self, src):
+        sim, world = make_world()
+
+        def proc():
+            yield from world.ranks[0].irecv(src=src, tag=0, max_size=64)
+
+        with pytest.raises(MpiError, match="invalid source"):
+            sim.run_process(proc())
+
+    def test_irecv_negative_size_rejected(self):
+        sim, world = make_world()
+
+        def proc():
+            yield from world.ranks[0].irecv(src=1, tag=0, max_size=-1)
+
+        with pytest.raises(MpiError, match="negative"):
+            sim.run_process(proc())
+
+    def test_recv_init_validates_like_irecv(self):
+        _sim, world = make_world()
+        r0 = world.ranks[0]
+        with pytest.raises(MpiError, match="invalid source"):
+            r0.recv_init(7, 0, 64)
+        with pytest.raises(MpiError, match="negative"):
+            r0.recv_init(ANY_SOURCE, 0, -1)
+
+    def test_valid_receives_accepted(self):
+        sim, world = make_world()
+        r0 = world.ranks[0]
+
+        def proc():
+            a = yield from r0.irecv(src=ANY_SOURCE, tag=0, max_size=0)
+            b = yield from r0.irecv(src=1, tag=0, max_size=64)
+            return (a.done, b.done)
+
+        assert sim.run_process(proc()) == (False, False)
+        assert r0.recv_init(0, 0, 0).src == 0
 
 
 class TestOrdering:

@@ -9,7 +9,9 @@ from repro.hicma.lowrank import compress_dense, recompress
 from repro.hicma.ranks import RankModel
 from repro.hicma.dag import build_tlr_cholesky_graph, expected_task_count
 from repro.mpi.matching import Envelope, MatchEngine
-from repro.mpi.requests import RecvRequest
+from repro.mpi.requests import PersistentRecvRequest, RecvRequest, Request, RequestArray
+from repro.mpi.world import MpiWorld
+from repro.network import Fabric
 from repro.runtime.node import binomial_tree, build_flow_plan
 from repro.sim.core import Simulator
 from repro.sim.primitives import Store, PriorityStore
@@ -132,6 +134,187 @@ class TestMatchingProperties:
             assert env is not None
             got.append(env.payload)
         assert got == list(range(len(payloads)))
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["post", "post", "arrive", "arrive", "cancel"]),
+                st.one_of(st.none(), st.integers(0, 2)),  # src (None: ANY_SOURCE)
+                st.one_of(st.none(), st.integers(0, 2)),  # tag (None: ANY_TAG)
+                st.integers(0, 40),  # which posted receive a cancel picks
+            ),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_indexed_engine_equals_linear_walk(self, ops):
+        """The indexed engine returns the partner, ``walked`` count and
+        audit calls of a plain linear walk, after every operation.
+        ``walked`` feeds simulated time, so it must be exact."""
+        sim = Simulator()
+        engine = MatchEngine()
+        ref = _LinearMatch()
+        log = []
+        engine.audit = lambda op, recv, env: log.append(_ids(op, recv, env))
+        for op, src, tag, pick in ops:
+            if op == "post":
+                recv = RecvRequest(sim, src, tag, 1 << 20)
+                got, want = engine.post_recv(recv), ref.post_recv(recv)
+            elif op == "arrive":
+                env = Envelope(src=src or 0, tag=tag or 0, size=1, kind="eager")
+                got, want = engine.arrive(env), ref.arrive(env)
+            else:
+                posted = ref.posted
+                recv = posted[pick % len(posted)] if posted else RecvRequest(sim, src, tag, 1)
+                got, want = engine.cancel(recv), ref.cancel(recv)
+            assert got is want
+            assert engine.take_walked() == ref.take_walked()
+            assert log == ref.log
+            assert [id(r) for r in engine.posted] == [id(r) for r in ref.posted]
+            assert [id(e) for e in engine.unexpected] == [id(e) for e in ref.unexpected]
+            assert engine.posted_count == len(ref.posted)
+            assert engine.unexpected_count == len(ref.unexpected)
+        assert engine.max_posted == ref.max_posted
+        assert engine.max_unexpected == ref.max_unexpected
+
+
+def _ids(op, recv, env):
+    return (op, None if recv is None else id(recv), None if env is None else id(env))
+
+
+class _LinearMatch:
+    """Reference matcher: the linear queue walk of a real MPI library."""
+
+    def __init__(self):
+        self.posted = []
+        self.unexpected = []
+        self.walked = 0
+        self.max_posted = 0
+        self.max_unexpected = 0
+        self.log = []
+
+    @staticmethod
+    def _fits(recv, env):
+        return (recv.src is None or recv.src == env.src) and (
+            recv.tag is None or recv.tag == env.tag
+        )
+
+    def post_recv(self, recv):
+        for i, env in enumerate(self.unexpected):
+            self.walked += 1
+            if self._fits(recv, env):
+                del self.unexpected[i]
+                self.log.append(_ids("post", recv, env))
+                return env
+        self.posted.append(recv)
+        self.max_posted = max(self.max_posted, len(self.posted))
+        self.log.append(_ids("post", recv, None))
+        return None
+
+    def arrive(self, env):
+        for i, recv in enumerate(self.posted):
+            self.walked += 1
+            if self._fits(recv, env):
+                del self.posted[i]
+                self.log.append(_ids("arrive", recv, env))
+                return recv
+        self.unexpected.append(env)
+        self.max_unexpected = max(self.max_unexpected, len(self.unexpected))
+        self.log.append(_ids("arrive", None, env))
+        return None
+
+    def cancel(self, recv):
+        for i, queued in enumerate(self.posted):
+            if queued is recv:
+                del self.posted[i]
+                self.log.append(_ids("cancel", recv, None))
+                return True
+        return False
+
+    def take_walked(self):
+        n, self.walked = self.walked, 0
+        return n
+
+
+class TestRequestArrayProperties:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["fixed", "append", "complete", "complete", "testsome",
+                     "rearm", "remove", "wait"]
+                ),
+                st.integers(0, 40),
+                st.booleans(),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_testsome_equals_scan(self, ops):
+        """Testsome over a completion-tracked array reports what a scan
+        of the array would, and charges for the same active count."""
+        sim = Simulator()
+        world = MpiWorld(sim, Fabric(sim, 2))
+        rank = world.ranks[0]
+        costs = world.costs
+        arr = RequestArray()
+        fixed, tail = [], []
+        for op, k, flag in ops:
+            entries = fixed + tail
+            if op == "fixed":
+                if k % 5 == 0:
+                    req = None  # a hole
+                elif flag:
+                    req = PersistentRecvRequest(sim, None, 1, 64)
+                    if k % 2:
+                        req._rearm()
+                        if k % 4 == 3:
+                            req._complete()  # matched inside its first start()
+                else:
+                    req = Request(sim)
+                    if k % 2:
+                        req._complete()
+                arr._add_fixed(req)
+                fixed.append(req)
+            elif op == "append":
+                req = Request(sim)
+                if flag:
+                    req._complete()  # e.g. an eager send, done before enrolment
+                arr._append(req)
+                tail.append(req)
+            elif op == "complete":
+                cands = [r for r in entries if r is not None and r.active and not r.done]
+                if cands:
+                    cands[k % len(cands)]._complete()
+            elif op == "rearm":
+                cands = [r for r in entries if isinstance(r, PersistentRecvRequest)
+                         and (r.done or not r.active)]
+                if cands:
+                    cands[k % len(cands)]._rearm()
+            elif op == "remove":
+                if tail:
+                    j = k % len(tail)
+                    assert arr._pop(len(fixed) + j) is tail.pop(j)
+            elif op == "wait":
+                cands = [r for r in entries if r is not None and r.done]
+                if cands:
+                    cands[k % len(cands)]._deactivate()
+            else:
+                want = [i for i, r in enumerate(entries)
+                        if r is not None and r.active and r.done]
+                active = sum(1 for r in entries if r is not None and r.active)
+                t0 = sim.now
+                got = sim.run_process(rank.testsome(arr))
+                assert got == want
+                assert sim.now - t0 == pytest.approx(
+                    costs.testsome_base + costs.testsome_per_request * active
+                )
+            entries = fixed + tail
+            assert len(arr) == len(entries)
+            assert all(a is b for a, b in zip(arr._fixed + arr._tail, entries))
+            assert arr._active == sum(1 for r in entries if r is not None and r.active)
 
 
 class TestLowRankProperties:

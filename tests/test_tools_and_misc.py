@@ -1,5 +1,6 @@
 """Tests for the docs generator and assorted uncovered branches."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -183,6 +184,27 @@ class TestRepoCheckers:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "caught both" in proc.stdout
+
+
+class TestPerfFingerprintContract:
+    def test_smoke_workloads_match_golden(self, monkeypatch):
+        # The benchmark's golden fingerprints, checked in tier 1: the four
+        # perf/run.py workloads at smoke size (~1 s), in this process.
+        # perf/run.py is only imported for WORKLOADS and fingerprint().
+        perf = ROOT / "perf"
+        monkeypatch.syspath_prepend(str(perf))  # run.py imports layer_trace
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perf/ as is
+        spec = importlib.util.spec_from_file_location("perf_run", perf / "run.py")
+        perf_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(perf_run)
+        golden = json.loads((perf / "golden.json").read_text())
+        from repro import Experiment
+
+        assert set(perf_run.WORKLOADS) == set(golden)
+        for name, sizes in perf_run.WORKLOADS.items():
+            seen = []
+            result = Experiment(seed=1, **sizes["smoke"]).run(ctx_observer=seen.append)
+            assert perf_run.fingerprint(result, seen[0]) == golden[name]["smoke"], name
 
 
 class TestNicEjectControl:
