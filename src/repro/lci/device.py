@@ -127,6 +127,8 @@ class LciDevice:
         # LCI_ERR_RETRY is counted per operation class, and the TX/RX packet
         # pools are sampled on each allocation.
         obs = world.obs
+        #: Instruments are null no-ops on a disabled bus: hot paths skip them.
+        self._obs_on = obs.enabled
         self._c_retry_sendb = obs.counter("lci.retry.sendb", node)
         self._c_retry_sendd = obs.counter("lci.retry.sendd", node)
         self._c_retry_putd = obs.counter("lci.retry.putd", node)
@@ -250,7 +252,8 @@ class LciDevice:
             self._c_retry_sendb.inc()
             return LCI_ERR_RETRY
         self.tx_packets_free -= 1
-        self._h_tx_pool.observe(self.costs.packet_pool_size - self.tx_packets_free)
+        if self._obs_on:
+            self._h_tx_pool.observe(self.costs.packet_pool_size - self.tx_packets_free)
         yield self.costs.buffered_send + size * self.costs.copy_per_byte
         msg = self._send_am_wire(dst, tag, size, data, proto="buffered")
         # The packet is held until the NIC has read it (tail departure).
@@ -414,7 +417,8 @@ class LciDevice:
         while rx_am and self.rx_packets_free > 0:
             msg = rx_am.popleft()
             self.rx_packets_free -= 1
-            self._h_rx_pool.observe(costs.packet_pool_size - self.rx_packets_free)
+            if self._obs_on:
+                self._h_rx_pool.observe(costs.packet_pool_size - self.rx_packets_free)
             yield drain + costs.refill_recv
             p = msg.payload
             record = CompletionRecord(

@@ -94,6 +94,8 @@ class CommEngine:
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         #: Observability bus (defaults to the simulator's, usually NULL_BUS).
         self.obs = obs if obs is not None else getattr(sim, "obs", NULL_BUS)
+        #: Instruments are null no-ops on a disabled bus: skip them there.
+        self._obs_on = self.obs.enabled
         self._am_tags: dict[int, tuple[AmCallback, Any]] = {}
         #: Counters exposed for benchmarks/tests.
         self.stats = {
@@ -216,5 +218,6 @@ class CommEngine:
                 return ()
         cb, cb_data = self._am_entry(tag)
         self.stats["am_recv"] += 1
-        self._c_am_recv.inc()
+        if self._obs_on:
+            self._c_am_recv.inc()
         return cb(self, tag, msg, size, src, cb_data)

@@ -133,7 +133,8 @@ class LciBackend(CommEngine):
         """
         self._am_entry(tag)
         self.stats["am_sent"] += 1
-        self._c_am_sent.inc()
+        if self._obs_on:
+            self._c_am_sent.inc()
         # User AMs ride as a plain ``(tag, data, seq)`` tuple; put
         # handshakes (the only other LCI AM payload) are dicts.
         payload = (tag, data, self.am_seq(remote))
@@ -163,8 +164,9 @@ class LciBackend(CommEngine):
         data_tag = next_data_tag()
         self.stats["puts_started"] += 1
         self.stats["bytes_put"] += size
-        self._c_puts.inc()
-        self._h_put_bytes.observe(size)
+        if self._obs_on:
+            self._c_puts.inc()
+            self._h_put_bytes.observe(size)
         if self.native_put:
             # One-sided: no handshake, no posted receive, no matching.
             attempt = 0

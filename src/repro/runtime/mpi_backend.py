@@ -87,8 +87,6 @@ class MpiBackend(CommEngine):
             raise RuntimeBackendError(f"unknown put mode {put_mode!r}")
         self.rank = rank
         self.rt = rt_costs or RuntimeCosts()
-        #: Instruments are null no-ops on a disabled bus: skip them there.
-        self._obs_on = self.obs.enabled
         #: "twosided" emulates puts with a handshake + send (the backend the
         #: paper ships); "rma" uses MPI dynamic-window RMA (the alternative
         #: §4.2.2 leaves unexplored because attach/detach and the missing

@@ -168,6 +168,7 @@ class NodeRuntime:
         self._t_node = graph._t_node
         self._t_dur = graph._t_dur
         self._t_prio = graph._t_prio
+        self._f_local = graph._f_local
         self.sched = make_scheduler(
             getattr(self.ctx, "scheduler", "central"), self.sim, num_workers
         )
@@ -184,19 +185,23 @@ class NodeRuntime:
 
     def start_threads(self, num_workers: int) -> None:
         """Spawn worker, communication, and (LCI) progress threads."""
+        # Workers, comm and progress threads all idle via ``yield PARK`` (no
+        # per-wait event allocation); each generator learns its own Process
+        # through a one-slot holder filled right after spawning.
         for wid in range(num_workers):
-            self._workers.append(
-                self.sim.process(self._worker(wid), name=f"n{self.rank}w{wid}")
+            holder: list = []
+            proc = self.sim.process(
+                self._worker(wid, holder), name=f"n{self.rank}w{wid}"
             )
+            holder.append(proc)
+            self._workers.append(proc)
         # §7 future work: "multiple communication or progress threads to
         # further reduce communication latency in highly-loaded scenarios".
-        # Only the first comm thread runs the one-time engine start.
-        # Comm/progress threads idle via ``yield PARK`` (no per-wait event
-        # allocation); each generator learns its own Process through a
-        # one-slot holder filled right after spawning, and the run-wide
-        # stop event wakes parked threads so they can observe the stop flag.
+        # Only the first comm thread runs the one-time engine start.  The
+        # run-wide stop event wakes parked comm/progress threads so they
+        # can observe the stop flag.
         for ci in range(getattr(self.ctx, "num_comm_threads", 1)):
-            holder: list = []
+            holder = []
             proc = self.sim.process(
                 self._comm_thread(holder, run_start=ci == 0),
                 name=f"n{self.rank}comm{ci}",
@@ -223,14 +228,14 @@ class NodeRuntime:
     # worker threads
     # ------------------------------------------------------------------
 
-    def _worker(self, wid: int) -> Generator:
+    def _worker(self, wid: int, me: list) -> Generator:
         rt = self.rt
         obs = self.ctx.obs
         faults = self.ctx.faults
         durations = self._t_dur
         try:
             while True:
-                tid: int = yield from self.sched.pop(wid)
+                tid: int = yield from self.sched.pop(wid, me)
                 start = self.sim.now
                 yield rt.sched_op + rt.task_spawn
                 duration = durations[tid]
@@ -258,9 +263,34 @@ class NodeRuntime:
         # The hook's contract passes a spec view (wrappers read .kind etc.);
         # views are two-slot proxies, so this stays allocation-cheap.
         self.ctx.on_task_done(self.graph.tasks[tid])
+        f_local = self._f_local
         for fid in self.graph.outputs_of(tid):
             yield self.rt.sched_op
-            yield from self._release_flow(fid, initial=True, origin=wid)
+            if f_local[fid]:
+                # Every consumer is here: the plan path's outcome without
+                # the plan — no multicast children, a single release, and
+                # no _FlowState (no ACTIVATE is ever sent for the flow).
+                self._satisfy_local(self.graph.consumers_of(fid), wid)
+                self.flows_retired += 1
+            else:
+                yield from self._release_flow(fid, initial=True, origin=wid)
+
+    def _satisfy_local(self, tids, origin: Optional[int]) -> None:
+        """Drop the dependence count of local consumers ``tids``; push the
+        ones that become ready (to the originating worker's queue when the
+        work-stealing scheduler is active — data affinity)."""
+        remaining_in = self.input_remaining
+        push = self.sched.push
+        t_prio = self._t_prio
+        for tid in tids:
+            remaining = remaining_in[tid] - 1
+            remaining_in[tid] = remaining
+            if remaining == 0:
+                push(-t_prio[tid], tid, origin)
+            elif remaining < 0:
+                raise RuntimeBackendError(
+                    f"task {tid}: dependence count went negative"
+                )
 
     def _release_flow(
         self, fid: int, initial: bool, origin: Optional[int] = None
@@ -302,21 +332,8 @@ class NodeRuntime:
             # One reference per multicast child (the local consumers below
             # are satisfied before this method yields).
             self.flow_refs[fid] = len(children)
-        # Local consumers (released to the originating worker's queue when
-        # the work-stealing scheduler is active — data affinity).
         if local:
-            remaining_in = self.input_remaining
-            push = self.sched.push
-            t_prio = self._t_prio
-            for tid in local:
-                remaining = remaining_in[tid] - 1
-                remaining_in[tid] = remaining
-                if remaining == 0:
-                    push(-t_prio[tid], tid, origin)
-                elif remaining < 0:
-                    raise RuntimeBackendError(
-                        f"task {tid}: dependence count went negative"
-                    )
+            self._satisfy_local(local, origin)
         if not children:
             # Nothing at this node will ever read the flow again.
             self.flow_states.pop(fid, None)

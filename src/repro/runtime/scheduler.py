@@ -11,41 +11,75 @@ priority queue:
   release-to-own-queue placement and round-robin stealing.
 
 Both expose the same interface: ``push(priority_key, task, origin)`` from
-whatever thread makes a task ready, and the generator ``pop(worker_id)``
-that a worker yields from until a task is available.
+whatever thread makes a task ready, and the generator ``pop(worker_id,
+me)`` that a worker yields from until a task is available (``me`` is the
+worker's one-slot Process holder; see :meth:`CentralScheduler.pop`).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
 from repro.errors import RuntimeBackendError
-from repro.sim.core import Simulator
-from repro.sim.primitives import PriorityStore, Semaphore
+from repro.sim.core import PARK, Simulator, noop
+from repro.sim.primitives import Semaphore
 
 __all__ = ["CentralScheduler", "WorkStealingScheduler", "make_scheduler"]
 
 
 class CentralScheduler:
-    """One shared priority queue; lowest key pops first."""
+    """One shared priority queue; lowest key pops first (ties FIFO).
+
+    Ready tasks reach workers without an :class:`Event`: a worker that
+    finds work takes it and sleeps for zero time; an idle worker parks
+    (``yield PARK``) and :meth:`push` hands it the task through
+    :meth:`~repro.sim.core.Process.wake`.  Each push also schedules one
+    inert ``noop`` — the kernel entries and their seq order are exactly
+    those of a getter/putter event pair on a priority store.
+    """
 
     kind = "central"
 
     def __init__(self, sim: Simulator, num_workers: int):
-        self.store = PriorityStore(sim)
+        self.sim = sim
+        self._heap: list = []  # (key, seq, task)
+        self._seq = 0
+        #: Parked idle workers, oldest first.
+        self._idle: deque = deque()
 
     def push(self, key: float, task: Any, origin: Optional[int] = None) -> None:
         """Make a task ready (``origin`` is ignored for the central queue)."""
-        self.store.try_put((key, task))
+        if self._idle:
+            self._idle.popleft().wake(task)
+        else:
+            self._seq += 1
+            heappush(self._heap, (key, self._seq, task))
+        self.sim.call_soon(noop)
 
-    def pop(self, worker_id: int) -> Generator[Any, Any, Any]:
-        """Yield until a task is available; returns the best-priority task."""
-        task = yield self.store.get()
-        return task
+    def pop(
+        self, worker_id: int, me: Optional[list] = None
+    ) -> Generator[Any, Any, Any]:
+        """Yield until a task is available; returns the best-priority task.
+
+        ``me`` holds the calling worker's Process in its one slot; an idle
+        worker parks on it, so only a pop that finds work may omit it.
+        """
+        if self._heap:
+            task = heappop(self._heap)[2]
+            yield 0
+            return task
+        if me is None:
+            raise RuntimeBackendError(
+                "CentralScheduler.pop on an empty queue needs the worker's "
+                "Process holder"
+            )
+        self._idle.append(me[0])
+        return (yield PARK)
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self._heap)
 
 
 class WorkStealingScheduler:
@@ -82,8 +116,11 @@ class WorkStealingScheduler:
         heappush(self.queues[origin], (key, self._seq, task))
         self._available.release()
 
-    def pop(self, worker_id: int) -> Generator[Any, Any, Any]:
-        """Take from the local queue, stealing from siblings when empty."""
+    def pop(
+        self, worker_id: int, me: Optional[list] = None
+    ) -> Generator[Any, Any, Any]:
+        """Take from the local queue, stealing from siblings when empty
+        (``me`` is unused: waiting goes through the semaphore)."""
         yield self._available.acquire()
         # The semaphore guarantees one task exists somewhere; the scan below
         # runs atomically (no yields), so it always finds it.

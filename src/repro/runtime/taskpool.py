@@ -93,6 +93,7 @@ class TaskSpec:
     @outputs.setter
     def outputs(self, value: Iterable[int]) -> None:
         self._g._out_override[self.task_id] = tuple(value)
+        self._g._frozen = False  # re-derive the local-flow column
         self._g._validated = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -128,6 +129,7 @@ class FlowSpec:
     @consumers.setter
     def consumers(self, value: Iterable[int]) -> None:
         self._g._cons_override[self.flow_id] = tuple(value)
+        self._g._frozen = False  # re-derive the local-flow column
         self._g._validated = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -216,7 +218,7 @@ class TaskGraph:
         "_kind_names", "_kind_ids",
         "_in_ptr", "_in_flat",
         "_f_size", "_f_prod",
-        "_out_ptr", "_out_flat", "_cons_ptr", "_cons_flat",
+        "_out_ptr", "_out_flat", "_cons_ptr", "_cons_flat", "_f_local",
         "_in_override", "_out_override", "_cons_override",
         "_frozen", "_validated",
     )
@@ -244,6 +246,9 @@ class TaskGraph:
         self._out_flat: Optional[array] = None
         self._cons_ptr: Optional[array] = None
         self._cons_flat: Optional[array] = None
+        #: One byte per flow, set when every consumer runs on the
+        #: producer's node (see :meth:`flow_is_local`).
+        self._f_local: Optional[bytes] = None
         # Wholesale-assignment escape hatches (tests wiring cycles etc.).
         self._in_override: dict[int, tuple] = {}
         self._out_override: dict[int, tuple] = {}
@@ -311,8 +316,10 @@ class TaskGraph:
         Two stable counting sorts: flows sorted by producer give each
         task's outputs in flow-id order; input-CSR positions sorted by flow
         give each flow's consumers in task-id order — exactly the append
-        order the old per-object tuples had.  Idempotent; re-run
-        automatically after further :meth:`add_task`/:meth:`add_flow`.
+        order the old per-object tuples had.  The same pass derives the
+        local-flow column (:meth:`flow_is_local`).  Idempotent; re-run
+        automatically after further :meth:`add_task`/:meth:`add_flow` or
+        an ``outputs``/``consumers`` override.
         """
         if self._frozen:
             return self
@@ -330,6 +337,8 @@ class TaskGraph:
             else np.empty(0, dtype=np.int64)
         in_ptr = np.frombuffer(self._in_ptr, dtype=np.int64)
         owner = np.repeat(np.arange(num_tasks, dtype=np.int64), np.diff(in_ptr))
+        # Before the consumer sort: its temporaries outlive this one's.
+        f_local = self._local_flows(prod, in_flat, owner)
         order = np.argsort(in_flat, kind="stable")
         cons_flat = owner[order]
         cons_counts = np.bincount(in_flat, minlength=max(num_flows, 1))
@@ -341,8 +350,42 @@ class TaskGraph:
         self._out_flat = _as_q(out_flat)
         self._cons_ptr = _as_q(cons_ptr)
         self._cons_flat = _as_q(cons_flat)
+        self._f_local = f_local
         self._frozen = True
         return self
+
+    def _local_flows(self, prod, in_flat, owner) -> bytes:
+        """The local-flow column: byte ``fid`` is 1 when every consumer of
+        flow ``fid`` runs on its producer's node (vacuously so with no
+        consumers), so releasing it never leaves that node.
+
+        ``in_flat``/``owner`` are the input edges (flow, consumer task).
+        Node ids are compared as int32 to halve the per-edge temporaries.
+        """
+        import numpy as np
+
+        num_flows = len(prod)
+        local = np.ones(num_flows, dtype=np.uint8)
+        if len(in_flat):
+            node32 = np.frombuffer(self._t_node, dtype=np.int64).astype(np.int32)
+            remote = node32[owner] != node32[prod][in_flat]
+            local[in_flat[remote]] = 0
+        num_tasks = len(self._t_node)
+        t_node = self._t_node
+        for fid, consumers in self._cons_override.items():
+            if 0 <= fid < num_flows:
+                home = t_node[self._f_prod[fid]]
+                local[fid] = all(
+                    0 <= tid < num_tasks and t_node[tid] == home
+                    for tid in consumers
+                )
+        # A flow listed by an outputs override may be released on another
+        # node than its producer's: leave it to the general release path.
+        for outputs in self._out_override.values():
+            for fid in outputs:
+                if 0 <= fid < num_flows:
+                    local[fid] = 0
+        return local.tobytes()
 
     # -- columnar accessors ----------------------------------------------
 
@@ -402,6 +445,13 @@ class TaskGraph:
     def flow_producer(self, fid: int) -> int:
         """Producer task id of flow ``fid``."""
         return self._f_prod[fid]
+
+    def flow_is_local(self, fid: int) -> bool:
+        """True when every consumer of flow ``fid`` runs on its producer's
+        node: the flow is released without any communication."""
+        if not self._frozen:
+            self.freeze()
+        return bool(self._f_local[fid])
 
     def flow_consumers(self, fid: int) -> tuple[int, ...]:
         """Consumer task ids of flow ``fid`` (registration order)."""

@@ -1,4 +1,4 @@
-"""The discrete-event simulation core (epoch-batched kernel).
+"""The discrete-event simulation core (epoch-batched, timestamp-bucketed).
 
 Design notes
 ------------
@@ -6,11 +6,10 @@ The kernel processes events in **epochs** — the set of all entries sharing
 one timestamp — instead of merging a heap against a ready queue one entry
 at a time:
 
-- every schedulable unit is a flat *kind-coded* entry.  Heap entries are
-  ``(time, seq, kind, a, b, c)`` tuples; current-time entries live in a
-  plain list of ``(seq, kind, a, b, c)`` (the *epoch batch*).  ``seq`` is a
-  monotonically increasing counter so simultaneous entries fire in schedule
-  order and runs are deterministic.  ``kind`` selects a typed fast path:
+- every schedulable unit is a flat *kind-coded* ``(seq, kind, a, b, c)``
+  entry.  ``seq`` is a global, monotonically increasing counter so
+  simultaneous entries fire in schedule order and runs are deterministic.
+  ``kind`` selects a typed fast path:
 
   ======== ======================= =========================================
   kind     payload                 dispatch
@@ -23,15 +22,26 @@ at a time:
            ``c`` = value           callback dispatch entirely)
   ======== ======================= =========================================
 
-- when the batch empties, time advances to the next heap timestamp and the
-  *whole epoch* at that time is drained in one go.  Two invariants make
-  this bit-identical to the classic one-at-a-time merge: (1) a heap push
-  always carries a strictly future timestamp (zero/underflow delays are
-  routed to the batch), so no heap entry at the current time can appear
-  *during* an epoch; and (2) ``seq`` is global, so every pre-existing
-  heap entry at time ``T`` precedes every entry appended while the epoch
-  runs.  Draining the heap epoch first and then walking the batch
-  positionally therefore reproduces the exact ``(time, seq)`` total order;
+- future entries are **bucketed by timestamp**: ``_times`` is a heap of
+  the *distinct* future timestamps (bare floats) and ``_buckets`` maps each
+  one to the list of its entries.  Because ``seq`` only ever grows, an
+  append always lands behind every entry already in its bucket, so each
+  bucket is in seq order by construction.  A run with many entries per
+  timestamp pays one float heap push/pop per timestamp instead of one
+  tuple heap push/pop per entry;
+
+- the current epoch is a plain list, the *epoch batch* (``_ready``).  When
+  it is exhausted the clock advances to the smallest timestamp and that
+  timestamp's bucket *becomes* the batch.  Two invariants make this exactly
+  the classic ``(time, seq)`` total order: (1) a bucket push always carries
+  a strictly future timestamp — every scheduler tests ``when > now``, so
+  zero, underflowed (``now + d == now``) and NaN delays go to the batch,
+  never to a dict key — so no bucket at the current time can appear while
+  an epoch runs; and (2) every entry appended during the epoch is younger
+  than every entry the bucket held.  The batch is iterated in place, and
+  appends made while it runs fire in the same pass.  An exception that
+  escapes an entry leaves the unfired remainder of the batch in place, so
+  a later :meth:`Simulator.run` resumes in the same order;
 
 - processes may ``yield <float|int>`` as a sleep shorthand — the kernel
   schedules a K_RESUME entry that re-enters the generator directly.  This
@@ -52,9 +62,8 @@ at a time:
 - ``yield PARK`` suspends a process with *no* scheduled wake-up; another
   actor calls :meth:`Process.wake` (idempotent until the process runs)
   to schedule a K_RESUME at the current time.  Pollers (comm/progress
-  threads) idle this way instead of constructing an ``AnyOf`` over
-  per-wait notification events — the second-largest allocation source in
-  paper-scale runs after Timeouts;
+  threads) and idle workers wait this way instead of on per-wait
+  notification events;
 
 - a process is itself an :class:`Event` that triggers when the generator
   returns, so processes can wait on each other.
@@ -205,8 +214,8 @@ class Timeout(Event):
         # explicit Timeouts are still common enough that the call overhead
         # is measurable.  The ``when > now`` test (rather than ``delay ==
         # 0``) routes underflowed delays (now + delay == now in float) to
-        # the batch, preserving the epoch invariant that the heap never
-        # gains entries at the current time.
+        # the batch, preserving the epoch invariant that no bucket is ever
+        # keyed at the current time.
         self.sim = sim
         self.callbacks = []
         self._value = value if value is not None else delay
@@ -214,7 +223,7 @@ class Timeout(Event):
         sim._seq += 1
         when = sim.now + delay
         if when > sim.now:
-            heapq.heappush(sim._heap, (when, sim._seq, K_EVT, self, None, None))
+            sim._push(when, (sim._seq, K_EVT, self, None, None))
         else:
             sim._ready.append((sim._seq, K_EVT, self, None, None))
 
@@ -333,16 +342,14 @@ class Process(Event):
             sim._seq += 1
             when = sim.now + target
             if when > sim.now:
-                heapq.heappush(
-                    sim._heap, (when, sim._seq, K_RESUME, self, self._wtok, target)
-                )
+                sim._push(when, (sim._seq, K_RESUME, self, self._wtok, target))
             else:
                 sim._ready.append((sim._seq, K_RESUME, self, self._wtok, target))
             return
         if target is PARK:
             # ``yield PARK``: suspend with *no* scheduled wake-up.  Some
             # other actor calls :meth:`wake`; until then the process costs
-            # the kernel nothing (no event, no heap entry, no callbacks).
+            # the kernel nothing (no event, no queued entry, no callbacks).
             self._waiting_on = PARK
             return
         if not isinstance(target, Event):
@@ -426,7 +433,7 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """Owns simulated time, the event heap, and the current epoch batch.
+    """Owns simulated time, the timestamp buckets, and the epoch batch.
 
     ``obs`` is the observability bus the kernel (and anything holding the
     simulator) emits through; it defaults to the free no-op bus.  The event
@@ -436,8 +443,8 @@ class Simulator:
     """
 
     __slots__ = (
-        "now", "obs", "policy", "_heap", "_ready", "_seq", "_running",
-        "_event_count", "_tick_fn", "_tick_every", "_epoch_cbs",
+        "now", "obs", "policy", "_times", "_buckets", "_ready", "_seq",
+        "_running", "_event_count", "_tick_fn", "_tick_every", "_epoch_cbs",
     )
 
     def __init__(self, obs=None, policy: Optional[SchedulePolicy] = None) -> None:
@@ -454,13 +461,14 @@ class Simulator:
         #: keeps the epoch-batched fast path; a policy routes :meth:`run`
         #: through :meth:`_run_policy` instead.
         self.policy = policy
-        #: Heap of future entries ``(time, seq, kind, a, b, c)``.  ``seq``
-        #: is globally unique, so tuple comparison never reaches the
-        #: (possibly incomparable) payload slots.
-        self._heap: list = []
+        #: Heap of the distinct future timestamps that own a bucket.
+        self._times: list = []
+        #: Future timestamp → its entries ``(seq, kind, a, b, c)`` in seq
+        #: order.  Every key is strictly greater than ``now``.
+        self._buckets: dict = {}
         #: The epoch batch: current-time entries ``(seq, kind, a, b, c)``
         #: in append (= seq) order.  Every entry here is stamped at ``now``;
-        #: the run loop walks it positionally, so appends made while an
+        #: the run loop iterates it in place, so appends made while an
         #: epoch runs fire in the same pass, in exact seq order.
         self._ready: list = []
         self._seq: int = 0
@@ -468,6 +476,18 @@ class Simulator:
         self._event_count = 0
 
     # -- scheduling ------------------------------------------------------
+
+    def _push(self, when: float, entry: tuple) -> None:
+        """Queue ``entry`` in the bucket of the future time ``when``.
+
+        Callers guarantee ``when > now``; the entry's seq is the newest, so
+        appending keeps the bucket in seq order."""
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [entry]
+            heapq.heappush(self._times, when)
+        else:
+            bucket.append(entry)
 
     def call_soon(self, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at the current simulated time, after already
@@ -482,7 +502,13 @@ class Simulator:
         self._seq += 1
         when = self.now + delay
         if when > self.now:
-            heapq.heappush(self._heap, (when, self._seq, K_CALL, fn, args, None))
+            # _push inlined: wire-side completions make this a hot path.
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [(self._seq, K_CALL, fn, args, None)]
+                heapq.heappush(self._times, when)
+            else:
+                bucket.append((self._seq, K_CALL, fn, args, None))
         else:
             self._ready.append((self._seq, K_CALL, fn, args, None))
 
@@ -500,7 +526,13 @@ class Simulator:
             )
         self._seq += 1
         if when > self.now:
-            heapq.heappush(self._heap, (when, self._seq, K_CALL, fn, args, None))
+            # _push inlined: the fabric's flush schedules every delivery here.
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [(self._seq, K_CALL, fn, args, None)]
+                heapq.heappush(self._times, when)
+            else:
+                bucket.append((self._seq, K_CALL, fn, args, None))
         else:
             self._ready.append((self._seq, K_CALL, fn, args, None))
 
@@ -575,7 +607,7 @@ class Simulator:
         self._tick_every = every if fn is not None else 0
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap empties or simulated time reaches ``until``.
+        """Run until no work is left or simulated time reaches ``until``.
 
         Returns the final simulated time.
         """
@@ -584,7 +616,8 @@ class Simulator:
         if self.policy is not None:
             return self._run_policy(until)
         self._running = True
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
         batch = self._ready
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -592,22 +625,23 @@ class Simulator:
         tick_fn = self._tick_fn
         next_tick = count + self._tick_every if tick_fn is not None else math.inf
         epoch_cbs = self._epoch_cbs
-        pos = 0
+        now = self.now
+        # ``batch[:count - base]`` has fired: the loop keeps that prefix
+        # until the batch is replaced, so an abort can drop exactly it.
+        base = count
         try:
             while True:
-                if count >= next_tick:
-                    tick_fn(count)
-                    next_tick = count + self._tick_every
-                if pos < len(batch):
-                    # Walk the epoch batch positionally — appends made by
-                    # the entries we fire land behind ``pos`` and run in
-                    # this same pass, in seq order.
-                    _seq, kind, a, b, c = batch[pos]
-                    pos += 1
+                # One pass per epoch: iterate the batch in place — list
+                # iteration sees the appends the entries we fire make, so
+                # they run in this same pass, in seq order.
+                for _seq, kind, a, b, c in batch:
+                    if count >= next_tick:
+                        tick_fn(count)
+                        next_tick = count + self._tick_every
                     count += 1
                     if kind == 2:  # K_RESUME — the hottest kind, inlined:
-                        # resume the generator and reschedule its next
-                        # sleep without leaving the loop frame.
+                        # resume the generator and queue its next sleep (or
+                        # park it) without leaving the loop frame.
                         if a._wtok == b and a._value is _PENDING:
                             a._wtok += 1
                             try:
@@ -618,87 +652,62 @@ class Simulator:
                             tt = type(target)
                             if (tt is float or tt is int) and target >= 0:
                                 self._seq = seq = self._seq + 1
-                                when = self.now + target
-                                if when > self.now:
-                                    heappush(
-                                        heap, (when, seq, 2, a, a._wtok, target)
-                                    )
+                                when = now + target
+                                if when > now:
+                                    bucket = buckets.get(when)
+                                    if bucket is None:
+                                        buckets[when] = [(seq, 2, a, a._wtok, target)]
+                                        heappush(times, when)
+                                    else:
+                                        bucket.append((seq, 2, a, a._wtok, target))
                                 else:
                                     batch.append((seq, 2, a, a._wtok, target))
+                            elif target is PARK:
+                                a._waiting_on = PARK
                             else:
                                 a._suspend(target)
-                        continue
-                    if kind == 0:  # K_EVT
+                    elif kind == 0:  # K_EVT
                         a._dispatch()
-                    else:          # K_CALL
+                    else:            # K_CALL
                         a(*b)
-                    continue
-                if pos:
-                    del batch[:]
-                    pos = 0
+                # The batch is exhausted.  The tick check here keeps the
+                # cadence of one check before every entry and before every
+                # end-of-epoch step.
+                if count >= next_tick:
+                    tick_fn(count)
+                    next_tick = count + self._tick_every
                 if epoch_cbs:
-                    # The ``now`` epoch is exhausted (the inner heap drain
-                    # below never leaves same-time entries behind): run the
-                    # end-of-epoch callbacks before the clock can advance
-                    # or the loop can break, then re-check — callbacks may
-                    # schedule work at ``now`` or later.
+                    # Run the end-of-epoch callbacks before the clock can
+                    # advance or the loop can break, then re-check — they
+                    # may schedule work at ``now``, appended to the emptied
+                    # batch, or later.
+                    batch.clear()
+                    base = count
                     todo = epoch_cbs[:]
                     del epoch_cbs[:]
                     for cb in todo:
                         cb()
                     continue
-                if not heap:
+                if not times:
                     if until is not None:
                         self.now = until
                     break
-                when = heap[0][0]
+                when = times[0]
                 if until is not None and when > until:
                     self.now = until
                     break
-                self.now = when
-                # Drain the whole heap epoch at ``when`` directly: every
-                # entry here predates the batch appends its firing can
-                # cause (scheduling at the current time always routes to
-                # the batch, never the heap), so seq order is preserved.
-                while True:
-                    _w, _seq, kind, a, b, c = heappop(heap)
-                    count += 1
-                    if kind == 2:
-                        if a._wtok == b and a._value is _PENDING:
-                            a._wtok += 1
-                            try:
-                                target = a._gsend(c)
-                            except BaseException as exc:
-                                a._terminate(exc)
-                            else:
-                                tt = type(target)
-                                if (tt is float or tt is int) and target >= 0:
-                                    self._seq = seq = self._seq + 1
-                                    twhen = when + target
-                                    if twhen > when:
-                                        heappush(
-                                            heap,
-                                            (twhen, seq, 2, a, a._wtok, target),
-                                        )
-                                    else:
-                                        batch.append((seq, 2, a, a._wtok, target))
-                                else:
-                                    a._suspend(target)
-                    elif kind == 0:
-                        a._dispatch()
-                    else:
-                        a(*b)
-                    if not heap or heap[0][0] != when:
-                        break
-                    if count >= next_tick:
-                        tick_fn(count)
-                        next_tick = count + self._tick_every
+                heappop(times)
+                self.now = now = when
+                # The bucket becomes the next epoch batch as-is: it holds
+                # every entry at ``when`` in seq order, and zero-delay work
+                # its entries schedule appends behind them.
+                batch = self._ready = buckets.pop(when)
+                base = count
         finally:
-            if pos:
-                # Drop the fired prefix so an exception escaping a callback
-                # cannot leave already-dispatched entries behind for a
-                # later run() to re-fire.
-                del batch[:pos]
+            # Drop the fired prefix so an exception escaping a callback
+            # cannot leave already-dispatched entries behind for a later
+            # run() to re-fire; the unfired rest stays in seq order.
+            del batch[:count - base]
             self._event_count = count
             self._running = False
         if self.obs.enabled:
@@ -712,17 +721,18 @@ class Simulator:
     def _run_policy(self, until: Optional[float]) -> float:
         """Policy-driven run loop (see :class:`SchedulePolicy`).
 
-        Each time step first drains every heap entry stamped at (or before)
-        the current time into the ready list.  Such entries were all pushed
-        before simulated time reached ``now`` — zero-delay scheduling
-        always lands on the ready list directly — so their ``seq`` values
-        precede every ready entry's and the drained list is the complete
-        runnable set in exact FIFO order.  The policy then picks which
-        candidate fires; index 0 replays the default kernel bit-identically.
+        The ready list holds every entry runnable at ``now`` in FIFO order.
+        When it empties the clock advances to the next timestamp and that
+        timestamp's whole bucket joins the ready list — a bucket is in seq
+        order and zero-delay scheduling always lands on the ready list
+        directly, so the list is the complete runnable set in exact FIFO
+        order.  The policy then picks which candidate fires; index 0
+        replays the default kernel bit-identically.
         """
         self._running = True
         policy = self.policy
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
         ready = self._ready
         heappop = heapq.heappop
         count = self._event_count
@@ -734,27 +744,26 @@ class Simulator:
                 if count >= next_tick:
                     tick_fn(count)
                     next_tick = count + self._tick_every
-                while heap and heap[0][0] <= self.now:
-                    ready.append(heappop(heap)[1:])
                 if not ready:
                     if epoch_cbs:
-                        # End of the ``now`` epoch (the drain above leaves
-                        # no runnable entries): fire the callbacks, then
-                        # re-check for work they scheduled.
+                        # End of the ``now`` epoch: fire the callbacks,
+                        # then re-check for work they scheduled.
                         todo = epoch_cbs[:]
                         del epoch_cbs[:]
                         for cb in todo:
                             cb()
                         continue
-                    if not heap:
+                    if not times:
                         if until is not None:
                             self.now = until
                         break
-                    when = heap[0][0]
+                    when = times[0]
                     if until is not None and when > until:
                         self.now = until
                         break
+                    heappop(times)
                     self.now = when
+                    ready.extend(buckets.pop(when))
                     continue
                 if len(ready) > 1:
                     idx = policy.choose(self, ready)

@@ -11,7 +11,7 @@ from heapq import heappush, heappop
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Event, Process, Simulator
+from repro.sim.core import Event, Process, Simulator, noop
 
 __all__ = ["Store", "PriorityStore", "Resource", "Semaphore", "Latch", "NotifyQueue"]
 
@@ -127,20 +127,28 @@ class PriorityStore(Store):
 
     def put(self, item: Any) -> Event:
         """Accept a ``(priority, payload)`` pair (never blocks)."""
-        priority, payload = item
         evt = Event(self.sim)
+        self._accept(item)
+        evt.succeed()
+        return evt
+
+    def try_put(self, item: Any) -> bool:
+        """Non-blocking put; a priority store always accepts.
+
+        Same kernel entries as :meth:`put` without building its inert
+        acceptance event: an inert ``noop`` takes that event's seq."""
+        self._accept(item)
+        self.sim.call_soon(noop)
+        return True
+
+    def _accept(self, item: Any) -> None:
+        """Hand the payload to the oldest getter, or queue it."""
+        priority, payload = item
         if self._getters:
             self._getters.popleft().succeed(payload)
         else:
             self._seq += 1
             heappush(self._items, (priority, self._seq, payload))
-        evt.succeed()
-        return evt
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; a priority store always accepts."""
-        self.put(item)
-        return True
 
     def get(self) -> Event:
         """Event that fires with the lowest-key payload."""

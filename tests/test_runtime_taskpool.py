@@ -1,10 +1,16 @@
 """Tests for the task-graph model."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.workloads import random_layered_dag
+from repro.config import scaled_platform
 from repro.errors import RuntimeBackendError
-from repro.runtime import TaskGraph
-from repro.runtime.node import binomial_tree
+from repro.runtime import ParsecContext, TaskGraph
+from repro.runtime.node import binomial_tree, build_flow_plan
 from repro.units import KiB
 
 
@@ -163,3 +169,86 @@ class TestBinomialTree:
     def test_empty_rejected(self):
         with pytest.raises(RuntimeBackendError):
             binomial_tree([])
+
+
+# ----------------------------------------------------------------------
+# the local-flow column
+# ----------------------------------------------------------------------
+
+@st.composite
+def _small_graphs(draw):
+    """A random small DAG on up to 3 nodes, some flows with a wholesale
+    consumer override, as ``(graph, overridden flow ids)``."""
+    g = TaskGraph()
+    num_nodes = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 12))):
+        inputs = draw(st.lists(
+            st.integers(0, g.num_flows - 1), max_size=3, unique=True,
+        )) if g.num_flows else []
+        tid = g.add_task(node=draw(st.integers(0, num_nodes - 1)),
+                         duration=1e-6,
+                         priority=draw(st.sampled_from([0.0, 1.0, 2.0])),
+                         inputs=inputs)
+        for _ in range(draw(st.integers(0, 2))):
+            g.add_flow(tid, 64)
+    overridden = set()
+    if g.num_flows:
+        g.freeze()  # an override assigned after a freeze must still count
+        for fid in draw(st.lists(st.integers(0, g.num_flows - 1),
+                                 max_size=3, unique=True)):
+            g.flows[fid].consumers = draw(st.lists(
+                st.integers(0, g.num_tasks - 1), max_size=4, unique=True,
+            ))
+            overridden.add(fid)
+    return g, overridden
+
+
+class TestLocalFlowColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(_small_graphs())
+    def test_byte_set_exactly_when_plan_stays_home(self, case):
+        graph, _overridden = case
+        graph.freeze()
+        for fid in range(graph.num_flows):
+            home = graph.task_node(graph.flow_producer(fid))
+            plan = build_flow_plan(graph, fid, home)
+            stays_home = plan.pending == 1 and set(plan.by_node) <= {home}
+            assert graph.flow_is_local(fid) == stays_home, fid
+
+    def test_outputs_override_takes_the_general_path(self):
+        g = TaskGraph()
+        a = g.add_task(node=0, duration=1e-6)
+        b = g.add_task(node=1, duration=1e-6)
+        f = g.add_flow(a, 64)
+        g.add_task(node=0, duration=1e-6, inputs=[f])
+        assert g.flow_is_local(f)
+        g.tasks[b].outputs = (f,)  # now released from node 1
+        assert not g.flow_is_local(f)
+
+    @pytest.mark.parametrize("backend", ["lci", "mpi"])
+    def test_plan_free_release_changes_nothing(self, backend, monkeypatch):
+        """A run with the column is bit-identical to one that sends every
+        flow down the plan path, and drains every protocol map."""
+        def run():
+            graph = random_layered_dag([4, 6, 6, 4], num_nodes=3, seed=5)
+            ctx = ParsecContext(scaled_platform(num_nodes=3, cores_per_node=3),
+                                backend=backend)
+            stats = ctx.run(graph, until=30.0)
+            return graph, stats, [node.quiescence_report() for node in ctx.nodes]
+
+        graph, stats, reports = run()
+        assert 0 < sum(map(graph.flow_is_local, range(graph.num_flows))) \
+            < graph.num_flows
+        for report in reports:
+            assert all(v == 0 for k, v in report.items() if k != "flows_retired")
+        # Every node of a flow's multicast tree retires it exactly once.
+        assert sum(r["flows_retired"] for r in reports) == sum(
+            build_flow_plan(graph, fid, graph.task_node(graph.flow_producer(fid)))
+            .pending for fid in range(graph.num_flows)
+        )
+        monkeypatch.setattr(TaskGraph, "_local_flows",
+                            lambda self, prod, *_: bytes(len(prod)))
+        plan_graph, plan_stats, plan_reports = run()
+        assert not any(map(plan_graph.flow_is_local, range(plan_graph.num_flows)))
+        assert dataclasses.asdict(stats) == dataclasses.asdict(plan_stats)
+        assert reports == plan_reports

@@ -7,7 +7,11 @@ runnable set, Interrupt/AnyOf/AllOf behave at epoch boundaries, and the
 ``yield PARK`` / :meth:`Process.wake` typed path.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,48 @@ from repro.sim.core import K_CALL, K_RESUME, SchedulePolicy
 #: passes ``(seq, event, fn, args)``); shape-specific assertions only run
 #: on the batched kernel.  Everything else here must pass on both.
 _LEGACY = os.environ.get("REPRO_SIM_CORE") == "legacy"
+
+
+def _reentry_after_callback_exception() -> list:
+    """Two entries at t=1; the first appends a same-time entry and raises.
+    Returns the firing order across the failed and the resumed run()."""
+    sim = Simulator()
+    trail = []
+
+    def boom():
+        trail.append("boom")
+        sim.call_soon(trail.append, "soon")
+        raise RuntimeError("boom")
+
+    sim.call_later(1, boom)
+    sim.call_later(1, trail.append, "late-seq")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    sim.run()
+    return trail
+
+
+def _reentry_after_tick_abort() -> list:
+    """As above, but a tick raises right after the first t=1 entry."""
+    sim = Simulator()
+    trail = []
+
+    def first():
+        trail.append("first")
+        sim.call_soon(trail.append, "soon")
+
+    def tick(_count):
+        if trail == ["first"]:
+            raise RuntimeError("budget")
+
+    sim.call_later(1, first)
+    sim.call_later(1, trail.append, "late-seq")
+    sim.set_tick(tick, every=1)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    sim.set_tick(None)
+    sim.run()
+    return trail
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +139,36 @@ class TestEpochDraining:
         assert fired == ["a"]
         sim.run()
         assert fired == ["a", "b"]
+
+    def test_rerun_after_callback_exception_keeps_seq_order(self):
+        """A callback raising out of a future epoch leaves the rest of that
+        epoch — pre-existing entries and the ones it appended — to fire in
+        seq order on the next run()."""
+        assert _reentry_after_callback_exception() == ["boom", "late-seq", "soon"]
+
+    def test_rerun_after_tick_abort_keeps_seq_order(self):
+        """Same contract when a raising tick (a RunGuards budget abort)
+        stops the run between two entries of one epoch."""
+        assert _reentry_after_tick_abort() == ["first", "late-seq", "soon"]
+
+    @pytest.mark.skipif(_LEGACY, reason="already running on the legacy kernel")
+    def test_rerun_order_matches_legacy_kernel(self):
+        root = Path(__file__).resolve().parent.parent
+        code = (
+            "import json\n"
+            "from tests.test_sim_epochs import _reentry_after_callback_exception, "
+            "_reentry_after_tick_abort\n"
+            "print(json.dumps([_reentry_after_callback_exception(), "
+            "_reentry_after_tick_abort()]))\n"
+        )
+        env = dict(os.environ, REPRO_SIM_CORE="legacy",
+                   PYTHONPATH=os.pathsep.join((str(root), str(root / "src"))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["boom", "late-seq", "soon"], ["first", "late-seq", "soon"],
+        ]
 
     def test_float_underflow_delay_stays_in_current_epoch(self):
         """A positive delay that underflows (now + d == now) must not create
