@@ -12,10 +12,10 @@ import dataclasses
 import pytest
 
 from repro.analysis.ascii_plot import ascii_table
-from repro.bench.workloads import chain
 from repro.config import scaled_platform
 from repro.runtime.context import ParsecContext
 from repro.units import KiB
+from repro.workloads.generators import chain
 
 
 #: Thresholds must keep active messages in the eager range (the backend's

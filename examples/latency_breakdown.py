@@ -31,10 +31,10 @@ def main() -> None:
         ctx = ParsecContext(
             scaled_platform(num_nodes=2, cores_per_node=6),
             backend=backend,
-            collect_traces=True,
+            observability=True,
         )
         ctx.run(workload(), until=10.0)
-        summary = phase_summary(breakdown(ctx.trace))
+        summary = phase_summary(breakdown(ctx.obs))
         for phase in ("activate", "getdata", "transfer", "total"):
             s = summary[phase]
             rows.append(

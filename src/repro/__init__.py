@@ -37,10 +37,6 @@ from repro.api import (
     OverlapResult,
     PingPongResult,
     Result,
-    quick_compare,
-    run_pingpong,
-    run_overlap,
-    run_hicma,
 )
 
 __all__ = [
@@ -52,8 +48,4 @@ __all__ = [
     "OverlapResult",
     "HicmaResult",
     "GraphResult",
-    "quick_compare",
-    "run_pingpong",
-    "run_overlap",
-    "run_hicma",
 ]

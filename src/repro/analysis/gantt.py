@@ -1,13 +1,12 @@
 """Worker-occupancy timelines (ASCII Gantt) from execution traces.
 
-With ``ParsecContext(..., collect_traces=True)`` (or ``observability=True``)
-every task execution is emitted as a ``task_exec`` event keyed
-``(node, worker)`` on the :mod:`repro.obs` bus.  This module turns those
-into per-worker busy intervals and renders an ASCII timeline — the quickest
-way to *see* whether a run is compute-bound (solid bars) or starved waiting
-on communication (sparse bars), which is the paper's whole story in one
-picture.  Functions accept the bus, its memory sink, or the legacy
-:class:`~repro.sim.trace.TraceRecorder` facade.
+With ``ParsecContext(..., observability=True)`` every task execution is
+emitted as a ``task_exec`` event keyed ``(node, worker)`` on the
+:mod:`repro.obs` bus.  This module turns those into per-worker busy
+intervals and renders an ASCII timeline — the quickest way to *see*
+whether a run is compute-bound (solid bars) or starved waiting on
+communication (sparse bars), which is the paper's whole story in one
+picture.  Functions accept the bus or its memory sink.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def render_gantt(
     """
     intervals = worker_intervals(trace)
     if not intervals:
-        return "(no task_exec trace events — run with collect_traces=True)"
+        return "(no task_exec trace events — run with observability=True)"
     if t_end is None:
         t_end = max(iv.end for ivs in intervals.values() for iv in ivs)
     if t_end <= 0:

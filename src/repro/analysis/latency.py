@@ -11,11 +11,10 @@ Fig. 1:
 - ``transfer``  — GET DATA handling → data arrival callback at the
   destination (handshake + wire + completion processing).
 
-Enable with ``ParsecContext(..., collect_traces=True)`` (or
-``observability=True``); the runtime then emits events keyed ``(flow, dst)``
-on the :mod:`repro.obs` bus which :func:`breakdown` joins into
-:class:`FlowBreakdown` records.  ``breakdown`` accepts the bus, its memory
-sink, or the legacy :class:`~repro.sim.trace.TraceRecorder` facade.
+Enable with ``ParsecContext(..., observability=True)``; the runtime then
+emits events keyed ``(flow, dst)`` on the :mod:`repro.obs` bus which
+:func:`breakdown` joins into :class:`FlowBreakdown` records.
+``breakdown`` accepts the bus or its memory sink.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ class FlowBreakdown:
 def breakdown(trace: Any) -> list[FlowBreakdown]:
     """Join trace events into per-(flow, dst) phase timings.
 
-    ``trace`` may be a :class:`~repro.obs.bus.ObsBus`, its memory sink, or a
-    :class:`~repro.sim.trace.TraceRecorder`.  Uses the per-kind indexes
-    (O(phase events), not O(all events)).  Incomplete flows (e.g. cut off at
-    run end) are skipped.  A flow's ``activate_handoff`` is always its first
-    recorded phase, so iterating that index preserves first-occurrence order;
-    duplicate stamps keep the last one, matching the historical join.
+    ``trace`` may be a :class:`~repro.obs.bus.ObsBus` or its memory sink.
+    Uses the per-kind indexes (O(phase events), not O(all events)).
+    Incomplete flows (e.g. cut off at run end) are skipped.  A flow's
+    ``activate_handoff`` is always its first recorded phase, so iterating
+    that index preserves first-occurrence order; duplicate stamps keep the
+    last one, matching the historical join.
     """
     idx = memory_of(trace)
     # Per-kind {key: time} maps; dict assignment keeps the last duplicate.

@@ -27,7 +27,7 @@ import random
 import re
 from typing import Optional
 
-from repro.sim.core import K_CALL, K_EVT, K_RESUME, SchedulePolicy, noop  # noqa: F401
+from repro.sim.core import K_CALL, K_EVT, K_RESUME, SchedulePolicy, noop
 
 __all__ = [
     "MAX_BRANCH",
@@ -51,43 +51,33 @@ def scope_of(entry) -> Optional[frozenset]:
     an equivalent execution.  Returns ``None`` when the scope cannot be
     determined — unknown entries conservatively conflict with everything.
 
-    Accepts both the batched kernel's kind-coded ``(seq, kind, a, b, c)``
-    entries and the legacy kernel's ``(seq, event, fn, args)`` shape
-    (selected via ``REPRO_SIM_CORE=legacy``).
+    Entries are the kernel's kind-coded ``(seq, kind, a, b, c)`` tuples.
     """
-    if type(entry[1]) is int:
-        _seq, kind, a, b, _c = entry
-        if kind == K_RESUME:
-            # A typed sleep wake-up touches exactly the owning thread's
-            # rank (the same scope the legacy Timeout + ``_resume``
-            # callback pair resolved to).
-            rank = _owner_rank(a)
-            return None if rank is None else frozenset((rank,))
-        event = a if kind == K_EVT else None
-        fn = a if kind == K_CALL else None
-        args = b if kind == K_CALL else ()
-    else:
-        _seq, event, fn, args = entry
-    if fn is noop:
-        # An inert entry (MPI request completion) observes nothing, like an
-        # event with no callbacks.
-        return frozenset()
-    if fn is not None:
+    _seq, kind, a, b, _c = entry
+    if kind == K_RESUME:
+        # A typed sleep wake-up touches exactly the owning thread's rank.
+        rank = _owner_rank(a)
+        return None if rank is None else frozenset((rank,))
+    if kind == K_CALL:
+        if a is noop:
+            # An inert entry (MPI request completion) observes nothing,
+            # like an event with no callbacks.
+            return frozenset()
         ranks = set()
-        owner = getattr(fn, "__self__", None)
+        owner = getattr(a, "__self__", None)
         if owner is not None:
             rank = _owner_rank(owner)
             if rank is None:
                 return None
             ranks.add(rank)
-        for arg in args:
+        for arg in b:
             src = getattr(arg, "src", None)
             dst = getattr(arg, "dst", None)
             if isinstance(src, int) and isinstance(dst, int):
                 ranks.update((src, dst))
         return frozenset(ranks) if ranks else None
-    if event is not None:
-        callbacks = event.callbacks
+    if kind == K_EVT:
+        callbacks = a.callbacks
         if not callbacks:
             return frozenset()
         ranks = set()

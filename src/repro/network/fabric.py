@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from typing import Callable, Optional
 
 from repro.config import NetworkConfig
@@ -19,7 +18,7 @@ from repro.faults.engine import NULL_FAULTS
 from repro.network.message import WireMessage
 from repro.network.nic import NicState
 from repro.network.topology import FatTreeTopology
-from repro.obs.bus import NULL_BUS, ObsBus
+from repro.obs.bus import ObsBus
 from repro.sim.core import Simulator
 from repro.units import US
 
@@ -84,7 +83,10 @@ class Fabric:
         #: (``nan`` = not computed yet) — the columnar replacement for the
         #: old ``(src, dst)``-keyed dict cache.
         self._lat_flat: list[float] = [math.nan] * (num_nodes * num_nodes)
-        self._set_obs(obs if obs is not None else sim.obs)
+        self.obs = obs = obs if obs is not None else sim.obs
+        self._c_msgs = obs.counter("net.wire_msgs")
+        self._h_bytes = obs.histogram("net.msg_bytes")
+        self._h_tx_backlog = obs.histogram("net.tx_backlog_s")
         self.faults = faults if faults is not None else NULL_FAULTS
         if self.faults.enabled:
             # Imported lazily: repro.faults.transport itself imports the
@@ -107,37 +109,6 @@ class Fabric:
         #: Per-channel source-side completion appliers (``fn(node, ref)``)
         #: for the ``_fin`` payload hint (see :meth:`register_fin_applier`).
         self._fin_appliers: dict[str, Callable[[int, int], None]] = {}
-        #: Deprecated raw-WireMessage log — see :meth:`enable_message_log`.
-        self.message_log: Optional[list[WireMessage]] = None  # obs-allow-adhoc
-
-    def _set_obs(self, obs) -> None:
-        """Bind the bus and (re)cache the fabric's instruments."""
-        self.obs = obs
-        self._c_msgs = obs.counter("net.wire_msgs")
-        self._h_bytes = obs.histogram("net.msg_bytes")
-        self._h_tx_backlog = obs.histogram("net.tx_backlog_s")
-
-    def enable_message_log(self) -> list[WireMessage]:
-        """Deprecated: start recording every injected WireMessage.
-
-        New code should attach a :mod:`repro.obs` sink (or query the bus's
-        memory index for ``wire_msg`` events) instead.  The shim upgrades a
-        null bus to a private enabled one so ``wire_msg`` events flow, and
-        still returns the raw-object list for legacy callers.
-        """
-        warnings.warn(
-            "Fabric.enable_message_log is deprecated; use the repro.obs bus "
-            "(wire_msg events / net.* instruments) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not self.obs.enabled:
-            bus = ObsBus()
-            bus.bind_clock(self.sim)
-            self._set_obs(bus)
-        if self.message_log is None:  # obs-allow-adhoc
-            self.message_log = []  # obs-allow-adhoc
-        return self.message_log  # obs-allow-adhoc
 
     def register_handler(self, node: int, channel: str, handler: Handler) -> None:
         """Install the delivery handler for (node, channel)."""
@@ -208,8 +179,6 @@ class Fabric:
             )
         now = self.sim.now
         msg.inject_time = now
-        if self.message_log is not None:  # obs-allow-adhoc
-            self.message_log.append(msg)  # obs-allow-adhoc
         if src == dst:
             deliver = now + self.LOOPBACK_LATENCY
             msg.depart_time = now

@@ -16,8 +16,6 @@ Design rules:
 - **One emit path.**  Ad-hoc tracing (``ctx.trace.record(...)`` call sites,
   private message logs) is forbidden outside this package; the
   ``tools/check_no_adhoc_tracing.py`` lint enforces it.
-- **Legacy facade.**  :class:`repro.sim.trace.TraceRecorder` remains as a
-  thin compatibility view over a bus's memory sink.
 
 See ``docs/observability.md`` for the event taxonomy and sink API.
 """

@@ -117,10 +117,9 @@ class ParsecContext:
         native_put: bool = False,
         num_progress_threads: int = 1,
         num_comm_threads: int = 1,
-        collect_traces: bool = False,
         scheduler: str = "central",
         mpi_put_mode: str = "twosided",
-        observability: Optional[bool] = None,
+        observability: bool = False,
         faults: Optional[FaultConfig] = None,
         schedule_policy: Optional[SchedulePolicy] = None,
     ):
@@ -135,16 +134,9 @@ class ParsecContext:
         self.num_comm_threads = num_comm_threads
         #: Scheduler policy: "central" priority queue or "ws" work stealing.
         self.scheduler = scheduler
-        from repro.sim.trace import TraceRecorder
-
-        #: Observability bus shared by every layer (repro.obs).  Defaults to
-        #: on iff tracing was requested; the disabled path is a free no-op.
-        if observability is None:
-            observability = collect_traces
-        self.obs = ObsBus() if (observability or collect_traces) else NULL_BUS
-        #: Optional per-flow protocol-phase tracing (see analysis.latency) —
-        #: a compatibility facade over the bus's in-memory sink.
-        self.trace = TraceRecorder(bus=self.obs) if collect_traces else None
+        #: Observability bus shared by every layer (repro.obs); the disabled
+        #: path is a free no-op.
+        self.obs = ObsBus() if observability else NULL_BUS
         self.platform = platform or scaled_platform()
         self.backend = backend
         self.multithreaded_activate = multithreaded_activate

@@ -6,8 +6,7 @@ of timestamped events; generator coroutines (:class:`Process`) yield
 and are resumed when those complete.  Tie-breaking is by schedule order, so
 every run is bit-for-bit reproducible.
 
-:class:`Simulator` is the epoch-batched core of :mod:`repro.sim.core`
-(or its frozen twin when ``REPRO_SIM_CORE=legacy`` is set at import time).
+:class:`Simulator` is the epoch-batched core of :mod:`repro.sim.core`.
 """
 
 from repro.sim.core import (
@@ -30,7 +29,6 @@ from repro.sim.primitives import (
 )
 from repro.sim.rng import RngStreams
 from repro.sim.clock import NodeClock, ClockEnsemble, hunold_synchronize
-from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Simulator",
@@ -51,6 +49,4 @@ __all__ = [
     "NodeClock",
     "ClockEnsemble",
     "hunold_synchronize",
-    "TraceRecorder",
-    "TraceEvent",
 ]

@@ -1,9 +1,7 @@
 """Kernel entry-kind constants and the PARK sentinel.
 
-Shared by the epoch-batched kernel (:mod:`repro.sim.core`) and the frozen
-legacy kernel (:mod:`repro.sim._legacy_core`) so that ``yield PARK`` and
-the kind-coded entry tuples mean the same thing under either
-``REPRO_SIM_CORE`` selection.
+The ``kind`` codes of the kernel's ``(seq, kind, a, b, c)`` entries and
+the ``yield PARK`` sentinel; :mod:`repro.sim.core` re-exports all of them.
 """
 
 __all__ = ["K_EVT", "K_CALL", "K_RESUME", "PARK", "noop"]

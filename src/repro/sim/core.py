@@ -68,11 +68,6 @@ at a time:
 - a process is itself an :class:`Event` that triggers when the generator
   returns, so processes can wait on each other.
 
-Setting ``REPRO_SIM_CORE=legacy`` in the environment selects the frozen
-pre-epoch kernel (:mod:`repro.sim._legacy_core`) at import time — the A/B
-baseline used by ``tools/bench_ab.py`` to prove the batched core produces
-bit-identical traces.
-
 Only behaviours needed by the repro stack are implemented; there is no
 real-time synchronisation and no thread safety (the simulation is strictly
 single-threaded — simulated "threads" are processes).
@@ -82,7 +77,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -259,7 +253,7 @@ class Process(Event):
         #: Wake token for typed sleeps: bumped every time the process runs,
         #: so a pending K_RESUME entry whose captured token no longer
         #: matches (the process was interrupted, or finished) is stale and
-        #: fires as a no-op — the typed analogue of the legacy stale-Timeout
+        #: fires as a no-op — the typed analogue of the stale-Timeout
         #: identity check in :meth:`_resume`.
         self._wtok: int = 0
         if sim.obs.enabled:
@@ -802,25 +796,3 @@ class Simulator:
             raise proc.value
         return proc.value
 
-
-#: ``REPRO_SIM_CORE=legacy`` swaps in the frozen pre-epoch kernel at import
-#: time — every ``from repro.sim.core import X`` site then resolves to the
-#: legacy implementation, which is how ``tools/bench_ab.py`` A/B-tests the
-#: two cores in separate interpreters on identical upper layers.
-_SELECTED_CORE = os.environ.get("REPRO_SIM_CORE", "batched")
-if _SELECTED_CORE == "legacy":
-    from repro.sim import _legacy_core as _impl
-
-    Simulator = _impl.Simulator            # noqa: F811
-    SchedulePolicy = _impl.SchedulePolicy  # noqa: F811
-    Event = _impl.Event                    # noqa: F811
-    Timeout = _impl.Timeout                # noqa: F811
-    Process = _impl.Process                # noqa: F811
-    Interrupt = _impl.Interrupt            # noqa: F811
-    AllOf = _impl.AllOf                    # noqa: F811
-    AnyOf = _impl.AnyOf                    # noqa: F811
-    _PENDING = _impl._PENDING
-elif _SELECTED_CORE != "batched":
-    raise SimulationError(
-        f"REPRO_SIM_CORE must be 'batched' or 'legacy', got {_SELECTED_CORE!r}"
-    )

@@ -14,11 +14,11 @@ On a violation the guard raises a structured exception out of
 wall-clock deadline, kernel event budget, and memory ceiling;
 :class:`~repro.errors.NoProgressError` when simulated time keeps advancing
 but no task completes over the configured window (a live-lock, e.g. pollers
-spinning on a protocol state that can never resolve).  Both kernels (the
-epoch-batched core and the frozen legacy core) guarantee a tick callback
-may raise: the run loop stays consistent, so the context can still be
-inspected.  :class:`~repro.runtime.context.ParsecContext.run` catches the
-guard exception, attaches :func:`diagnostic_snapshot` output plus salvaged
+spinning on a protocol state that can never resolve).  The kernel
+guarantees a tick callback may raise: the run loop stays consistent, so
+the context can still be inspected.
+:class:`~repro.runtime.context.ParsecContext.run` catches the guard
+exception, attaches :func:`diagnostic_snapshot` output plus salvaged
 partial :class:`~repro.runtime.context.RunStats`, and re-raises — an
 aborted paper-scale run reports *where* it stood, not just that it died.
 """

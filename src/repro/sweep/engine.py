@@ -86,8 +86,9 @@ def execute_point(point: SweepPoint, progress=None) -> dict:
     so any registered workload — builtin or scenario — sweeps identically.
     ``progress`` is an optional reporter with the
     :class:`~repro.obs.progress.ProgressReporter` install/finish contract;
-    it is forwarded to workloads declaring ``accepts_progress`` (hicma)
-    and is how supervised workers stay live during long points.
+    it is forwarded to workloads declaring ``accepts_progress`` (hicma and
+    the scenario catalog) and is how supervised workers stay live during
+    long points.
     """
     from repro.workloads import get_workload
 

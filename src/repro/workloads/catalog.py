@@ -1,23 +1,25 @@
 """The bundled scenario workloads: configs, drivers, and registrations.
 
 Ten parameterized task-graph scenarios beyond the paper's three
-benchmarks — the §2.1 generators of :mod:`repro.bench.workloads`
-(``chain``/``fanout``/``halo``/``randomdag``/``alltoall``) promoted into
-registered workloads, plus the related-work patterns from
-:mod:`repro.workloads.generators`: a FleCSI-like 2D ``stencil``, a
-collective ``tree``, a nearest-neighbor ``ring``, a spawn-heavy
-``forkjoin``, and the Task Bench-style ``taskbench`` tunable graph.
+benchmarks, all built by :mod:`repro.workloads.generators`: the §2.1
+patterns (``chain``/``fanout``/``halo``/``randomdag``/``alltoall``) and
+the related-work ones — a FleCSI-like 2D ``stencil``, a collective
+``tree``, a nearest-neighbor ``ring``, a spawn-heavy ``forkjoin``, and the
+Task Bench-style ``taskbench`` tunable graph.
 
-Every workload here shares one driver shape
-(:func:`~repro.workloads.runner.run_graph_benchmark`) and one reducer
-(:func:`~repro.workloads.runner.freeze_graph_result` →
-:class:`~repro.api.GraphResult`), so the whole catalog runs under
-sweeps, chaos plans, explore, and run guards with no per-workload glue.
+Each workload is a config dataclass plus a ``_<name>_graph`` adapter from
+config to generator call.  All of them share one driver
+(:func:`~repro.workloads.runner.run_graph_benchmark`, bound to the
+adapter) and one reducer (:func:`~repro.workloads.runner.
+freeze_graph_result` → :class:`~repro.api.GraphResult`), so the whole
+catalog runs under sweeps, chaos plans, explore, progress reporting and
+run guards with no per-workload glue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.codec import DictCodec
 from repro.errors import ConfigError
@@ -45,7 +47,7 @@ def _positive(name: str, value, minimum=1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Promoted §2.1 generators (repro.bench.workloads)
+# §2.1 patterns
 # ---------------------------------------------------------------------------
 
 
@@ -66,17 +68,9 @@ class ChainConfig(DictCodec):
 
 
 def _chain_graph(cfg: ChainConfig, platform):
-    from repro.bench.workloads import chain
+    from repro.workloads.generators import chain
 
     return chain(cfg.length, cfg.num_nodes, cfg.flow_bytes, cfg.duration)
-
-
-def run_chain_benchmark(backend, cfg, platform=None, *, faults=None,
-                        schedule_policy=None, ctx_observer=None):
-    """Run the ``chain`` workload (see :class:`ChainConfig`)."""
-    return run_graph_benchmark(
-        "chain", _chain_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -96,18 +90,10 @@ class FanOutConfig(DictCodec):
 
 
 def _fanout_graph(cfg: FanOutConfig, platform):
-    from repro.bench.workloads import fan_out
+    from repro.workloads.generators import fan_out
 
     return fan_out(cfg.consumers_per_node, cfg.num_nodes, cfg.flow_bytes,
                    cfg.duration)
-
-
-def run_fanout_benchmark(backend, cfg, platform=None, *, faults=None,
-                         schedule_policy=None, ctx_observer=None):
-    """Run the ``fanout`` workload (see :class:`FanOutConfig`)."""
-    return run_graph_benchmark(
-        "fanout", _fanout_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -128,18 +114,10 @@ class HaloConfig(DictCodec):
 
 
 def _halo_graph(cfg: HaloConfig, platform):
-    from repro.bench.workloads import halo_exchange
+    from repro.workloads.generators import halo_exchange
 
     return halo_exchange(cfg.num_nodes, cfg.steps, cfg.tiles_per_node,
                          cfg.halo_bytes, cfg.duration)
-
-
-def run_halo_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None):
-    """Run the ``halo`` workload (see :class:`HaloConfig`)."""
-    return run_graph_benchmark(
-        "halo", _halo_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -162,19 +140,11 @@ class RandomDagConfig(DictCodec):
 
 
 def _randomdag_graph(cfg: RandomDagConfig, platform):
-    from repro.bench.workloads import random_layered_dag
+    from repro.workloads.generators import random_layered_dag
 
     return random_layered_dag(
         [cfg.width] * cfg.layers, cfg.num_nodes, cfg.fan_in,
         cfg.flow_bytes, cfg.duration, seed=cfg.seed)
-
-
-def run_randomdag_benchmark(backend, cfg, platform=None, *, faults=None,
-                            schedule_policy=None, ctx_observer=None):
-    """Run the ``randomdag`` workload (see :class:`RandomDagConfig`)."""
-    return run_graph_benchmark(
-        "randomdag", _randomdag_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -193,22 +163,14 @@ class AllToAllConfig(DictCodec):
 
 
 def _alltoall_graph(cfg: AllToAllConfig, platform):
-    from repro.bench.workloads import all_to_all_rounds
+    from repro.workloads.generators import all_to_all_rounds
 
     return all_to_all_rounds(cfg.num_nodes, cfg.rounds, cfg.flow_bytes,
                              cfg.duration)
 
 
-def run_alltoall_benchmark(backend, cfg, platform=None, *, faults=None,
-                           schedule_policy=None, ctx_observer=None):
-    """Run the ``alltoall`` workload (see :class:`AllToAllConfig`)."""
-    return run_graph_benchmark(
-        "alltoall", _alltoall_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
-
-
 # ---------------------------------------------------------------------------
-# New related-work scenarios (repro.workloads.generators)
+# Related-work scenarios
 # ---------------------------------------------------------------------------
 
 
@@ -239,14 +201,6 @@ def _stencil_graph(cfg: StencilConfig, platform):
 
     return stencil2d(cfg.grid, cfg.steps, cfg.num_nodes, cfg.halo_bytes,
                      cfg.duration)
-
-
-def run_stencil_benchmark(backend, cfg, platform=None, *, faults=None,
-                          schedule_policy=None, ctx_observer=None):
-    """Run the ``stencil`` workload (see :class:`StencilConfig`)."""
-    return run_graph_benchmark(
-        "stencil", _stencil_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -281,14 +235,6 @@ def _tree_graph(cfg: TreeConfig, platform):
                            cfg.payload_bytes, cfg.duration, cfg.mode)
 
 
-def run_tree_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None):
-    """Run the ``tree`` workload (see :class:`TreeConfig`)."""
-    return run_graph_benchmark(
-        "tree", _tree_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
-
-
 @dataclass(frozen=True)
 class RingConfig(DictCodec):
     """One nearest-neighbor ring-shift execution."""
@@ -308,14 +254,6 @@ def _ring_graph(cfg: RingConfig, platform):
     from repro.workloads.generators import ring_shift
 
     return ring_shift(cfg.num_nodes, cfg.steps, cfg.flow_bytes, cfg.duration)
-
-
-def run_ring_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None):
-    """Run the ``ring`` workload (see :class:`RingConfig`)."""
-    return run_graph_benchmark(
-        "ring", _ring_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -340,14 +278,6 @@ def _forkjoin_graph(cfg: ForkJoinConfig, platform):
 
     return fork_join(cfg.fanout, cfg.depth, cfg.num_nodes, cfg.flow_bytes,
                      cfg.duration)
-
-
-def run_forkjoin_benchmark(backend, cfg, platform=None, *, faults=None,
-                           schedule_policy=None, ctx_observer=None):
-    """Run the ``forkjoin`` workload (see :class:`ForkJoinConfig`)."""
-    return run_graph_benchmark(
-        "forkjoin", _forkjoin_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
 
 
 @dataclass(frozen=True)
@@ -389,14 +319,6 @@ def _taskbench_graph(cfg: TaskBenchConfig, platform):
                            cfg.seed)
 
 
-def run_taskbench_benchmark(backend, cfg, platform=None, *, faults=None,
-                            schedule_policy=None, ctx_observer=None):
-    """Run the ``taskbench`` workload (see :class:`TaskBenchConfig`)."""
-    return run_graph_benchmark(
-        "taskbench", _taskbench_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer)
-
-
 # ---------------------------------------------------------------------------
 # Registrations
 # ---------------------------------------------------------------------------
@@ -414,10 +336,10 @@ register(WorkloadSpec(
     ),
     dag="[t0]@n0 --flow--> [t1]@n1 --flow--> [t2]@n2 --flow--> ...",
     example="python -m repro run chain --nodes 4 --length 128",
-    config="repro.workloads.catalog:ChainConfig",
-    driver="repro.workloads.catalog:run_chain_benchmark",
+    config=ChainConfig,
+    driver=partial(run_graph_benchmark, "chain", _chain_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_chain_graph",
+    graph=_chain_graph,
     param_docs=(
         ("length", "Tasks in the chain."),
         ("flow_bytes", "Bytes per inter-task flow."),
@@ -427,6 +349,7 @@ register(WorkloadSpec(
     ),
     explore_params=(("length", 16),),
     tags=("scenario", "latency"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -443,10 +366,10 @@ register(WorkloadSpec(
            /   |    \\
         [c]@n0 [c]@n1 [c]@n2 ...  (consumers_per_node per node)""",
     example="python -m repro run fanout --nodes 8 --consumers-per-node 16",
-    config="repro.workloads.catalog:FanOutConfig",
-    driver="repro.workloads.catalog:run_fanout_benchmark",
+    config=FanOutConfig,
+    driver=partial(run_graph_benchmark, "fanout", _fanout_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_fanout_graph",
+    graph=_fanout_graph,
     param_docs=(
         ("consumers_per_node", "Consumer tasks per node."),
         ("flow_bytes", "Bytes of the multicast payload."),
@@ -456,6 +379,7 @@ register(WorkloadSpec(
     ),
     explore_params=(("consumers_per_node", 4),),
     tags=("scenario", "multicast"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -472,10 +396,10 @@ step s:   [tile0..tileT]@n0  <-halo->  [tile0..tileT]@n1  <-halo-> ...
              |  (all tiles also feed their own next step)
 step s+1: [tile0..tileT]@n0  <-halo->  ...""",
     example="python -m repro run halo --nodes 4 --steps 16",
-    config="repro.workloads.catalog:HaloConfig",
-    driver="repro.workloads.catalog:run_halo_benchmark",
+    config=HaloConfig,
+    driver=partial(run_graph_benchmark, "halo", _halo_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_halo_graph",
+    graph=_halo_graph,
     param_docs=(
         ("steps", "Stencil steps (DAG depth)."),
         ("tiles_per_node", "Tiles per node (two are boundary tiles)."),
@@ -486,6 +410,7 @@ step s+1: [tile0..tileT]@n0  <-halo->  ...""",
     ),
     explore_params=(("steps", 3), ("tiles_per_node", 2)),
     tags=("scenario", "stencil"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -502,10 +427,10 @@ layer 0: [t]@n? [t]@n? ... (width tasks, random nodes)
             \\  X  /        (each task draws fan_in random
 layer 1: [t]@n? [t]@n? ...  parents from the layer above)""",
     example="python -m repro run randomdag --nodes 4 --layers 12 --width 24",
-    config="repro.workloads.catalog:RandomDagConfig",
-    driver="repro.workloads.catalog:run_randomdag_benchmark",
+    config=RandomDagConfig,
+    driver=partial(run_graph_benchmark, "randomdag", _randomdag_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_randomdag_graph",
+    graph=_randomdag_graph,
     param_docs=(
         ("layers", "DAG depth (number of layers)."),
         ("width", "Tasks per layer."),
@@ -517,6 +442,7 @@ layer 1: [t]@n? [t]@n? ...  parents from the layer above)""",
     ),
     explore_params=(("layers", 3), ("width", 6)),
     tags=("scenario", "irregular"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -533,10 +459,10 @@ round r:   [t]@n0   [t]@n1   [t]@n2
               \\  \\ /  X  \\ /  /      (every flow fans out to
 round r+1: [t]@n0   [t]@n1   [t]@n2    every node's next task)""",
     example="python -m repro run alltoall --nodes 8 --rounds 4",
-    config="repro.workloads.catalog:AllToAllConfig",
-    driver="repro.workloads.catalog:run_alltoall_benchmark",
+    config=AllToAllConfig,
+    driver=partial(run_graph_benchmark, "alltoall", _alltoall_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_alltoall_graph",
+    graph=_alltoall_graph,
     param_docs=(
         ("rounds", "Exchange rounds (DAG depth)."),
         ("flow_bytes", "Bytes per node-to-node flow."),
@@ -546,6 +472,7 @@ round r+1: [t]@n0   [t]@n1   [t]@n2    every node's next task)""",
     ),
     explore_params=(("rounds", 2),),
     tags=("scenario", "collective"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -564,10 +491,10 @@ step s:    [tile i,j] needs (i±1,j) and (i,j±1) from step s-1
 node 0:  rows 0..k      | halos cross this boundary
 node 1:  rows k+1..2k   | every step""",
     example="python -m repro run stencil --nodes 16",
-    config="repro.workloads.catalog:StencilConfig",
-    driver="repro.workloads.catalog:run_stencil_benchmark",
+    config=StencilConfig,
+    driver=partial(run_graph_benchmark, "stencil", _stencil_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_stencil_graph",
+    graph=_stencil_graph,
     param_docs=(
         ("grid", "Tiles per side (the mesh is grid × grid)."),
         ("steps", "Stencil steps (DAG depth)."),
@@ -578,6 +505,7 @@ node 1:  rows k+1..2k   | every step""",
     ),
     explore_params=(("grid", 4), ("steps", 2), ("num_nodes", 2)),
     tags=("scenario", "stencil", "flecsi"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -594,10 +522,10 @@ reduce:   [leaf]x(fanout^depth) -> ... -> [root]
 broadcast:        [root] -> ... -> [leaf]x(fanout^depth)
 allreduce:  leaves -> [root] -> leaves   (per round)""",
     example="python -m repro run tree --nodes 8 --fanout 4 --depth 3",
-    config="repro.workloads.catalog:TreeConfig",
-    driver="repro.workloads.catalog:run_tree_benchmark",
+    config=TreeConfig,
+    driver=partial(run_graph_benchmark, "tree", _tree_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_tree_graph",
+    graph=_tree_graph,
     param_docs=(
         ("fanout", "Tree arity (children per vertex)."),
         ("depth", "Tree depth (leaves = fanout ** depth)."),
@@ -610,6 +538,7 @@ allreduce:  leaves -> [root] -> leaves   (per round)""",
     ),
     explore_params=(("depth", 2), ("rounds", 1)),
     tags=("scenario", "collective"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -627,10 +556,10 @@ step s:   [t]@n0 -> [t]@n1 -> [t]@n2 -> ... -> (wraps to n0)
              |         |         |     (each also feeds its own
 step s+1: [t]@n0 -> [t]@n1 -> [t]@n2    next step)""",
     example="python -m repro run ring --nodes 8 --steps 32",
-    config="repro.workloads.catalog:RingConfig",
-    driver="repro.workloads.catalog:run_ring_benchmark",
+    config=RingConfig,
+    driver=partial(run_graph_benchmark, "ring", _ring_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_ring_graph",
+    graph=_ring_graph,
     param_docs=(
         ("steps", "Shift steps (DAG depth)."),
         ("flow_bytes", "Bytes per neighbour flow."),
@@ -640,6 +569,7 @@ step s+1: [t]@n0 -> [t]@n1 -> [t]@n2    next step)""",
     ),
     explore_params=(("steps", 4), ("num_nodes", 3)),
     tags=("scenario", "latency"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -657,10 +587,10 @@ register(WorkloadSpec(
                                         |
 [sink] <- joins of fanout  <- ... <-  (mirror tree back up)""",
     example="python -m repro run forkjoin --nodes 8 --fanout 3 --depth 5",
-    config="repro.workloads.catalog:ForkJoinConfig",
-    driver="repro.workloads.catalog:run_forkjoin_benchmark",
+    config=ForkJoinConfig,
+    driver=partial(run_graph_benchmark, "forkjoin", _forkjoin_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_forkjoin_graph",
+    graph=_forkjoin_graph,
     param_docs=(
         ("fanout", "Children per fork (and join arity)."),
         ("depth", "Fork levels (leaves = fanout ** depth)."),
@@ -671,6 +601,7 @@ register(WorkloadSpec(
     ),
     explore_params=(("fanout", 2), ("depth", 3)),
     tags=("scenario", "spawn"),
+    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -693,10 +624,10 @@ layer 1:  [c0] [c1] [c2] ... [cW]   fft: butterfly; ...)""",
         "python -m repro run taskbench --width 32 --depth 16 "
         "--pattern stencil"
     ),
-    config="repro.workloads.catalog:TaskBenchConfig",
-    driver="repro.workloads.catalog:run_taskbench_benchmark",
+    config=TaskBenchConfig,
+    driver=partial(run_graph_benchmark, "taskbench", _taskbench_graph),
     reducer=_REDUCER,
-    graph="repro.workloads.catalog:_taskbench_graph",
+    graph=_taskbench_graph,
     param_docs=(
         ("width", "Columns (parallel tasks per layer)."),
         ("depth", "Layers (DAG depth)."),
@@ -711,4 +642,5 @@ layer 1:  [c0] [c1] [c2] ... [cW]   fft: butterfly; ...)""",
     ),
     explore_params=(("width", 4), ("depth", 3)),
     tags=("scenario", "taskbench"),
+    accepts_progress=True,
 ))

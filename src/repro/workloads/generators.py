@@ -1,26 +1,40 @@
 """Task-graph generators for the registered scenario suite.
 
-These extend the §2.1-style generators of :mod:`repro.bench.workloads`
-with the dependence patterns related work sweeps: a FleCSI-like 2D
-stencil with halo exchange, collective-shaped reduce/broadcast trees, a
-nearest-neighbor ring shift, a spawn-heavy fork-join, and a Task
-Bench-style tunable graph (width × depth × dependence pattern × task
-granularity).  Every generator emits directly onto the columnar
-:class:`~repro.runtime.taskpool.TaskGraph` builder, so paper-scale
-instances stay cheap to construct.
+Two families, each emitting directly onto the columnar
+:class:`~repro.runtime.taskpool.TaskGraph` builder so paper-scale
+instances stay cheap to construct:
 
-All generators are deterministic: the only randomness (the ``random``
-Task Bench pattern) draws from a generator seeded by the config.
+- the communication patterns §2.1 describes as typical of dynamic
+  runtimes — a dependency ``chain``, a multicast ``fan_out``, a 1D
+  ``halo_exchange``, an irregular ``random_layered_dag`` and
+  ``all_to_all_rounds``;
+- the dependence patterns related work sweeps — a FleCSI-like 2D
+  stencil with halo exchange, collective-shaped reduce/broadcast trees,
+  a nearest-neighbor ring shift, a spawn-heavy fork-join, and a Task
+  Bench-style tunable graph (width × depth × dependence pattern × task
+  granularity).
+
+All generators are deterministic: the only randomness (the random DAG and
+the ``random`` Task Bench pattern) draws from a generator seeded by the
+caller.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import BenchmarkError, ConfigError
 from repro.runtime.taskpool import TaskGraph
+from repro.units import KiB
 
 __all__ = [
+    "chain",
+    "fan_out",
+    "halo_exchange",
+    "random_layered_dag",
+    "all_to_all_rounds",
     "TASKBENCH_PATTERNS",
     "stencil2d",
     "tree_collective",
@@ -28,6 +42,139 @@ __all__ = [
     "fork_join",
     "taskbench_graph",
 ]
+
+
+def chain(
+    length: int, num_nodes: int, flow_bytes: int = 64 * KiB, duration: float = 5e-6
+) -> TaskGraph:
+    """A single dependency chain bouncing round-robin across nodes —
+    the purest latency workload."""
+    if length < 1:
+        raise BenchmarkError("chain needs at least one task")
+    g = TaskGraph()
+    prev = None
+    for i in range(length):
+        inputs = [prev] if prev is not None else []
+        t = g.add_task(node=i % num_nodes, duration=duration, inputs=inputs)
+        prev = g.add_flow(t, flow_bytes)
+    return g
+
+
+def fan_out(
+    consumers_per_node: int,
+    num_nodes: int,
+    flow_bytes: int = 64 * KiB,
+    duration: float = 5e-6,
+) -> TaskGraph:
+    """One producer, consumers on every node — a multicast-tree workload."""
+    g = TaskGraph()
+    root = g.add_task(node=0, duration=duration, kind="root")
+    flow = g.add_flow(root, flow_bytes)
+    for node in range(num_nodes):
+        for _ in range(consumers_per_node):
+            g.add_task(node=node, duration=duration, inputs=[flow])
+    return g
+
+
+def halo_exchange(
+    num_nodes: int,
+    steps: int,
+    tiles_per_node: int = 4,
+    halo_bytes: int = 32 * KiB,
+    duration: float = 20e-6,
+) -> TaskGraph:
+    """A 1D stencil: every step, each node's boundary tiles exchange halos
+    with both neighbours (periodic), then compute.  Regular, bulk-
+    synchronous-like traffic — the pattern MPI is optimised for, useful as
+    a contrast to the runtime-style workloads."""
+    if num_nodes < 2:
+        raise BenchmarkError("halo exchange needs at least two nodes")
+    g = TaskGraph()
+    # state[node][tile] = flow feeding the next step's task there.
+    state = [[None] * tiles_per_node for _ in range(num_nodes)]
+    for step in range(steps):
+        new_state = [[None] * tiles_per_node for _ in range(num_nodes)]
+        for node in range(num_nodes):
+            for tile in range(tiles_per_node):
+                inputs = []
+                if state[node][tile] is not None:
+                    inputs.append(state[node][tile])
+                    # Boundary tiles also need the neighbour's halo.
+                    if tile == 0:
+                        left = (node - 1) % num_nodes
+                        inputs.append(state[left][tiles_per_node - 1])
+                    elif tile == tiles_per_node - 1:
+                        right = (node + 1) % num_nodes
+                        inputs.append(state[right][0])
+                t = g.add_task(
+                    node=node,
+                    duration=duration,
+                    priority=float(steps - step),
+                    inputs=inputs,
+                    kind=f"step{step}",
+                )
+                new_state[node][tile] = g.add_flow(t, halo_bytes)
+        state = new_state
+    return g
+
+
+def random_layered_dag(
+    layers: Sequence[int],
+    num_nodes: int,
+    fan_in: int = 2,
+    flow_bytes: int = 16 * KiB,
+    duration: float = 5e-6,
+    seed: int = 0,
+) -> TaskGraph:
+    """An irregular layered DAG with random placement and random fan-in —
+    the nondeterministic communication pattern of §2.1."""
+    rng = np.random.default_rng(seed)
+    g = TaskGraph()
+    prev_flows: list[int] = []
+    for li, width in enumerate(layers):
+        new_flows = []
+        for _ in range(width):
+            if prev_flows:
+                take = min(fan_in, len(prev_flows))
+                picks = rng.choice(len(prev_flows), size=take, replace=False)
+                inputs = [prev_flows[int(i)] for i in picks]
+            else:
+                inputs = []
+            t = g.add_task(
+                node=int(rng.integers(num_nodes)),
+                duration=duration * float(rng.uniform(0.5, 1.5)),
+                inputs=inputs,
+                kind=f"layer{li}",
+            )
+            new_flows.append(g.add_flow(t, int(flow_bytes * rng.uniform(0.25, 2.0))))
+        prev_flows = new_flows
+    return g
+
+
+def all_to_all_rounds(
+    num_nodes: int,
+    rounds: int,
+    flow_bytes: int = 64 * KiB,
+    duration: float = 5e-6,
+) -> TaskGraph:
+    """Each round, every node produces one flow consumed by every other
+    node — maximal incast/multicast pressure."""
+    g = TaskGraph()
+    prev: dict[int, list[int]] = {n: [] for n in range(num_nodes)}
+    for _round in range(rounds):
+        flows = {}
+        for node in range(num_nodes):
+            t = g.add_task(node=node, duration=duration, inputs=prev[node])
+            flows[node] = g.add_flow(t, flow_bytes)
+        prev = {
+            node: [flows[other] for other in range(num_nodes)]
+            for node in range(num_nodes)
+        }
+    # Sink tasks consume the final round everywhere.
+    for node in range(num_nodes):
+        g.add_task(node=node, duration=duration, inputs=prev[node])
+    return g
+
 
 #: The tunable dependence patterns of :func:`taskbench_graph`, mirroring
 #: the Task Bench study's named patterns.

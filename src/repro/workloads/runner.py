@@ -4,8 +4,8 @@ Registered scenario workloads (stencil, taskbench, ring, ...) all share
 one driver shape: build a :class:`~repro.runtime.taskpool.TaskGraph` from
 the config, validate placement, run it on a :class:`~repro.runtime.
 context.ParsecContext`, and report the runtime's common measurements.
-:func:`run_graph_benchmark` is that driver; per-workload wrappers in
-:mod:`repro.workloads.catalog` bind it to a graph builder.
+:func:`run_graph_benchmark` is that driver; :mod:`repro.workloads.catalog`
+binds it to each workload's graph builder with :func:`functools.partial`.
 
 The driver honours the full hook contract of the paper benchmarks
 (``faults``/``schedule_policy``/``ctx_observer``) plus run-progress

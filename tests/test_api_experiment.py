@@ -1,4 +1,4 @@
-"""Tests for the Experiment API surface and its deprecation shims."""
+"""Tests for the Experiment API surface."""
 
 import dataclasses
 
@@ -66,39 +66,32 @@ class TestExperiment:
         assert isinstance(exp.faults, FaultConfig)
 
 
-class TestDeprecatedShims:
-    def test_run_pingpong_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_pingpong"):
-            shim = repro.run_pingpong(256 * KiB, "lci",
-                                      total_bytes=1 * MiB, iterations=3)
-        direct = repro.Experiment(
-            workload="pingpong", backend="lci", fragment_size=256 * KiB,
-            total_bytes=1 * MiB, iterations=3, streams=1, sync=True,
-        ).run()
-        assert shim == direct
+class TestCatalogRunGuards:
+    """Catalog workloads take ``progress``/``guards`` like hicma does."""
 
-    def test_run_overlap_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_overlap"):
-            shim = repro.run_overlap(1 * MiB, repro.BackendKind.LCI,
-                                     total_bytes=4 * MiB)
-        direct = repro.Experiment(
-            workload="overlap", backend="lci", fragment_size=1 * MiB,
-            total_bytes=4 * MiB,
-        ).run()
-        assert shim == direct
-        assert shim.flops_per_s > 0
+    def _stencil(self):
+        return repro.Experiment(workload="stencil", grid=4, steps=2, nodes=2)
 
-    def test_run_hicma_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_hicma"):
-            shim = repro.run_hicma(7200, 1200, "lci", num_nodes=2)
-        direct = repro.Experiment(
-            workload="hicma", backend="lci", nodes=2,
-            matrix_size=7200, tile_size=1200,
-        ).run()
-        assert shim == direct
+    def test_event_budget_aborts_with_partial_stats(self):
+        from repro.errors import RunBudgetExceeded
+        from repro.supervise import RunGuards
 
-    def test_quick_compare_warns(self):
-        with pytest.warns(DeprecationWarning, match="quick_compare"):
-            comp = repro.quick_compare(fragment_size=256 * KiB,
-                                       total_bytes=1 * MiB)
-        assert "winner: lci" in comp.summary()
+        with pytest.raises(RunBudgetExceeded) as exc_info:
+            self._stencil().run(guards=RunGuards(max_events=50, check_every=16))
+        partial = exc_info.value.partial
+        assert partial is not None
+        assert 0 < partial.tasks_executed < 4 * 4 * 2
+        assert partial.events_processed >= 50
+
+    def test_generous_guards_and_progress_leave_result_unchanged(self):
+        import io
+
+        from repro.obs.progress import ProgressReporter
+        from repro.supervise import RunGuards
+
+        plain = self._stencil().run()
+        guarded = self._stencil().run(
+            guards=RunGuards(max_events=10**9, check_every=16),
+            progress=ProgressReporter(interval=3600.0, stream=io.StringIO()),
+        )
+        assert guarded == plain

@@ -147,25 +147,33 @@ class TestComparison:
 
 
 class TestApiFacade:
-    def test_quick_compare(self):
+    def test_backend_comparison(self):
         import repro
 
-        comp = repro.quick_compare(
-            fragment_size=256 * KiB, total_bytes=1 * MiB, iterations=3
-        )
+        results = {
+            backend: repro.Experiment(
+                workload="pingpong", backend=backend, fragment_size=256 * KiB,
+                total_bytes=1 * MiB, iterations=3,
+            ).run()
+            for backend in ("mpi", "lci")
+        }
+        comp = Comparison("ping-pong", results, "bandwidth_gbit",
+                          higher_is_better=True)
         assert set(comp.results) == {"mpi", "lci"}
         assert comp.winner() == "lci"
 
     def test_run_pingpong_facade(self):
         import repro
 
-        r = repro.run_pingpong(
-            128 * KiB, repro.BackendKind.MPI, total_bytes=512 * KiB, iterations=3
-        )
+        r = repro.Experiment(
+            workload="pingpong", backend=repro.BackendKind.MPI,
+            fragment_size=128 * KiB, total_bytes=512 * KiB, iterations=3,
+        ).run()
         assert r.backend == "mpi"
 
     def test_run_hicma_facade(self):
         import repro
 
-        r = repro.run_hicma(7200, 1200, "lci", num_nodes=2)
+        r = repro.Experiment(workload="hicma", backend="lci", nodes=2,
+                             matrix_size=7200, tile_size=1200).run()
         assert r.tasks > 0

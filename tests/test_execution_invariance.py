@@ -12,9 +12,9 @@ import itertools
 
 import pytest
 
-from repro.bench.workloads import random_layered_dag
 from repro.config import scaled_platform
 from repro.runtime import ParsecContext
+from repro.workloads.generators import random_layered_dag
 
 
 CONFIGS = [

@@ -11,6 +11,7 @@ the ACTIVATE / GET DATA / put protocol on both backends, plus the Fig. 1
 import pytest
 
 from repro.config import scaled_platform
+from repro.network.fabric import Fabric
 from repro.runtime import ParsecContext, TaskGraph
 from repro.units import KiB, MiB
 
@@ -24,13 +25,29 @@ def figure1_graph(flow_bytes=1 * MiB):
     return g
 
 
-def run_logged(backend, flow_bytes=1 * MiB, **kwargs):
-    ctx = ParsecContext(
-        scaled_platform(num_nodes=3, cores_per_node=2), backend=backend, **kwargs
-    )
-    log = ctx.fabric.enable_message_log()
-    stats = ctx.run(figure1_graph(flow_bytes), until=10.0)
-    return ctx, stats, log
+@pytest.fixture
+def run_logged(monkeypatch):
+    """``run_logged(backend, flow_bytes, **ctx_kwargs)`` runs the Figure 1
+    graph and returns ``(ctx, stats, log)``: ``log`` holds every
+    :class:`WireMessage` handed to the fabric, in inject order."""
+    log = []
+    send = Fabric.send
+
+    def recording_send(self, msg):
+        log.append(msg)
+        return send(self, msg)
+
+    monkeypatch.setattr(Fabric, "send", recording_send)
+
+    def run(backend, flow_bytes=1 * MiB, **kwargs):
+        log.clear()
+        ctx = ParsecContext(
+            scaled_platform(num_nodes=3, cores_per_node=2), backend=backend, **kwargs
+        )
+        stats = ctx.run(figure1_graph(flow_bytes), until=10.0)
+        return ctx, stats, list(log)
+
+    return run
 
 
 def mpi_kinds(log):
@@ -47,19 +64,19 @@ def mpi_kinds(log):
 
 @pytest.mark.parametrize("backend", ["mpi", "lci"])
 class TestFigure1Scenario:
-    def test_all_descendants_execute(self, backend):
+    def test_all_descendants_execute(self, backend, run_logged):
         _ctx, stats, _log = run_logged(backend)
         assert stats.tasks_executed == 3
         assert len(stats.flow_latencies) == 2  # X and Y both received data
 
-    def test_producer_cleanup_happens(self, backend):
+    def test_producer_cleanup_happens(self, backend, run_logged):
         """Fig. 1: 'Cleanup if all done' once every consumer is served."""
         ctx, _stats, _log = run_logged(backend)
         assert ctx.nodes[0].serves_remaining == {}
         total_cleanups = sum(n.cleanups_done for n in ctx.nodes)
         assert total_cleanups >= 1
 
-    def test_binomial_tree_forwarding(self, backend):
+    def test_binomial_tree_forwarding(self, backend, run_logged):
         """With W as root and descendants on X and Y, the binomial tree is
         W→{X, Y}: both ACTIVATEs originate at W (no relaying needed)."""
         _ctx, _stats, log = run_logged(backend)
@@ -71,7 +88,7 @@ class TestFigure1Scenario:
 
 
 class TestMpiWireSequence:
-    def test_per_destination_message_order(self):
+    def test_per_destination_message_order(self, run_logged):
         """For each destination, the paper's sequence must appear:
         ACTIVATE(W→X), GET DATA(X→W), handshake AM(W→X), then the
         rendezvous RTS/CTS/data for the bulk transfer."""
@@ -102,7 +119,7 @@ class TestMpiWireSequence:
             )
             assert activate_i < data_i
 
-    def test_small_flow_uses_eager_data(self):
+    def test_small_flow_uses_eager_data(self, run_logged):
         """A flow below the rendezvous threshold travels as an eager
         message — no RTS/CTS."""
         _ctx, _stats, log = run_logged("mpi", flow_bytes=4 * KiB)
@@ -112,21 +129,21 @@ class TestMpiWireSequence:
 
 
 class TestLciWireSequence:
-    def test_handshake_carries_eager_payload_for_small_flows(self):
+    def test_handshake_carries_eager_payload_for_small_flows(self, run_logged):
         """§5.3.3: small put data rides inside the handshake — the only LCI
         messages are AMs (ACTIVATE, GET DATA, handshake); no RTS/RTR/RDMA."""
         _ctx, _stats, log = run_logged("lci", flow_bytes=4 * KiB)
         wire_kinds = {m.payload["kind"] for m in log}
         assert wire_kinds == {"am"}
 
-    def test_large_flow_uses_direct_protocol(self):
+    def test_large_flow_uses_direct_protocol(self, run_logged):
         _ctx, _stats, log = run_logged("lci", flow_bytes=1 * MiB)
         wire_kinds = [m.payload["kind"] for m in log]
         assert "rts" in wire_kinds
         assert "rtr" in wire_kinds
         assert "rdma" in wire_kinds
 
-    def test_native_put_removes_rendezvous(self):
+    def test_native_put_removes_rendezvous(self, run_logged):
         """With the §7 one-sided put there is no RTS/RTR exchange and no
         separate handshake data tag matching — just AMs + the RDMA write."""
         _ctx, _stats, log = run_logged("lci", flow_bytes=1 * MiB, native_put=True)
@@ -135,7 +152,7 @@ class TestLciWireSequence:
         assert "rtr" not in wire_kinds
         assert "rdma" in wire_kinds
 
-    def test_message_counts_per_destination(self):
+    def test_message_counts_per_destination(self, run_logged):
         """Exactly one ACTIVATE, one GET DATA, one handshake and one data
         transfer per destination for the single flow."""
         _ctx, _stats, log = run_logged("lci", flow_bytes=1 * MiB)

@@ -164,21 +164,6 @@ class TestFabric:
         with pytest.raises(ValueError):
             WireMessage(src=0, dst=1, size=-1, msg_class=MessageClass.DATA)
 
-    def test_enable_message_log_warns_at_caller(self):
-        """The deprecation shim must blame the *caller's* line (stacklevel=2),
-        not fabric.py, or every report points at the shim itself."""
-        import warnings
-
-        sim = Simulator()
-        fabric = Fabric(sim, 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            log = fabric.enable_message_log()
-        assert log == []
-        deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert deps[0].filename == __file__
-
     def test_total_bytes(self):
         sim = Simulator()
         fabric = Fabric(sim, 3)

@@ -20,7 +20,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import Counter, Histogram
 from repro.sim.core import Simulator
-from repro.sim.trace import TraceEvent, TraceRecorder
 
 
 class TestBus:
@@ -183,52 +182,41 @@ class TestMemoryOf:
         bus.emit("a", 0, time=1.0)
         assert memory_of(bus) is bus.memory
         assert memory_of(bus.memory) is bus.memory
-        tr = TraceRecorder(bus=bus)
-        assert len(memory_of(tr).by_kind("a")) == 1
+        assert len(memory_of(bus).by_kind("a")) == 1
 
     def test_rejects_indexless(self):
-        with pytest.raises(ValueError):
-            memory_of(object())
+        for source in (object(), NULL_BUS, ObsBus(memory=False)):
+            with pytest.raises(ValueError):
+                memory_of(source)
 
 
 class TestTraceRecorderFacade:
+    """The cases the old recorder facade covered, kept on the bus and its
+    memory sink under their original names."""
+
     def test_alias_and_positional_construction(self):
-        assert TraceEvent is ObsEvent
-        evt = TraceEvent(1.0, "k", 0, "key", "info", 0.9)
+        # Positional order: time, kind, node, key, info, local_time; the
+        # phase defaults to an instant.
+        evt = ObsEvent(1.0, "k", 0, "key", "info", 0.9)
         assert (evt.time, evt.kind, evt.node) == (1.0, "k", 0)
+        assert evt.key == "key" and evt.info == "info"
         assert evt.local_time == 0.9 and evt.phase == "I"
+        sink = MemorySink()
+        sink.on_event(evt)
+        assert sink.by_key("key") == [evt]
 
     def test_shares_events_with_bus(self):
         bus = ObsBus()
-        tr = TraceRecorder(bus=bus)
-        tr.record(1.0, "a", 0, key="x")
+        bus.emit("a", 0, key="x", time=1.0)
         bus.emit("b", 1, time=2.0)
-        assert [e.kind for e in tr.events] == ["a", "b"]
-        assert len(tr.by_kind("a")) == 1
-        assert len(tr.by_key("x")) == 1
+        mem = memory_of(bus)
+        assert [e.kind for e in mem.events] == ["a", "b"]
+        assert len(mem.by_kind("a")) == 1
+        assert len(mem.by_key("x")) == 1
 
     def test_disabled_recorder_is_inert(self):
-        tr = TraceRecorder(enabled=False)
-        tr.record(1.0, "a", 0)
-        assert tr.events == [] and len(tr) == 0
-
-
-class TestFabricDeprecation:
-    def test_enable_message_log_warns_and_forwards(self):
-        from repro.config import scaled_platform
-        from repro.network.fabric import Fabric
-        from repro.network.message import MessageClass, WireMessage
-
-        sim = Simulator()
-        fabric = Fabric(sim, 2, scaled_platform(num_nodes=2).network)
-        fabric.register_handler(1, "t", lambda msg: None)
-        with pytest.warns(DeprecationWarning):
-            log = fabric.enable_message_log()
-        fabric.send(WireMessage(0, 1, 100, MessageClass.DATA, channel="t"))
-        sim.run()
-        assert len(log) == 1
-        # Forwarded to the bus as wire_msg events too.
-        assert len(fabric.obs.memory.by_kind("wire_msg")) == 1
+        assert NULL_BUS.emit("a", 0, time=1.0, local_time=0.9) == 0.0
+        assert NULL_BUS.memory is None and NULL_BUS.sinks == []
 
 
 class TestInstruments:

@@ -72,7 +72,6 @@ class TestDisabledByDefault:
     def test_context_defaults_to_null_bus(self, backend):
         ctx = ParsecContext(scaled_platform(num_nodes=2), backend=backend)
         assert ctx.obs is NULL_BUS
-        assert ctx.trace is None
         assert ctx.sim.obs is NULL_BUS
         assert ctx.fabric.obs is NULL_BUS
         for engine in ctx.engines:

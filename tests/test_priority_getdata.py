@@ -67,7 +67,7 @@ class TestGetDataPriority:
         ctx = ParsecContext(
             scaled_platform(num_nodes=2, cores_per_node=8),
             backend=backend,
-            collect_traces=True,
+            observability=True,
         )
         stats = ctx.run(g, until=10.0)
         lats = sorted(stats.flow_latencies)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.workloads import random_layered_dag
 from repro.config import scaled_platform
 from repro.errors import RuntimeBackendError
 from repro.runtime import ParsecContext, TaskGraph
 from repro.runtime.node import binomial_tree, build_flow_plan
 from repro.units import KiB
+from repro.workloads.generators import random_layered_dag
 
 
 class TestTaskGraphConstruction:

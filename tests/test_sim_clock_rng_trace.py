@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import ClockEnsemble, NodeClock, RngStreams, TraceRecorder, hunold_synchronize
+from repro.obs import NULL_BUS, ObsBus
+from repro.sim import ClockEnsemble, NodeClock, RngStreams, hunold_synchronize
 
 
 class TestNodeClock:
@@ -111,27 +112,30 @@ class TestRngStreams:
 
 
 class TestTraceRecorder:
+    """Trace recording through the observability bus's memory sink."""
+
     def test_records_and_filters(self):
-        tr = TraceRecorder()
-        tr.record(1.0, "send", node=0, key="m1")
-        tr.record(2.0, "recv", node=1, key="m1")
-        tr.record(3.0, "send", node=0, key="m2")
-        assert len(tr) == 3
-        assert [e.time for e in tr.by_kind("send")] == [1.0, 3.0]
-        assert [e.kind for e in tr.by_key("m1")] == ["send", "recv"]
+        bus = ObsBus()
+        bus.emit("send", 0, key="m1", time=1.0)
+        bus.emit("recv", 1, key="m1", time=2.0)
+        bus.emit("send", 0, key="m2", time=3.0)
+        mem = bus.memory
+        assert len(mem) == 3
+        assert [e.time for e in mem.by_kind("send")] == [1.0, 3.0]
+        assert [e.kind for e in mem.by_key("m1")] == ["send", "recv"]
 
     def test_disabled_recorder_is_noop(self):
-        tr = TraceRecorder(enabled=False)
-        tr.record(1.0, "send", node=0)
-        assert len(tr) == 0
+        assert NULL_BUS.emit("send", 0, time=1.0) == 0.0
+        assert NULL_BUS.memory is None
 
     def test_clear(self):
-        tr = TraceRecorder()
-        tr.record(1.0, "x", node=0)
-        tr.clear()
-        assert len(tr) == 0
+        bus = ObsBus()
+        bus.emit("x", 0, key="k", time=1.0)
+        bus.memory.clear()
+        assert len(bus.memory) == 0
+        assert bus.memory.by_kind("x") == [] and bus.memory.by_key("k") == []
 
     def test_local_time_field(self):
-        tr = TraceRecorder()
-        tr.record(1.0, "send", node=2, local_time=1.005)
-        assert tr.events[0].local_time == 1.005
+        bus = ObsBus()
+        bus.emit("send", 2, time=1.0, local_time=1.005)
+        assert bus.memory.events[0].local_time == 1.005

@@ -7,28 +7,21 @@ runnable set, Interrupt/AnyOf/AllOf behave at epoch boundaries, and the
 ``yield PARK`` / :meth:`Process.wake` typed path.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import PARK, Simulator
 from repro.sim.core import K_CALL, K_RESUME, SchedulePolicy
 
-#: The ready-entry *shape* differs between the cores (the legacy kernel
-#: passes ``(seq, event, fn, args)``); shape-specific assertions only run
-#: on the batched kernel.  Everything else here must pass on both.
-_LEGACY = os.environ.get("REPRO_SIM_CORE") == "legacy"
+def _both_loops() -> list:
+    """A simulator per run loop: the fast FIFO loop, and the separately
+    written policy loop (a plain ``SchedulePolicy`` replays FIFO order)."""
+    return [Simulator(), Simulator(policy=SchedulePolicy())]
 
 
-def _reentry_after_callback_exception() -> list:
+def _reentry_after_callback_exception(sim) -> list:
     """Two entries at t=1; the first appends a same-time entry and raises.
     Returns the firing order across the failed and the resumed run()."""
-    sim = Simulator()
     trail = []
 
     def boom():
@@ -44,9 +37,8 @@ def _reentry_after_callback_exception() -> list:
     return trail
 
 
-def _reentry_after_tick_abort() -> list:
+def _reentry_after_tick_abort(sim) -> list:
     """As above, but a tick raises right after the first t=1 entry."""
-    sim = Simulator()
     trail = []
 
     def first():
@@ -143,32 +135,17 @@ class TestEpochDraining:
     def test_rerun_after_callback_exception_keeps_seq_order(self):
         """A callback raising out of a future epoch leaves the rest of that
         epoch — pre-existing entries and the ones it appended — to fire in
-        seq order on the next run()."""
-        assert _reentry_after_callback_exception() == ["boom", "late-seq", "soon"]
+        seq order on the next run(), on both run loops."""
+        for sim in _both_loops():
+            trail = _reentry_after_callback_exception(sim)
+            assert trail == ["boom", "late-seq", "soon"], sim.policy
 
     def test_rerun_after_tick_abort_keeps_seq_order(self):
         """Same contract when a raising tick (a RunGuards budget abort)
         stops the run between two entries of one epoch."""
-        assert _reentry_after_tick_abort() == ["first", "late-seq", "soon"]
-
-    @pytest.mark.skipif(_LEGACY, reason="already running on the legacy kernel")
-    def test_rerun_order_matches_legacy_kernel(self):
-        root = Path(__file__).resolve().parent.parent
-        code = (
-            "import json\n"
-            "from tests.test_sim_epochs import _reentry_after_callback_exception, "
-            "_reentry_after_tick_abort\n"
-            "print(json.dumps([_reentry_after_callback_exception(), "
-            "_reentry_after_tick_abort()]))\n"
-        )
-        env = dict(os.environ, REPRO_SIM_CORE="legacy",
-                   PYTHONPATH=os.pathsep.join((str(root), str(root / "src"))))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [
-            ["boom", "late-seq", "soon"], ["first", "late-seq", "soon"],
-        ]
+        for sim in _both_loops():
+            trail = _reentry_after_tick_abort(sim)
+            assert trail == ["first", "late-seq", "soon"], sim.policy
 
     def test_float_underflow_delay_stays_in_current_epoch(self):
         """A positive delay that underflows (now + d == now) must not create
@@ -207,7 +184,6 @@ class _LIFO(SchedulePolicy):
 
 
 class TestPolicyContract:
-    @pytest.mark.skipif(_LEGACY, reason="entry shape is batched-kernel specific")
     def test_policy_sees_full_runnable_set(self):
         """choose() receives every entry due now, as 5-tuples, FIFO order."""
         policy = _Recording()

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.bench.pingpong import PingPongConfig, run_pingpong_benchmark
-from repro.bench.workloads import random_layered_dag
 from repro.config import scaled_platform
 from repro.runtime import ParsecContext
 from repro.units import KiB, MiB
+from repro.workloads.generators import random_layered_dag
 
 
 class TestSoakRandomDag:
@@ -37,13 +37,13 @@ class TestSoakRandomDag:
             scheduler="ws",
             num_comm_threads=2,
             multithreaded_activate=True,
-            collect_traces=True,
+            observability=True,
         )
         stats = ctx.run(g, until=120.0)
         assert stats.tasks_executed == g.num_tasks
         from repro.analysis.gantt import worker_intervals
 
-        assert worker_intervals(ctx.trace)  # tracing captured executions
+        assert worker_intervals(ctx.obs)  # tracing captured executions
 
 
 class TestMultiNodeStreams:

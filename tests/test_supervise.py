@@ -1,8 +1,6 @@
 """Supervised execution: run guards, worker supervision, crash-safe resume."""
 
 import json
-import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -133,7 +131,7 @@ class TestRunGuards:
         assert reporter.beats > 0  # the chained tick still fired
 
     def test_abort_emits_watchdog_event_and_snapshots_trail(self):
-        from repro.bench.workloads import random_layered_dag
+        from repro.workloads.generators import random_layered_dag
         from repro.config import scaled_platform
         from repro.runtime.context import ParsecContext
 
@@ -148,36 +146,6 @@ class TestRunGuards:
         trail = exc_info.value.snapshot["last_events"]
         assert 0 < len(trail) <= 25
         assert all("kind" in e and "time" in e for e in trail)
-
-    def test_legacy_core_abort_parity(self):
-        code = (
-            "from repro.bench.hicma_bench import HicmaConfig, "
-            "run_hicma_benchmark\n"
-            "from repro.supervise import RunGuards\n"
-            "from repro.errors import RunBudgetExceeded\n"
-            "try:\n"
-            "    run_hicma_benchmark('lci', HicmaConfig(matrix_size=2048, "
-            "tile_size=256, num_nodes=4), "
-            "guards=RunGuards(max_events=1000, check_every=256))\n"
-            "    print('NOABORT')\n"
-            "except RunBudgetExceeded as e:\n"
-            "    print('PARTIAL', e.partial.tasks_executed)\n"
-        )
-        env = dict(os.environ, REPRO_SIM_CORE="legacy",
-                   PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("PARTIAL "), proc.stdout
-        # Same abort point as the epoch core: the tick cadence and event
-        # accounting agree across kernels.
-        with pytest.raises(RunBudgetExceeded) as exc_info:
-            run_hicma_benchmark(
-                "lci", HicmaConfig(**SMALL),
-                guards=RunGuards(max_events=1000, check_every=256),
-            )
-        epoch_tasks = exc_info.value.partial.tasks_executed
-        assert proc.stdout.split() == ["PARTIAL", str(epoch_tasks)]
 
 
 class TestClassifyFailure:

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.bench.workloads import (
+from repro.config import scaled_platform
+from repro.errors import BenchmarkError
+from repro.runtime import ParsecContext
+from repro.workloads.generators import (
     all_to_all_rounds,
     chain,
     fan_out,
     halo_exchange,
     random_layered_dag,
 )
-from repro.config import scaled_platform
-from repro.errors import BenchmarkError
-from repro.runtime import ParsecContext
 
 
 class TestGenerators:

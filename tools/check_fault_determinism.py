@@ -32,10 +32,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.workloads import random_layered_dag  # noqa: E402
 from repro.config import scaled_platform  # noqa: E402
 from repro.faults.plans import fault_plan  # noqa: E402
 from repro.runtime.context import ParsecContext  # noqa: E402
+from repro.workloads.generators import random_layered_dag  # noqa: E402
 
 
 def fingerprint(backend: str, plan, seed: int = 3) -> dict:

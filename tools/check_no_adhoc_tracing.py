@@ -4,13 +4,13 @@
 Fails (exit 1) when code under ``src/repro`` — outside ``src/repro/obs``
 itself — reintroduces an ad-hoc tracing pattern:
 
-- ``<anything>.trace.record(`` — the pre-obs inline call-site pattern; the
-  ``TraceRecorder`` facade still exists for *reading* traces, but new events
-  must be emitted via ``ctx.obs.emit(...)``;
-- ``message_log`` — the deprecated private ``Fabric`` log.
+- ``<anything>.trace.record(`` — the pre-obs inline call-site pattern;
+  events must be emitted via ``ctx.obs.emit(...)``;
+- a private wire-message log on ``Fabric`` — consumers read ``wire_msg``
+  events from the bus instead.
 
-A line ending in a ``# obs-allow-adhoc`` pragma is exempt; the legacy
-compatibility shims carry it.  Run as::
+Both surfaces were removed; the patterns keep them from coming back.  A
+line ending in a ``# obs-allow-adhoc`` pragma is exempt.  Run as::
 
     python tools/check_no_adhoc_tracing.py [root]
 
