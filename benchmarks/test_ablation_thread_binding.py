@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.ascii_plot import ascii_table
-from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
+from repro import Experiment
 from repro.config import scaled_platform
 
 
@@ -25,17 +25,17 @@ def results():
                 scaled_platform(num_nodes=8, cores_per_node=8),
                 dedicated_comm_cores=dedicated,
             )
-            cfg = HicmaConfig(matrix_size=36_000, tile_size=900, num_nodes=8)
-            out[(backend, dedicated)] = run_hicma_benchmark(
-                backend, cfg, platform=platform
-            )
+            out[(backend, dedicated)] = Experiment(
+                workload="hicma", backend=backend, nodes=8,
+                matrix_size=36_000, tile_size=900,
+            ).run(platform=platform)
     return out
 
 
 def check_floating_latency_penalty(results):
     for backend in ("mpi", "lci"):
-        pinned = results[(backend, True)].mean_flow_latency
-        floating = results[(backend, False)].mean_flow_latency
+        pinned = results[(backend, True)].flow_latency["mean"]
+        floating = results[(backend, False)].flow_latency["mean"]
         assert floating > pinned, f"{backend}: no floating-thread penalty"
         # The paper reports "up to 25 %"; allow a broad plausible band.
         assert floating < pinned * 2.0
@@ -56,7 +56,7 @@ def test_ablation_thread_binding(results, benchmark, capsys):
         for (backend, dedicated), r in results.items():
             rows.append(
                 (backend, "pinned" if dedicated else "floating",
-                 f"{r.time_to_solution:.3f}", f"{r.mean_flow_latency * 1e3:.3f}")
+                 f"{r.time_to_solution:.3f}", f"{r.flow_latency['mean'] * 1e3:.3f}")
             )
         print()
         print(

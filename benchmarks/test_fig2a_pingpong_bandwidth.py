@@ -12,12 +12,9 @@ baseline — and checks the paper's findings:
 import pytest
 
 from repro.analysis.ascii_plot import ascii_chart, ascii_table
+from repro import Experiment
 from repro.bench import paper_data
-from repro.bench.pingpong import (
-    PingPongConfig,
-    default_granularities,
-    run_pingpong_benchmark,
-)
+from repro.bench.pingpong import default_granularities
 from repro.config import NetworkConfig
 from repro.network.netpipe import netpipe_bandwidth_curve
 from repro.units import gbit_per_s
@@ -29,7 +26,7 @@ def curves():
     out = {"mpi": [], "lci": []}
     for backend in ("mpi", "lci"):
         for size in sizes:
-            r = run_pingpong_benchmark(backend, PingPongConfig(fragment_size=size))
+            r = Experiment(workload="pingpong", backend=backend, fragment_size=size).run()
             out[backend].append((size, r.bandwidth_gbit))
     out["netpipe"] = [
         (s, gbit_per_s(bw)) for s, bw in netpipe_bandwidth_curve(sizes, NetworkConfig())
@@ -115,7 +112,7 @@ def test_fig2a_regenerate(curves, benchmark, capsys):
     from repro.units import KiB
 
     benchmark.pedantic(
-        lambda: run_pingpong_benchmark("lci", PingPongConfig(fragment_size=128 * KiB)),
+        Experiment(workload="pingpong", backend="lci", fragment_size=128 * KiB).run,
         rounds=1,
         iterations=1,
     )

@@ -12,12 +12,9 @@ with the synchronization removed.  Checks the paper's findings:
 import pytest
 
 from repro.analysis.ascii_plot import ascii_chart
+from repro import Experiment
 from repro.bench import paper_data
-from repro.bench.pingpong import (
-    PingPongConfig,
-    default_granularities,
-    run_pingpong_benchmark,
-)
+from repro.bench.pingpong import default_granularities
 from repro.units import KiB
 
 
@@ -30,10 +27,10 @@ def curves():
             key = f"{backend}{'' if sync else ' (no sync)'}"
             pts = []
             for size in sizes:
-                r = run_pingpong_benchmark(
-                    backend,
-                    PingPongConfig(fragment_size=size, streams=2, sync=sync),
-                )
+                r = Experiment(
+                    workload="pingpong", backend=backend,
+                    fragment_size=size, streams=2, sync=sync,
+                ).run()
                 pts.append((size, r.bandwidth_gbit))
             out[key] = pts
     return out
@@ -59,16 +56,16 @@ def check_lci_dominates(curves):
 def check_activate_aggregation(sync_r, nosync_r):
     """§6.2: less synchronization ⇒ fewer ACTIVATEs aggregated."""
     assert nosync_r.activates_sent > 0 and sync_r.activates_sent > 0
-    per_iter_nosync = nosync_r.activates_sent / nosync_r.config.iterations
-    per_iter_sync = sync_r.activates_sent / sync_r.config.iterations
+    per_iter_nosync = nosync_r.activates_sent / len(nosync_r.iteration_times)
+    per_iter_sync = sync_r.activates_sent / len(sync_r.iteration_times)
     assert per_iter_nosync > 0.3 * per_iter_sync
 
 
 def test_fig2b_regenerate(curves, benchmark, capsys):
     benchmark.pedantic(
-        lambda: run_pingpong_benchmark(
-            "lci", PingPongConfig(fragment_size=256 * KiB, streams=2)
-        ),
+        Experiment(
+            workload="pingpong", backend="lci", fragment_size=256 * KiB, streams=2
+        ).run,
         rounds=1,
         iterations=1,
     )
@@ -102,10 +99,10 @@ def test_lci_dominates_mpi_bidirectional(curves):
 
 def test_no_sync_changes_activate_aggregation(curves):
     size = default_granularities()[0]
-    sync_r = run_pingpong_benchmark(
-        "lci", PingPongConfig(fragment_size=size, streams=2, sync=True)
-    )
-    nosync_r = run_pingpong_benchmark(
-        "lci", PingPongConfig(fragment_size=size, streams=2, sync=False)
-    )
+    sync_r = Experiment(
+        workload="pingpong", backend="lci", fragment_size=size, streams=2, sync=True
+    ).run()
+    nosync_r = Experiment(
+        workload="pingpong", backend="lci", fragment_size=size, streams=2, sync=False
+    ).run()
     check_activate_aggregation(sync_r, nosync_r)

@@ -13,13 +13,9 @@ Curves: LCI, Open MPI, plus the analytic "Roofline" (perfect overlap) and
 import pytest
 
 from repro.analysis.ascii_plot import ascii_chart, ascii_table
+from repro import Experiment
 from repro.bench import paper_data
-from repro.bench.overlap import (
-    OverlapConfig,
-    no_overlap_flops,
-    roofline_flops,
-    run_overlap_benchmark,
-)
+from repro.bench.overlap import OverlapConfig, no_overlap_flops, roofline_flops
 from repro.config import paper_scale_enabled, scaled_platform
 from repro.units import KiB, MiB
 
@@ -41,7 +37,8 @@ def curves(platform):
     for size in overlap_sizes():
         cfg = OverlapConfig(fragment_size=size)
         for backend in ("mpi", "lci"):
-            r = run_overlap_benchmark(backend, cfg, platform)
+            r = Experiment(workload="overlap", backend=backend,
+                           fragment_size=size).run(platform=platform)
             out[backend].append((size, r.flops_per_s / 1e12))
         out["roofline"].append((size, roofline_flops(cfg, platform) / 1e12))
         out["no overlap"].append((size, no_overlap_flops(cfg, platform) / 1e12))
@@ -72,9 +69,9 @@ def check_convergence_at_large(curves):
 
 def test_fig3_regenerate(curves, platform, benchmark, capsys):
     benchmark.pedantic(
-        lambda: run_overlap_benchmark(
-            "lci", OverlapConfig(fragment_size=512 * KiB), platform
-        ),
+        lambda: Experiment(
+            workload="overlap", backend="lci", fragment_size=512 * KiB
+        ).run(platform=platform),
         rounds=1,
         iterations=1,
     )

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
+from repro import Experiment
 from repro.config import scaled_platform
 from repro.hicma.dag import build_compression_graph
 from repro.runtime import ParsecContext
@@ -39,19 +39,23 @@ def test_event_heap_throughput(benchmark):
 def test_hicma_simulation_throughput(benchmark, capsys):
     """Full-stack: events/second for a NT=40 HiCMA run (LCI backend)."""
 
+    seen = []
+
     def run():
         t0 = time.perf_counter()
-        r = run_hicma_benchmark(
-            "lci", HicmaConfig(matrix_size=36_000, tile_size=900, num_nodes=8)
-        )
+        r = Experiment(
+            workload="hicma", backend="lci", nodes=8,
+            matrix_size=36_000, tile_size=900,
+        ).run(ctx_observer=seen.append)
         return r, time.perf_counter() - t0
 
     (result, wall) = benchmark.pedantic(run, rounds=1, iterations=1)
+    events = seen[-1].sim.events_processed
     with capsys.disabled():
         print(
             f"\nsimulator throughput: {result.tasks} tasks, "
-            f"{result.events_processed:,} events, wall {wall:.2f}s "
-            f"({result.events_processed / wall:,.0f} ev/s)"
+            f"{events:,} events, wall {wall:.2f}s "
+            f"({events / wall:,.0f} ev/s)"
         )
     # NT=40: 40 potrf + 780 trsm + 780 syrk + 9880 gemm.
     assert result.tasks == 11_480

@@ -15,41 +15,44 @@ Run:  python examples/latency_study.py           (~1-2 minutes)
 
 import dataclasses
 
+from repro import Experiment
 from repro.analysis.ascii_plot import ascii_table
-from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
 from repro.config import scaled_platform
 
 
 def main() -> None:
-    cfg = HicmaConfig(matrix_size=36_000, tile_size=600, num_nodes=8)
+    matrix, tile, nodes = 36_000, 600, 8
     rows = []
     for backend in ("mpi", "lci"):
         for mt in (False, True):
-            r = run_hicma_benchmark(
-                backend,
-                dataclasses.replace(cfg, multithreaded_activate=mt),
-            )
+            r = Experiment(
+                workload="hicma", backend=backend, nodes=nodes,
+                matrix_size=matrix, tile_size=tile, multithreaded_activate=mt,
+            ).run()
             rows.append(
                 (
                     backend,
                     "worker-sent" if mt else "comm thread",
                     "pinned",
                     f"{r.time_to_solution * 1e3:.1f}",
-                    f"{r.mean_flow_latency * 1e3:.3f}",
+                    f"{r.flow_latency['mean'] * 1e3:.3f}",
                 )
             )
         floating = dataclasses.replace(
-            scaled_platform(num_nodes=cfg.num_nodes, cores_per_node=8),
+            scaled_platform(num_nodes=nodes, cores_per_node=8),
             dedicated_comm_cores=False,
         )
-        r = run_hicma_benchmark(backend, cfg, platform=floating)
+        r = Experiment(
+            workload="hicma", backend=backend, nodes=nodes,
+            matrix_size=matrix, tile_size=tile,
+        ).run(platform=floating)
         rows.append(
             (
                 backend,
                 "comm thread",
                 "floating",
                 f"{r.time_to_solution * 1e3:.1f}",
-                f"{r.mean_flow_latency * 1e3:.3f}",
+                f"{r.flow_latency['mean'] * 1e3:.3f}",
             )
         )
 
@@ -57,8 +60,8 @@ def main() -> None:
         ascii_table(
             ["backend", "ACTIVATE path", "threads", "TTS (ms)", "e2e latency (ms)"],
             rows,
-            title=f"Latency anatomy: TLR Cholesky N={cfg.matrix_size}, "
-            f"tile={cfg.tile_size}, {cfg.num_nodes} nodes",
+            title=f"Latency anatomy: TLR Cholesky N={matrix}, "
+            f"tile={tile}, {nodes} nodes",
         )
     )
     print("\nExpected pattern (as in the paper): LCI < MPI; multithreaded "

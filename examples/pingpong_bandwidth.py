@@ -8,8 +8,8 @@ ASCII chart.
 Run:  python examples/pingpong_bandwidth.py
 """
 
+from repro import Experiment
 from repro.analysis.ascii_plot import ascii_chart, ascii_table
-from repro.bench.pingpong import PingPongConfig, run_pingpong_benchmark
 from repro.config import NetworkConfig
 from repro.network.netpipe import netpipe_bandwidth_curve
 from repro.units import KiB, MiB, gbit_per_s
@@ -21,10 +21,10 @@ def main() -> None:
     print("Running ping-pong sweeps (one stream, 8 MiB per iteration)...")
     for backend in ("mpi", "lci"):
         for size in sizes:
-            r = run_pingpong_benchmark(
-                backend,
-                PingPongConfig(fragment_size=size, total_bytes=8 * MiB, iterations=5),
-            )
+            r = Experiment(
+                workload="pingpong", backend=backend,
+                fragment_size=size, total_bytes=8 * MiB, iterations=5,
+            ).run()
             curves[backend].append((size, r.bandwidth_gbit))
     curves["netpipe"] = [
         (s, gbit_per_s(bw))

@@ -8,8 +8,8 @@ of the paper's Table 2 ("LCI scales to smaller tiles") and Fig. 5a.
 Run:  python examples/strong_scaling.py           (~2-3 minutes)
 """
 
+from repro import Experiment
 from repro.analysis.ascii_plot import ascii_table
-from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
 
 
 def main() -> None:
@@ -23,8 +23,8 @@ def main() -> None:
         for backend in ("mpi", "lci"):
             best_tile, best = None, None
             for tile in tiles:
-                cfg = HicmaConfig(matrix_size=matrix, tile_size=tile, num_nodes=nodes)
-                r = run_hicma_benchmark(backend, cfg)
+                r = Experiment(workload="hicma", backend=backend, nodes=nodes,
+                               matrix_size=matrix, tile_size=tile).run()
                 if best is None or r.time_to_solution < best.time_to_solution:
                     best, best_tile = r, tile
             entry[backend] = (best_tile, best.time_to_solution)

@@ -225,15 +225,12 @@ class Experiment:
     ) -> Result:
         """Execute the experiment and return its typed frozen result.
 
-        ``platform`` overrides the scaled default platform;
-        ``schedule_policy``/``ctx_observer`` pass through to the benchmark
-        driver (see :func:`repro.bench.pingpong.run_pingpong_benchmark`).
-        ``progress``/``guards`` are accepted only by workloads declaring
-        ``accepts_progress`` — elsewhere a non-None value raises
-        :class:`~repro.errors.ConfigError` rather than silently dropping a
-        supervision request.
+        ``platform`` overrides the workload's default platform; the other
+        hooks pass through to :func:`repro.workloads.runner.run_workload`
+        (``progress`` heartbeats and ``guards`` run budgets work on every
+        workload).
         """
-        raw = self._spec.run(
+        return self._spec.run(
             self.backend,
             self.config(),
             platform,
@@ -243,7 +240,6 @@ class Experiment:
             progress=progress,
             guards=guards,
         )
-        return self._spec.freeze(raw, self.backend)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

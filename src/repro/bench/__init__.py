@@ -1,6 +1,8 @@
 """Benchmark workloads and the per-figure reproduction harness.
 
-One module per benchmark family:
+One module per benchmark family, each holding the workload's config,
+graph builder and result function (the paper's three registered
+workloads run through :func:`repro.workloads.runner.run_workload`):
 
 - :mod:`repro.bench.pingpong` — the task-based windowed ping-pong bandwidth
   benchmark of §6.2 (Fig. 2a/2b);
@@ -14,20 +16,14 @@ One module per benchmark family:
 - :mod:`repro.bench.report` — comparison/rendering helpers.
 """
 
-from repro.bench.pingpong import PingPongConfig, PingPongResult, run_pingpong_benchmark
-from repro.bench.overlap import OverlapConfig, OverlapResult, run_overlap_benchmark
-from repro.bench.hicma_bench import HicmaConfig, HicmaResult, run_hicma_benchmark
+from repro.bench.pingpong import PingPongConfig
+from repro.bench.overlap import OverlapConfig
+from repro.bench.hicma_bench import HicmaConfig
 from repro.bench.report import Comparison
 
 __all__ = [
     "PingPongConfig",
-    "PingPongResult",
-    "run_pingpong_benchmark",
     "OverlapConfig",
-    "OverlapResult",
-    "run_overlap_benchmark",
     "HicmaConfig",
-    "HicmaResult",
-    "run_hicma_benchmark",
     "Comparison",
 ]

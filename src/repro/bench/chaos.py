@@ -9,8 +9,8 @@ the reliable transport emit on the obs bus.
 
 The default workload is the small TLR Cholesky job; ``workload=`` points
 the harness at any workload registered with :mod:`repro.workloads` — the
-graph comes from the spec's task-graph builder, so every catalog scenario
-(stencil, taskbench, ring, ...) runs under chaos plans unchanged.
+graph comes from the spec's task-graph builder, so every workload
+(hicma, stencil, taskbench, ring, ...) runs under chaos plans unchanged.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.config import FaultConfig, scaled_platform
 from repro.faults.engine import WIRE_FAULT_KINDS
-from repro.hicma.dag import build_tlr_cholesky_graph
-from repro.hicma.ranks import RankModel
-from repro.hicma.timing import KernelTimeModel
 from repro.runtime.context import ParsecContext, RunStats
 
 __all__ = ["ChaosConfig", "ChaosResult", "run_chaos"]
@@ -31,24 +28,16 @@ __all__ = ["ChaosConfig", "ChaosResult", "run_chaos"]
 class ChaosConfig:
     """One chaos-run configuration.
 
-    ``workload`` names any registered workload; ``matrix_size``/
-    ``tile_size`` only apply to the default ``hicma`` workload, while
-    ``params`` overrides the workload's explore-scale defaults for every
-    other one.
+    ``workload`` names any registered workload; ``params`` overrides its
+    explore-scale defaults (``matrix_size``/``tile_size`` for ``hicma``).
     """
 
     plan_name: str
     plan: FaultConfig
-    matrix_size: int = 7200
-    tile_size: int = 1200
     num_nodes: int = 2
     seed: int = 0
     workload: str = "hicma"
     params: dict = field(default_factory=dict)
-
-    @property
-    def nt(self) -> int:
-        return max(2, self.matrix_size // self.tile_size)
 
 
 @dataclass
@@ -113,19 +102,8 @@ def _arrivals(ctx: ParsecContext) -> set:
 
 
 def _chaos_graph(cfg: ChaosConfig, platform):
-    """The task graph a chaos run executes.
-
-    The default ``hicma`` workload keeps its historical direct build
-    (bit-identical to pre-registry chaos runs); every other workload
-    resolves through the registry and builds from its explore-scale
-    parameters overlaid with ``cfg.params``.
-    """
-    if cfg.workload == "hicma":
-        return build_tlr_cholesky_graph(
-            cfg.nt, cfg.tile_size, num_nodes=cfg.num_nodes,
-            rank_model=RankModel(cfg.nt, cfg.tile_size),
-            time_model=KernelTimeModel(platform.compute),
-        )
+    """The task graph a chaos run executes: the workload's own builder at
+    its explore-scale parameters overlaid with ``cfg.params``."""
     from repro.workloads import get_workload
 
     spec = get_workload(cfg.workload)

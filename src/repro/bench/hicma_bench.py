@@ -13,30 +13,25 @@ paper dimensions.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.analysis.stats import summarize
+from repro.api import HicmaResult
 from repro.codec import DictCodec
-from repro.config import (
-    PlatformConfig,
-    paper_scale_enabled,
-    scaled_platform,
-)
+from repro.config import expanse_platform, paper_scale_enabled, scaled_platform
 from repro.errors import BenchmarkError
 from repro.hicma.dag import build_tlr_cholesky_graph
 from repro.hicma.ranks import RankModel
 from repro.hicma.timing import KernelTimeModel
-from repro.runtime.context import ParsecContext
+from repro.runtime.taskpool import TaskGraph
 
 __all__ = [
     "HicmaConfig",
-    "HicmaResult",
-    "run_hicma_benchmark",
+    "hicma_context",
+    "hicma_graph",
+    "hicma_result",
     "default_matrix_size",
     "default_tile_sizes",
-    "best_tile_scan",
 ]
 
 
@@ -75,156 +70,56 @@ class HicmaConfig(DictCodec):
         return self.matrix_size // self.tile_size
 
 
-@dataclass
-class HicmaResult:
-    """Measurements of one TLR Cholesky execution."""
+def hicma_context(cfg: HicmaConfig) -> dict:
+    """The workload's platform and ``ParsecContext`` options.
 
-    config: HicmaConfig
-    backend: str
-    time_to_solution: float = 0.0
-    tasks: int = 0
-    #: End-to-end latency stats (ACTIVATE send → data arrival, full
-    #: multicast tree) — what Fig. 4b/5b plot.
-    flow_latency: dict = field(default_factory=dict)
-    msg_latency: dict = field(default_factory=dict)
-    activates_sent: int = 0
-    wire_bytes: int = 0
-    worker_utilization: float = 0.0
-    #: Kernel events fired during the run (events/s = this / wall time).
-    events_processed: int = 0
-
-    @property
-    def mean_flow_latency(self) -> float:
-        """Mean end-to-end latency (seconds)."""
-        return self.flow_latency.get("mean", 0.0)
-
-    def summary(self) -> str:
-        """One-line report."""
-        return (
-            f"hicma[{self.backend}] N={self.config.matrix_size} "
-            f"tile={self.config.tile_size} nodes={self.config.num_nodes}"
-            f"{' MT' if self.config.multithreaded_activate else ''}: "
-            f"TTS={self.time_to_solution:.3f}s "
-            f"e2e={self.mean_flow_latency * 1e3:.2f}ms"
-        )
+    The platform is the full Expanse model at paper scale and the
+    8-fat-core scaled platform otherwise."""
+    if paper_scale_enabled():
+        platform = expanse_platform(num_nodes=cfg.num_nodes)
+    else:
+        platform = scaled_platform(num_nodes=cfg.num_nodes, cores_per_node=8)
+    return {
+        "platform": platform,
+        "multithreaded_activate": cfg.multithreaded_activate,
+        "clock_sync": cfg.clock_sync,
+    }
 
 
-def run_hicma_benchmark(
-    backend: str,
-    cfg: HicmaConfig,
-    platform: Optional[PlatformConfig] = None,
-    *,
-    faults=None,
-    schedule_policy=None,
-    ctx_observer=None,
-    progress=None,
-    guards=None,
-) -> HicmaResult:
-    """Execute one TLR Cholesky on the simulated runtime.
+def hicma_graph(cfg: HicmaConfig, platform) -> TaskGraph:
+    """The workload's graph: the TLR Cholesky DAG.
 
-    ``faults``/``schedule_policy``/``ctx_observer`` follow the same
-    contract as :func:`repro.bench.pingpong.run_pingpong_benchmark`;
-    ``progress`` (``True`` or a :class:`~repro.obs.progress.
-    ProgressReporter`) turns on run-progress heartbeats — essential at
-    ``REPRO_PAPER_SCALE=1``, where a single point is ~575k tasks.
-    ``guards`` (:class:`~repro.supervise.guards.RunGuards`) enforces hard
-    run budgets; on violation the structured abort carries a diagnostic
-    snapshot and partial stats (see :meth:`~repro.runtime.context.
-    ParsecContext.run`).
-    """
-    if platform is None:
-        if paper_scale_enabled():
-            from repro.config import expanse_platform
-
-            platform = expanse_platform(num_nodes=cfg.num_nodes)
-        else:
-            platform = scaled_platform(num_nodes=cfg.num_nodes, cores_per_node=8)
-    ranks = RankModel(cfg.nt, cfg.tile_size, cfg.maxrank)
-    times = KernelTimeModel(platform.compute)
-    t_build = time.perf_counter()
-    graph = build_tlr_cholesky_graph(
+    Tile ranks come from the config's rank model, kernel times from the
+    platform's compute model."""
+    return build_tlr_cholesky_graph(
         cfg.nt,
         cfg.tile_size,
         num_nodes=cfg.num_nodes,
-        rank_model=ranks,
-        time_model=times,
+        rank_model=RankModel(cfg.nt, cfg.tile_size, cfg.maxrank),
+        time_model=KernelTimeModel(platform.compute),
         maxrank=cfg.maxrank,
         two_flow=cfg.two_flow,
     )
-    # Fail eagerly on misplacement: a task on a node outside the platform
-    # would otherwise only surface deep inside ctx.run().
-    graph.validate(num_nodes=cfg.num_nodes)
-    stream = getattr(progress, "stream", None)
-    if stream is not None:
-        print(
-            f"[progress] graph built: {graph.num_tasks:,} tasks, "
-            f"{graph.num_flows:,} flows in {time.perf_counter() - t_build:.1f}s",
-            file=stream,
-            flush=True,
+
+
+def hicma_result(workload: str, cfg: HicmaConfig, ctx):
+    """The workload's result: time to solution and latency statistics.
+
+    End-to-end latency runs from ACTIVATE send to data arrival over the
+    full multicast tree — what Fig. 4b/5b plot."""
+
+    def finish(stats) -> HicmaResult:
+        return HicmaResult(
+            workload=workload,
+            backend=ctx.backend,
+            makespan=stats.makespan,
+            tasks=stats.tasks_executed,
+            flow_latency=summarize(stats.flow_latencies),
+            time_to_solution=stats.makespan,
+            msg_latency=summarize(stats.msg_latencies),
+            activates_sent=stats.activates_sent,
+            wire_bytes=stats.wire_bytes,
+            worker_utilization=stats.worker_utilization,
         )
-    ctx = ParsecContext(
-        platform,
-        backend=backend,
-        multithreaded_activate=cfg.multithreaded_activate,
-        clock_sync=cfg.clock_sync,
-        seed=cfg.seed,
-        faults=faults,
-        schedule_policy=schedule_policy,
-    )
-    if ctx_observer is not None:
-        ctx_observer(ctx)
-    stats = ctx.run(graph, until=36_000.0, progress=progress, guards=guards)
-    return HicmaResult(
-        config=cfg,
-        backend=backend,
-        time_to_solution=stats.makespan,
-        tasks=stats.tasks_executed,
-        flow_latency=summarize(stats.flow_latencies),
-        msg_latency=summarize(stats.msg_latencies),
-        activates_sent=stats.activates_sent,
-        wire_bytes=stats.wire_bytes,
-        worker_utilization=stats.worker_utilization,
-        events_processed=stats.events_processed,
-    )
 
-
-def best_tile_scan(
-    backend: str,
-    num_nodes: int,
-    tile_sizes: Optional[list[int]] = None,
-    matrix_size: Optional[int] = None,
-    sweep_config=None,
-    **kwargs,
-) -> tuple[int, dict]:
-    """Run every tile size; return (best tile, all results) — Table 2.
-
-    Point execution goes through :func:`repro.sweep.run_sweep`, so pass a
-    :class:`~repro.config.SweepConfig` to parallelise the scan or reuse a
-    result cache; results are attribute views over the sweep records
-    (``.time_to_solution`` etc.) and are bit-identical either way.
-    """
-    from repro.config import SweepConfig
-    from repro.sweep.engine import run_sweep
-    from repro.sweep.spec import SweepPoint, SweepSpec
-
-    matrix_size = matrix_size or default_matrix_size()
-    tile_sizes = tile_sizes or default_tile_sizes()
-    cfg_fields = {"multithreaded_activate": False, "seed": 0, **kwargs}
-    points = tuple(
-        SweepPoint(
-            kind="hicma",
-            backend=backend,
-            params={
-                "matrix_size": matrix_size,
-                "tile_size": tile,
-                "num_nodes": num_nodes,
-                **cfg_fields,
-            },
-        )
-        for tile in tile_sizes
-    )
-    spec = SweepSpec(name=f"tile-scan-{backend}-{num_nodes}n", points=points)
-    outcome = run_sweep(spec, sweep_config or SweepConfig(cache_enabled=False))
-    results = dict(zip(tile_sizes, outcome.views()))
-    best = min(results, key=lambda t: results[t].time_to_solution)
-    return best, results
+    return finish

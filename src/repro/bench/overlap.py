@@ -16,20 +16,22 @@ Reference curves:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.stats import summarize
+from repro.api import OverlapResult
 from repro.codec import DictCodec
-from repro.config import PlatformConfig, paper_scale_enabled, scaled_platform
+from repro.config import PlatformConfig, paper_scale_enabled
 from repro.errors import BenchmarkError
-from repro.runtime.context import ParsecContext
 from repro.bench.pingpong import PingPongConfig, build_pingpong_graph
+from repro.runtime.taskpool import TaskGraph
 from repro.units import MiB
 
 __all__ = [
     "OverlapConfig",
-    "OverlapResult",
-    "run_overlap_benchmark",
+    "overlap_graph",
+    "overlap_result",
     "roofline_flops",
     "no_overlap_flops",
 ]
@@ -69,26 +71,6 @@ class OverlapConfig(DictCodec):
         return math.sqrt(self.fragment_size / 8.0)
 
 
-@dataclass
-class OverlapResult:
-    """Measured performance of one overlap configuration."""
-
-    config: OverlapConfig
-    backend: str
-    flops_per_s: float = 0.0
-    total_flops: float = 0.0
-    makespan: float = 0.0
-    tasks: int = 0
-    flow_latency: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        """One-line report."""
-        return (
-            f"overlap[{self.backend}] frag={self.config.fragment_size}B: "
-            f"{self.flops_per_s / 1e12:.3f} TFLOP/s"
-        )
-
-
 def _total_flops(cfg: OverlapConfig) -> float:
     per_task = (cfg.fragment_size / 8.0) * cfg.intensity() * 2.0
     window = cfg.resolved_total() // cfg.fragment_size
@@ -125,21 +107,11 @@ def no_overlap_flops(cfg: OverlapConfig, platform: PlatformConfig) -> float:
     return flops / (t_compute + t_comm)
 
 
-def run_overlap_benchmark(
-    backend: str,
-    cfg: OverlapConfig,
-    platform: Optional[PlatformConfig] = None,
-    *,
-    faults=None,
-    schedule_policy=None,
-    ctx_observer=None,
-) -> OverlapResult:
-    """Execute one overlap configuration; returns achieved FLOP/s.
+def overlap_graph(cfg: OverlapConfig, platform) -> TaskGraph:
+    """The workload's graph: the unsynchronised ping-pong graph.
 
-    ``faults``/``schedule_policy``/``ctx_observer`` follow the same
-    contract as :func:`repro.bench.pingpong.run_pingpong_benchmark`.
-    """
-    platform = platform or scaled_platform(num_nodes=cfg.num_nodes)
+    Iteration count and intensity follow the config's constant-FLOPs
+    scaling."""
     pp_cfg = PingPongConfig(
         fragment_size=cfg.fragment_size,
         streams=1,
@@ -150,25 +122,24 @@ def run_overlap_benchmark(
         num_nodes=cfg.num_nodes,
         seed=cfg.seed,
     )
-    graph = build_pingpong_graph(pp_cfg, platform.compute.flops_per_core)
-    ctx = ParsecContext(
-        platform, backend=backend, seed=cfg.seed,
-        faults=faults, schedule_policy=schedule_policy,
-    )
-    if ctx_observer is not None:
-        ctx_observer(ctx)
-    stats = ctx.run(graph, until=3600.0)
-    flops = _total_flops(cfg)
-    if stats.makespan <= 0:
-        raise BenchmarkError("degenerate overlap timing")
-    from repro.analysis.stats import summarize
+    return build_pingpong_graph(pp_cfg, platform.compute.flops_per_core)
 
-    return OverlapResult(
-        config=cfg,
-        backend=backend,
-        flops_per_s=flops / stats.makespan,
-        total_flops=flops,
-        makespan=stats.makespan,
-        tasks=stats.tasks_executed,
-        flow_latency=summarize(stats.flow_latencies),
-    )
+
+def overlap_result(workload: str, cfg: OverlapConfig, ctx):
+    """The workload's result: achieved FLOP/s over the run."""
+
+    def finish(stats) -> OverlapResult:
+        flops = _total_flops(cfg)
+        if stats.makespan <= 0:
+            raise BenchmarkError("degenerate overlap timing")
+        return OverlapResult(
+            workload=workload,
+            backend=ctx.backend,
+            makespan=stats.makespan,
+            tasks=stats.tasks_executed,
+            flow_latency=summarize(stats.flow_latencies),
+            flops_per_s=flops / stats.makespan,
+            total_flops=flops,
+        )
+
+    return finish

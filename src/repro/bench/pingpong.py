@@ -14,22 +14,22 @@ Default scale: 32 MiB per iteration (the paper uses 256 MiB); set
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.stats import summarize
+from repro.api import PingPongResult
 from repro.codec import DictCodec
-from repro.config import PlatformConfig, paper_scale_enabled, scaled_platform
+from repro.config import paper_scale_enabled
 from repro.errors import BenchmarkError
-from repro.runtime.context import ParsecContext
 from repro.runtime.taskpool import TaskGraph
-from repro.units import KiB, MiB, gbit_per_s
+from repro.units import KiB, MiB
 
 __all__ = [
     "PingPongConfig",
-    "PingPongResult",
     "build_pingpong_graph",
-    "run_pingpong_benchmark",
+    "pingpong_graph",
+    "pingpong_result",
     "default_granularities",
 ]
 
@@ -75,34 +75,6 @@ class PingPongConfig(DictCodec):
                 f"{self.resolved_total()}"
             )
         return w
-
-
-@dataclass
-class PingPongResult:
-    """Bandwidth and latency measurements of one configuration."""
-
-    config: PingPongConfig
-    backend: str
-    #: Aggregate bandwidth over the steady-state iterations, bytes/s.
-    bandwidth: float = 0.0
-    makespan: float = 0.0
-    iteration_times: list = field(default_factory=list)
-    flow_latency: dict = field(default_factory=dict)
-    activates_sent: int = 0
-    tasks: int = 0
-
-    @property
-    def bandwidth_gbit(self) -> float:
-        """Achieved bandwidth in Gbit/s."""
-        return gbit_per_s(self.bandwidth)
-
-    def summary(self) -> str:
-        """One-line report."""
-        return (
-            f"pingpong[{self.backend}] frag={self.config.fragment_size}B "
-            f"window={self.config.window} streams={self.config.streams}: "
-            f"{self.bandwidth_gbit:.1f} Gbit/s"
-        )
 
 
 def build_pingpong_graph(
@@ -182,33 +154,16 @@ def build_pingpong_graph(
     return g
 
 
-def run_pingpong_benchmark(
-    backend: str,
-    cfg: PingPongConfig,
-    platform: Optional[PlatformConfig] = None,
-    *,
-    faults=None,
-    schedule_policy=None,
-    ctx_observer=None,
-) -> PingPongResult:
-    """Execute one ping-pong configuration and compute its bandwidth.
+def pingpong_graph(cfg: PingPongConfig, platform) -> TaskGraph:
+    """The workload's graph, at the platform's per-core FLOP rate."""
+    return build_pingpong_graph(cfg, platform.compute.flops_per_core)
 
-    ``faults`` (a :class:`~repro.config.FaultConfig`) and
-    ``schedule_policy`` (a :class:`~repro.sim.core.SchedulePolicy`) pass
-    straight to the :class:`ParsecContext`; ``ctx_observer(ctx)`` is
-    invoked after context construction and before the run so callers such
-    as the schedule explorer can install audits and inspect the context
-    post-run.  All three default to the plain benchmark behaviour.
+
+def pingpong_result(workload: str, cfg: PingPongConfig, ctx):
+    """The workload's result: steady-state bandwidth.
+
+    Records each iteration's completion time through the task-done hook.
     """
-    platform = platform or scaled_platform(num_nodes=cfg.num_nodes)
-    graph = build_pingpong_graph(cfg, platform.compute.flops_per_core)
-    ctx = ParsecContext(
-        platform, backend=backend, seed=cfg.seed,
-        faults=faults, schedule_policy=schedule_policy,
-    )
-    if ctx_observer is not None:
-        ctx_observer(ctx)
-    # Track per-iteration completion times through the task-done hook.
     iter_done: dict[int, float] = {}
     inner = ctx.on_task_done
 
@@ -219,25 +174,28 @@ def run_pingpong_benchmark(
         inner(task)
 
     ctx.on_task_done = hook
-    stats = ctx.run(graph, until=600.0)
-    times = [iter_done[t] for t in sorted(iter_done)]
-    # Steady state: exclude the first iteration (cold pipeline).
-    if len(times) >= 3:
-        span = times[-1] - times[0]
-        iters = len(times) - 1
-    else:
-        span = stats.makespan
-        iters = len(times)
-    if span <= 0:
-        raise BenchmarkError("degenerate ping-pong timing")
-    moved = iters * cfg.streams * cfg.window * cfg.fragment_size
-    return PingPongResult(
-        config=cfg,
-        backend=backend,
-        bandwidth=moved / span,
-        makespan=stats.makespan,
-        iteration_times=times,
-        flow_latency=summarize(stats.flow_latencies),
-        activates_sent=stats.activates_sent,
-        tasks=stats.tasks_executed,
-    )
+
+    def finish(stats) -> PingPongResult:
+        times = [iter_done[t] for t in sorted(iter_done)]
+        # Steady state: exclude the first iteration (cold pipeline).
+        if len(times) >= 3:
+            span = times[-1] - times[0]
+            iters = len(times) - 1
+        else:
+            span = stats.makespan
+            iters = len(times)
+        if span <= 0:
+            raise BenchmarkError("degenerate ping-pong timing")
+        moved = iters * cfg.streams * cfg.window * cfg.fragment_size
+        return PingPongResult(
+            workload=workload,
+            backend=ctx.backend,
+            makespan=stats.makespan,
+            tasks=stats.tasks_executed,
+            flow_latency=summarize(stats.flow_latencies),
+            bandwidth=moved / span,
+            iteration_times=tuple(times),
+            activates_sent=stats.activates_sent,
+        )
+
+    return finish

@@ -386,38 +386,43 @@ def cmd_workloads(args) -> int:
 
 def cmd_pingpong(args) -> int:
     """Run one ping-pong configuration and print its bandwidth."""
-    from repro.bench.pingpong import PingPongConfig, run_pingpong_benchmark
+    from repro.api import Experiment
 
-    cfg = PingPongConfig(
+    experiment = Experiment(
+        workload="pingpong",
+        backend=args.backend,
+        nodes=args.nodes,
+        seed=args.seed,
         fragment_size=args.fragment,
         streams=args.streams,
         total_bytes=args.total,
         iterations=args.iterations,
         sync=not args.no_sync,
-        num_nodes=args.nodes,
-        seed=args.seed,
     )
-    result = run_pingpong_benchmark(args.backend, cfg)
+    result = experiment.run()
     print(result.summary())
-    print(f"  window          : {cfg.window} fragments")
+    print(f"  window          : {experiment.config().window} fragments")
     print(f"  mean e2e latency: {result.flow_latency.get('mean', 0) * 1e6:.2f} us")
     return 0
 
 
 def cmd_overlap(args) -> int:
     """Run one overlap configuration against the analytic bounds."""
-    from repro.bench.overlap import (
-        OverlapConfig,
-        no_overlap_flops,
-        roofline_flops,
-        run_overlap_benchmark,
-    )
+    from repro.api import Experiment
+    from repro.bench.overlap import no_overlap_flops, roofline_flops
     from repro.config import scaled_platform
 
     platform = scaled_platform(num_nodes=args.nodes)
-    cfg = OverlapConfig(fragment_size=args.fragment, total_bytes=args.total,
-                        num_nodes=args.nodes, seed=args.seed)
-    result = run_overlap_benchmark(args.backend, cfg, platform)
+    experiment = Experiment(
+        workload="overlap",
+        backend=args.backend,
+        nodes=args.nodes,
+        seed=args.seed,
+        fragment_size=args.fragment,
+        total_bytes=args.total,
+    )
+    cfg = experiment.config()
+    result = experiment.run(platform=platform)
     print(result.summary())
     print(f"  roofline  : {roofline_flops(cfg, platform) / 1e12:.3f} TFLOP/s")
     print(f"  no overlap: {no_overlap_flops(cfg, platform) / 1e12:.3f} TFLOP/s")
@@ -452,17 +457,10 @@ def _report_abort(exc) -> int:
 
 def cmd_hicma(args) -> int:
     """Run one simulated TLR Cholesky configuration."""
+    from repro.api import Experiment
     from repro.errors import SupervisionError
-    from repro.bench.hicma_bench import (
-        HicmaConfig,
-        default_matrix_size,
-        run_hicma_benchmark,
-    )
-    from repro.config import paper_scale_enabled, scaled_platform
-    from repro.runtime.context import ParsecContext
-    from repro.hicma.dag import build_tlr_cholesky_graph
-    from repro.hicma.ranks import RankModel
-    from repro.hicma.timing import KernelTimeModel
+    from repro.bench.hicma_bench import default_matrix_size
+    from repro.config import paper_scale_enabled
 
     # Paper scale flips the *defaults*; explicit --matrix/--tile always win.
     # Tile 2400 is the tractable paper-scale sweet spot (NT=150).
@@ -470,12 +468,14 @@ def cmd_hicma(args) -> int:
     tile = args.tile if args.tile is not None else (
         2400 if paper_scale_enabled() else 1200
     )
-    cfg = HicmaConfig(
+    experiment = Experiment(
+        workload="hicma",
+        backend=args.backend,
+        nodes=args.nodes,
+        seed=args.seed,
         matrix_size=matrix,
         tile_size=tile,
-        num_nodes=args.nodes,
         multithreaded_activate=args.mt_activate,
-        seed=args.seed,
     )
     progress = None
     if args.progress:
@@ -488,12 +488,14 @@ def cmd_hicma(args) -> int:
 
         guards = RunGuards(deadline=args.deadline, max_events=args.max_events)
     if args.native_put:
+        # LCI one-sided put: a runtime option no workload config carries.
+        from repro.config import scaled_platform
+        from repro.runtime.context import ParsecContext
+        from repro.workloads import get_workload
+
+        cfg = experiment.config()
         platform = scaled_platform(num_nodes=cfg.num_nodes, cores_per_node=8)
-        graph = build_tlr_cholesky_graph(
-            cfg.nt, cfg.tile_size, num_nodes=cfg.num_nodes,
-            rank_model=RankModel(cfg.nt, cfg.tile_size, cfg.maxrank),
-            time_model=KernelTimeModel(platform.compute),
-        )
+        graph = get_workload("hicma").build_graph(cfg, platform)
         ctx = ParsecContext(
             platform, backend="lci", native_put=True,
             multithreaded_activate=args.mt_activate, seed=args.seed,
@@ -508,8 +510,7 @@ def cmd_hicma(args) -> int:
               f"e2e={stats.mean_flow_latency * 1e3:.2f}ms")
         return 0
     try:
-        result = run_hicma_benchmark(args.backend, cfg, progress=progress,
-                                     guards=guards)
+        result = experiment.run(progress=progress, guards=guards)
     except SupervisionError as exc:
         return _report_abort(exc)
     print(result.summary())
@@ -608,20 +609,16 @@ def cmd_explore(args) -> int:
 
 def cmd_trace_export(args) -> int:
     """Run a small HiCMA configuration with the obs bus on and export it."""
+    from repro.bench.hicma_bench import HicmaConfig
     from repro.config import scaled_platform
-    from repro.hicma.dag import build_tlr_cholesky_graph
-    from repro.hicma.ranks import RankModel
-    from repro.hicma.timing import KernelTimeModel
     from repro.obs import ChromeTraceSink, CsvSink
     from repro.runtime.context import ParsecContext
+    from repro.workloads import get_workload
 
-    nt = max(2, args.matrix // args.tile)
+    cfg = HicmaConfig(matrix_size=args.matrix, tile_size=args.tile,
+                      num_nodes=args.nodes, seed=args.seed)
     platform = scaled_platform(num_nodes=args.nodes, cores_per_node=4)
-    graph = build_tlr_cholesky_graph(
-        nt, args.tile, num_nodes=args.nodes,
-        rank_model=RankModel(nt, args.tile),
-        time_model=KernelTimeModel(platform.compute),
-    )
+    graph = get_workload("hicma").build_graph(cfg, platform)
     ctx = ParsecContext(platform, backend=args.backend, observability=True,
                         seed=args.seed)
     stats = ctx.run(graph, until=36_000.0)
@@ -644,14 +641,16 @@ def cmd_chaos(args) -> int:
     from repro.bench.chaos import ChaosConfig, run_chaos
     from repro.faults.plans import fault_plan
 
+    params = {}
+    if args.workload == "hicma":
+        params = {"matrix_size": args.matrix, "tile_size": args.tile}
     cfg = ChaosConfig(
         plan_name=args.plan,
         plan=fault_plan(args.plan),
-        matrix_size=args.matrix,
-        tile_size=args.tile,
         num_nodes=args.nodes,
         seed=args.seed,
         workload=args.workload,
+        params=params,
     )
     backends = ["mpi", "lci"] if args.backend == "both" else [args.backend]
     ok = True

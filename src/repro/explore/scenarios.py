@@ -164,10 +164,7 @@ def run_scenario(scenario: Scenario, policy=None) -> dict:
     record = {
         "violations": [v.to_list() for v in violations],
         "digest": result_digest(result) if result is not None else None,
-        "makespan": (
-            getattr(result, "makespan", None) or
-            getattr(result, "time_to_solution", None)
-        ) if result is not None else None,
+        "makespan": result.makespan if result is not None else None,
     }
     if policy is not None and hasattr(policy, "sites"):
         record["sites"] = policy.sites
@@ -177,7 +174,7 @@ def run_scenario(scenario: Scenario, policy=None) -> dict:
 
 
 def _dispatch(scenario: Scenario, faults, policy, observer):
-    """Build the workload config and run its benchmark driver.
+    """Build the workload config and run it.
 
     Resolves through the :mod:`repro.workloads` registry, so any
     registered workload — including in-process plugins — is explorable.

@@ -59,44 +59,29 @@ from repro.runtime.comm_engine import BackoffPolicy
 from repro.supervise.journal import SweepJournal
 from repro.supervise.pool import WorkerSupervisor, is_deterministic_failure
 from repro.sweep.cache import ResultCache
-from repro.sweep.spec import SweepPoint, SweepSpec, point_key
+from repro.sweep.spec import SweepPoint, SweepSpec, point_key, resolve_platform
 
 __all__ = ["PointView", "SweepOutcome", "execute_point", "run_sweep"]
-
-
-def _record_of(result) -> dict:
-    """Flatten a benchmark result dataclass into a JSON-able record.
-
-    Only plain measurement fields survive — the config is identified by
-    the cache key, and summaries regenerate from the record.
-    """
-    rec = {}
-    for f in dataclasses.fields(result):
-        if f.name == "config":
-            continue
-        value = getattr(result, f.name)
-        rec[f.name] = value
-    return rec
 
 
 def execute_point(point: SweepPoint, progress=None) -> dict:
     """Run one sweep point's simulation and return its result record.
 
-    The point's kind resolves through the :mod:`repro.workloads` registry,
-    so any registered workload — builtin or scenario — sweeps identically.
+    The record is the frozen result's fields.  The point's kind resolves
+    through the :mod:`repro.workloads` registry, so any registered
+    workload — builtin or scenario — sweeps identically, on the platform
+    its key hashes (:func:`~repro.sweep.spec.resolve_platform`).
     ``progress`` is an optional reporter with the
     :class:`~repro.obs.progress.ProgressReporter` install/finish contract;
-    it is forwarded to workloads declaring ``accepts_progress`` (hicma and
-    the scenario catalog) and is how supervised workers stay live during
-    long points.
+    it is how supervised workers stay live during long points.
     """
     from repro.workloads import get_workload
 
     spec = get_workload(point.kind)
     cfg = spec.build_config(**point.params)
-    kwargs = {"progress": progress} if spec.accepts_progress else {}
-    result = spec.run(point.backend, cfg, **kwargs)
-    return _record_of(result)
+    result = spec.run(point.backend, cfg, resolve_platform(point),
+                      progress=progress)
+    return dataclasses.asdict(result)
 
 
 class PointView:

@@ -18,13 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.config import (
-    PlatformConfig,
-    expanse_platform,
-    paper_scale_enabled,
-    scaled_platform,
-)
-from repro.errors import SweepError
+from repro.config import PlatformConfig, paper_scale_enabled
+from repro.errors import ReproError, SweepError
 from repro.sweep.cache import stable_hash
 from repro._version import __version__
 
@@ -93,19 +88,14 @@ class SweepSpec:
 
 
 def resolve_platform(point: SweepPoint) -> PlatformConfig:
-    """The platform a point executes on — mirrors the figure harnesses.
+    """The platform a point executes on.
 
-    HiCMA points use the full Expanse model at paper scale and the 8-fat-
-    core scaled platform otherwise; ping-pong/overlap points use the
-    default scaled platform, exactly as their ``run_*_benchmark`` helpers
-    do when no platform is passed.
-    """
-    nodes = int(point.params.get("num_nodes", 2))
-    if point.kind == "hicma":
-        if paper_scale_enabled():
-            return expanse_platform(num_nodes=nodes)
-        return scaled_platform(num_nodes=nodes, cores_per_node=8)
-    return scaled_platform(num_nodes=nodes)
+    It is the workload's default platform for the point's config, and
+    :func:`~repro.sweep.engine.execute_point` runs the point on it."""
+    from repro.workloads import get_workload
+
+    spec = get_workload(point.kind)
+    return spec.context_options(spec.build_config(**point.params))["platform"]
 
 
 def point_key(point: SweepPoint) -> str:
@@ -115,12 +105,17 @@ def point_key(point: SweepPoint) -> str:
     model (every ``Network``/``Mpi``/``Lci``/``Runtime``/``Compute`` field,
     so recalibration invalidates old results), and the package version.
     """
-    platform = resolve_platform(point)
+    try:
+        platform = resolve_platform(point).to_dict()
+    except (ReproError, TypeError, ValueError):
+        # Params that build no config have no platform; executing the
+        # point fails on the same error, so its key is never stored.
+        platform = None
     payload = {
         "kind": point.kind,
         "backend": point.backend,
         "params": dict(point.params),
-        "platform": platform.to_dict(),
+        "platform": platform,
         "version": __version__,
     }
     return stable_hash(payload)

@@ -1,9 +1,10 @@
 """Workload plugin registry and the bundled scenario suite.
 
 :class:`WorkloadSpec` describes one runnable, self-documenting workload
-(config schema, driver, task-graph builder, typed reducer, catalog
-prose); :func:`register`/:func:`get_workload`/:func:`workload_names`
-are the registry surface every layer — ``repro.Experiment``, the CLI,
+(config schema, task-graph builder, result function, catalog prose);
+:func:`run_workload` is the one run path every spec takes;
+:func:`register`/:func:`get_workload`/:func:`workload_names` are the
+registry surface every layer — ``repro.Experiment``, the CLI,
 sweeps, chaos, explore — resolves workloads through.  External packages
 contribute specs via the ``repro.workloads`` entry-point group
 (:data:`ENTRY_POINT_GROUP`).
@@ -21,11 +22,7 @@ from repro.workloads.registry import (
     workload_names,
     workload_specs,
 )
-from repro.workloads.runner import (
-    GraphBenchResult,
-    freeze_graph_result,
-    run_graph_benchmark,
-)
+from repro.workloads.runner import graph_result, run_workload
 
 __all__ = [
     "ENTRY_POINT_GROUP",
@@ -36,7 +33,6 @@ __all__ = [
     "get_workload",
     "workload_names",
     "workload_specs",
-    "GraphBenchResult",
-    "run_graph_benchmark",
-    "freeze_graph_result",
+    "run_workload",
+    "graph_result",
 ]

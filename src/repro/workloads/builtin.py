@@ -1,11 +1,11 @@
 """The paper's three benchmarks as registered workloads.
 
-These specs wrap the existing :mod:`repro.bench` drivers unchanged —
-same configs, same drivers, same reduction into the typed public results
-:class:`~repro.api.PingPongResult`/:class:`~repro.api.OverlapResult`/
-:class:`~repro.api.HicmaResult` — so ``Experiment(workload=...)`` through
-the registry stays bit-identical to the pre-registry dispatch.  Only the
-lookup moved; nothing about execution did.
+Each spec names its config, graph builder and result function in
+:mod:`repro.bench`; they run through the same run path as every catalog
+workload (:func:`~repro.workloads.runner.run_workload`) and return the
+typed public results :class:`~repro.api.PingPongResult`/
+:class:`~repro.api.OverlapResult`/:class:`~repro.api.HicmaResult`.
+HiCMA also declares its own platform and runtime options (``context``).
 """
 
 from __future__ import annotations
@@ -13,96 +13,6 @@ from __future__ import annotations
 from repro.workloads.registry import WorkloadSpec, register
 
 __all__ = ["PINGPONG", "OVERLAP", "HICMA"]
-
-
-def _freeze_pingpong(raw, backend):
-    """Reduce the raw bench result to :class:`~repro.api.PingPongResult`."""
-    from repro.api import PingPongResult
-
-    return PingPongResult(
-        workload="pingpong",
-        backend=backend,
-        makespan=raw.makespan,
-        tasks=raw.tasks,
-        flow_latency=dict(raw.flow_latency),
-        bandwidth=raw.bandwidth,
-        iteration_times=tuple(raw.iteration_times),
-        activates_sent=raw.activates_sent,
-    )
-
-
-def _freeze_overlap(raw, backend):
-    """Reduce the raw bench result to :class:`~repro.api.OverlapResult`."""
-    from repro.api import OverlapResult
-
-    return OverlapResult(
-        workload="overlap",
-        backend=backend,
-        makespan=raw.makespan,
-        tasks=raw.tasks,
-        flow_latency=dict(raw.flow_latency),
-        flops_per_s=raw.flops_per_s,
-        total_flops=raw.total_flops,
-    )
-
-
-def _freeze_hicma(raw, backend):
-    """Reduce the raw bench result to :class:`~repro.api.HicmaResult`."""
-    from repro.api import HicmaResult
-
-    return HicmaResult(
-        workload="hicma",
-        backend=backend,
-        makespan=raw.time_to_solution,
-        tasks=raw.tasks,
-        flow_latency=dict(raw.flow_latency),
-        time_to_solution=raw.time_to_solution,
-        msg_latency=dict(raw.msg_latency),
-        activates_sent=raw.activates_sent,
-        wire_bytes=raw.wire_bytes,
-        worker_utilization=raw.worker_utilization,
-    )
-
-
-def _pingpong_graph(cfg, platform):
-    """The PINGPONG/SYNC DAG, as the driver would build it."""
-    from repro.bench.pingpong import build_pingpong_graph
-
-    return build_pingpong_graph(cfg, platform.compute.flops_per_core)
-
-
-def _overlap_graph(cfg, platform):
-    """The overlap DAG: the unsynchronised ping-pong graph the driver runs."""
-    from repro.bench.overlap import PingPongConfig, build_pingpong_graph
-
-    pp_cfg = PingPongConfig(
-        fragment_size=cfg.fragment_size,
-        streams=1,
-        total_bytes=cfg.resolved_total(),
-        iterations=cfg.iterations(),
-        sync=False,
-        intensity=cfg.intensity(),
-        num_nodes=cfg.num_nodes,
-        seed=cfg.seed,
-    )
-    return build_pingpong_graph(pp_cfg, platform.compute.flops_per_core)
-
-
-def _hicma_graph(cfg, platform):
-    """The TLR Cholesky DAG, as the driver would build it."""
-    from repro.hicma.dag import build_tlr_cholesky_graph
-    from repro.hicma.ranks import RankModel
-    from repro.hicma.timing import KernelTimeModel
-
-    return build_tlr_cholesky_graph(
-        cfg.nt,
-        cfg.tile_size,
-        num_nodes=cfg.num_nodes,
-        rank_model=RankModel(cfg.nt, cfg.tile_size, cfg.maxrank),
-        time_model=KernelTimeModel(platform.compute),
-        maxrank=cfg.maxrank,
-        two_flow=cfg.two_flow,
-    )
 
 
 PINGPONG = register(WorkloadSpec(
@@ -123,9 +33,8 @@ iter t          iter t+1
 [pp(W)] --frag--> [pp(W)]""",
     example="python -m repro run pingpong --backend lci --fragment-size 256K",
     config="repro.bench.pingpong:PingPongConfig",
-    driver="repro.bench.pingpong:run_pingpong_benchmark",
-    reducer="repro.workloads.builtin:_freeze_pingpong",
-    graph="repro.workloads.builtin:_pingpong_graph",
+    graph="repro.bench.pingpong:pingpong_graph",
+    result="repro.bench.pingpong:pingpong_result",
     param_docs=(
         ("fragment_size", "Bytes per fragment (the Figure 2 sweep axis)."),
         ("streams", "Concurrent ping-pong streams."),
@@ -161,9 +70,8 @@ OVERLAP = register(WorkloadSpec(
     wire transfer of iteration t-1's fragments)""",
     example="python -m repro run overlap --backend mpi --fragment-size 1M",
     config="repro.bench.overlap:OverlapConfig",
-    driver="repro.bench.overlap:run_overlap_benchmark",
-    reducer="repro.workloads.builtin:_freeze_overlap",
-    graph="repro.workloads.builtin:_overlap_graph",
+    graph="repro.bench.overlap:overlap_graph",
+    result="repro.bench.overlap:overlap_result",
     param_docs=(
         ("fragment_size", "Bytes per fragment (the Figure sweep axis)."),
         ("total_bytes", "Total data per iteration (None = scale default)."),
@@ -197,9 +105,9 @@ HICMA = register(WorkloadSpec(
      each TRSM output multicasts to a row of updates)""",
     example="python -m repro run hicma --nodes 16 --backend lci",
     config="repro.bench.hicma_bench:HicmaConfig",
-    driver="repro.bench.hicma_bench:run_hicma_benchmark",
-    reducer="repro.workloads.builtin:_freeze_hicma",
-    graph="repro.workloads.builtin:_hicma_graph",
+    graph="repro.bench.hicma_bench:hicma_graph",
+    result="repro.bench.hicma_bench:hicma_result",
+    context="repro.bench.hicma_bench:hicma_context",
     param_docs=(
         ("matrix_size", "Matrix dimension N (must divide by tile_size)."),
         ("tile_size", "Tile dimension (the Figure 4 sweep axis)."),
@@ -215,6 +123,5 @@ HICMA = register(WorkloadSpec(
         ("matrix_size", 3600),
         ("tile_size", 1200),
     ),
-    accepts_progress=True,
     tags=("paper", "builtin"),
 ))

@@ -1,4 +1,4 @@
-"""The bundled scenario workloads: configs, drivers, and registrations.
+"""The bundled scenario workloads: configs, graph builders, registrations.
 
 Ten parameterized task-graph scenarios beyond the paper's three
 benchmarks, all built by :mod:`repro.workloads.generators`: the §2.1
@@ -8,24 +8,21 @@ the related-work ones — a FleCSI-like 2D ``stencil``, a collective
 Task Bench-style ``taskbench`` tunable graph.
 
 Each workload is a config dataclass plus a ``_<name>_graph`` adapter from
-config to generator call.  All of them share one driver
-(:func:`~repro.workloads.runner.run_graph_benchmark`, bound to the
-adapter) and one reducer (:func:`~repro.workloads.runner.
-freeze_graph_result` → :class:`~repro.api.GraphResult`), so the whole
-catalog runs under sweeps, chaos plans, explore, progress reporting and
-run guards with no per-workload glue.
+config to generator call, and nothing else: every spec runs through the
+one run path (:func:`~repro.workloads.runner.run_workload`) and, declaring
+no result function, reports a :class:`~repro.api.GraphResult`.  So the
+whole catalog runs under sweeps, chaos plans, explore, progress reporting
+and run guards with no per-workload glue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.codec import DictCodec
 from repro.errors import ConfigError
 from repro.units import KiB
 from repro.workloads.registry import WorkloadSpec, register
-from repro.workloads.runner import run_graph_benchmark
 
 __all__ = [
     "ChainConfig",
@@ -323,8 +320,6 @@ def _taskbench_graph(cfg: TaskBenchConfig, platform):
 # Registrations
 # ---------------------------------------------------------------------------
 
-_REDUCER = "repro.workloads.runner:freeze_graph_result"
-
 register(WorkloadSpec(
     name="chain",
     description="Single dependency chain round-robin across nodes.",
@@ -337,8 +332,6 @@ register(WorkloadSpec(
     dag="[t0]@n0 --flow--> [t1]@n1 --flow--> [t2]@n2 --flow--> ...",
     example="python -m repro run chain --nodes 4 --length 128",
     config=ChainConfig,
-    driver=partial(run_graph_benchmark, "chain", _chain_graph),
-    reducer=_REDUCER,
     graph=_chain_graph,
     param_docs=(
         ("length", "Tasks in the chain."),
@@ -349,7 +342,6 @@ register(WorkloadSpec(
     ),
     explore_params=(("length", 16),),
     tags=("scenario", "latency"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -367,8 +359,6 @@ register(WorkloadSpec(
         [c]@n0 [c]@n1 [c]@n2 ...  (consumers_per_node per node)""",
     example="python -m repro run fanout --nodes 8 --consumers-per-node 16",
     config=FanOutConfig,
-    driver=partial(run_graph_benchmark, "fanout", _fanout_graph),
-    reducer=_REDUCER,
     graph=_fanout_graph,
     param_docs=(
         ("consumers_per_node", "Consumer tasks per node."),
@@ -379,7 +369,6 @@ register(WorkloadSpec(
     ),
     explore_params=(("consumers_per_node", 4),),
     tags=("scenario", "multicast"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -397,8 +386,6 @@ step s:   [tile0..tileT]@n0  <-halo->  [tile0..tileT]@n1  <-halo-> ...
 step s+1: [tile0..tileT]@n0  <-halo->  ...""",
     example="python -m repro run halo --nodes 4 --steps 16",
     config=HaloConfig,
-    driver=partial(run_graph_benchmark, "halo", _halo_graph),
-    reducer=_REDUCER,
     graph=_halo_graph,
     param_docs=(
         ("steps", "Stencil steps (DAG depth)."),
@@ -410,7 +397,6 @@ step s+1: [tile0..tileT]@n0  <-halo->  ...""",
     ),
     explore_params=(("steps", 3), ("tiles_per_node", 2)),
     tags=("scenario", "stencil"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -428,8 +414,6 @@ layer 0: [t]@n? [t]@n? ... (width tasks, random nodes)
 layer 1: [t]@n? [t]@n? ...  parents from the layer above)""",
     example="python -m repro run randomdag --nodes 4 --layers 12 --width 24",
     config=RandomDagConfig,
-    driver=partial(run_graph_benchmark, "randomdag", _randomdag_graph),
-    reducer=_REDUCER,
     graph=_randomdag_graph,
     param_docs=(
         ("layers", "DAG depth (number of layers)."),
@@ -442,7 +426,6 @@ layer 1: [t]@n? [t]@n? ...  parents from the layer above)""",
     ),
     explore_params=(("layers", 3), ("width", 6)),
     tags=("scenario", "irregular"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -460,8 +443,6 @@ round r:   [t]@n0   [t]@n1   [t]@n2
 round r+1: [t]@n0   [t]@n1   [t]@n2    every node's next task)""",
     example="python -m repro run alltoall --nodes 8 --rounds 4",
     config=AllToAllConfig,
-    driver=partial(run_graph_benchmark, "alltoall", _alltoall_graph),
-    reducer=_REDUCER,
     graph=_alltoall_graph,
     param_docs=(
         ("rounds", "Exchange rounds (DAG depth)."),
@@ -472,7 +453,6 @@ round r+1: [t]@n0   [t]@n1   [t]@n2    every node's next task)""",
     ),
     explore_params=(("rounds", 2),),
     tags=("scenario", "collective"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -492,8 +472,6 @@ node 0:  rows 0..k      | halos cross this boundary
 node 1:  rows k+1..2k   | every step""",
     example="python -m repro run stencil --nodes 16",
     config=StencilConfig,
-    driver=partial(run_graph_benchmark, "stencil", _stencil_graph),
-    reducer=_REDUCER,
     graph=_stencil_graph,
     param_docs=(
         ("grid", "Tiles per side (the mesh is grid × grid)."),
@@ -505,7 +483,6 @@ node 1:  rows k+1..2k   | every step""",
     ),
     explore_params=(("grid", 4), ("steps", 2), ("num_nodes", 2)),
     tags=("scenario", "stencil", "flecsi"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -523,8 +500,6 @@ broadcast:        [root] -> ... -> [leaf]x(fanout^depth)
 allreduce:  leaves -> [root] -> leaves   (per round)""",
     example="python -m repro run tree --nodes 8 --fanout 4 --depth 3",
     config=TreeConfig,
-    driver=partial(run_graph_benchmark, "tree", _tree_graph),
-    reducer=_REDUCER,
     graph=_tree_graph,
     param_docs=(
         ("fanout", "Tree arity (children per vertex)."),
@@ -538,7 +513,6 @@ allreduce:  leaves -> [root] -> leaves   (per round)""",
     ),
     explore_params=(("depth", 2), ("rounds", 1)),
     tags=("scenario", "collective"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -557,8 +531,6 @@ step s:   [t]@n0 -> [t]@n1 -> [t]@n2 -> ... -> (wraps to n0)
 step s+1: [t]@n0 -> [t]@n1 -> [t]@n2    next step)""",
     example="python -m repro run ring --nodes 8 --steps 32",
     config=RingConfig,
-    driver=partial(run_graph_benchmark, "ring", _ring_graph),
-    reducer=_REDUCER,
     graph=_ring_graph,
     param_docs=(
         ("steps", "Shift steps (DAG depth)."),
@@ -569,7 +541,6 @@ step s+1: [t]@n0 -> [t]@n1 -> [t]@n2    next step)""",
     ),
     explore_params=(("steps", 4), ("num_nodes", 3)),
     tags=("scenario", "latency"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -588,8 +559,6 @@ register(WorkloadSpec(
 [sink] <- joins of fanout  <- ... <-  (mirror tree back up)""",
     example="python -m repro run forkjoin --nodes 8 --fanout 3 --depth 5",
     config=ForkJoinConfig,
-    driver=partial(run_graph_benchmark, "forkjoin", _forkjoin_graph),
-    reducer=_REDUCER,
     graph=_forkjoin_graph,
     param_docs=(
         ("fanout", "Children per fork (and join arity)."),
@@ -601,7 +570,6 @@ register(WorkloadSpec(
     ),
     explore_params=(("fanout", 2), ("depth", 3)),
     tags=("scenario", "spawn"),
-    accepts_progress=True,
 ))
 
 register(WorkloadSpec(
@@ -625,8 +593,6 @@ layer 1:  [c0] [c1] [c2] ... [cW]   fft: butterfly; ...)""",
         "--pattern stencil"
     ),
     config=TaskBenchConfig,
-    driver=partial(run_graph_benchmark, "taskbench", _taskbench_graph),
-    reducer=_REDUCER,
     graph=_taskbench_graph,
     param_docs=(
         ("width", "Columns (parallel tasks per layer)."),
@@ -642,5 +608,4 @@ layer 1:  [c0] [c1] [c2] ... [cW]   fft: butterfly; ...)""",
     ),
     explore_params=(("width", 4), ("depth", 3)),
     tags=("scenario", "taskbench"),
-    accepts_progress=True,
 ))

@@ -3,13 +3,14 @@
 A :class:`WorkloadSpec` is the complete, self-documenting description of
 one runnable workload: a name, catalog prose (description, DAG sketch,
 example invocation), a config dataclass whose fields *are* the parameter
-schema, a benchmark driver, a task-graph builder, and a typed result
-reducer.  Registering a spec (:func:`register`) makes the workload
-reachable everywhere at once — ``repro.Experiment``, ``python -m repro
-run``, the sweep grid builders, the chaos harness, and the schedule
-explorer all resolve workloads through this module.
+schema, a task-graph builder, and a result function.  Every spec runs
+through the one run path, :func:`repro.workloads.runner.run_workload`.
+Registering a spec (:func:`register`) makes the workload reachable
+everywhere at once — ``repro.Experiment``, ``python -m repro run``, the
+sweep grid builders, the chaos harness, and the schedule explorer all
+resolve workloads through this module.
 
-Specs reference their config/driver/builder lazily as ``"module:attr"``
+Specs reference their config/builder/result lazily as ``"module:attr"``
 strings so that listing workload *names* never imports the simulator;
 the heavy modules load only when a workload actually runs.  External
 packages contribute workloads through the ``repro.workloads`` entry-point
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import ConfigError
 
@@ -75,23 +76,27 @@ def _resolve(ref: Any) -> Any:
 class WorkloadSpec:
     """Everything the harness needs to run — and document — a workload.
 
-    ``config``/``driver``/``reducer``/``graph`` accept either the object
+    ``config``/``graph``/``result``/``context`` accept either the object
     itself or a lazy ``"module:attr"`` string; resolution happens on first
     use.  The contract:
 
     - ``config`` is a frozen dataclass with at least ``num_nodes`` and
       ``seed`` fields; constructing it validates values (raising
       :class:`~repro.errors.ConfigError` family errors).
-    - ``driver(backend, config, platform=None, *, faults=None,
-      schedule_policy=None, ctx_observer=None)`` executes one run and
-      returns a raw (mutable) result; drivers with
-      ``accepts_progress=True`` additionally take ``progress=``/
-      ``guards=`` keywords.
-    - ``reducer(raw, backend)`` freezes the raw result into the typed
-      public dataclass ``Experiment.run()`` returns.
     - ``graph(config, platform)`` builds the workload's
-      :class:`~repro.runtime.taskpool.TaskGraph` without running it —
-      the hook the chaos harness and DAG-shape tests use.
+      :class:`~repro.runtime.taskpool.TaskGraph` without running it.
+    - ``result(workload, config, ctx)`` is called once the run's
+      :class:`~repro.runtime.context.ParsecContext` exists (after
+      ``ctx_observer``, before the run) and returns ``finish(stats)``,
+      which builds the frozen :mod:`repro.api` result from the
+      :class:`~repro.runtime.context.RunStats`.  Omitted, it is
+      :func:`~repro.workloads.runner.graph_result` (a
+      :class:`~repro.api.GraphResult`), so a catalog workload or plugin
+      declares only ``config`` and ``graph``.
+    - ``context(config)`` returns the ``ParsecContext`` keywords the
+      workload needs beyond backend/seed/faults: a default ``platform``
+      and any runtime options its config carries.  Omitted, the platform
+      is the CI-scale cluster sized to ``num_nodes``.
     - ``param_docs`` must document **every** public config field;
       :meth:`params` raises on an undocumented field, which is what keeps
       the generated catalog complete.
@@ -109,18 +114,16 @@ class WorkloadSpec:
     example: str = ""
     #: Config dataclass (or lazy ref): fields = the parameter schema.
     config: Any = None
-    #: Benchmark driver (or lazy ref).
-    driver: Any = None
-    #: Typed result reducer (or lazy ref).
-    reducer: Any = None
     #: Task-graph builder ``(config, platform) -> TaskGraph`` (or ref).
     graph: Any = None
+    #: Result function ``(workload, config, ctx) -> finish`` (or ref).
+    result: Any = None
+    #: ``config -> ParsecContext keywords`` (``platform``, options) or ref.
+    context: Any = None
     #: ``((field_name, one_line_doc), ...)`` for every public field.
     param_docs: tuple = ()
     #: Small fast parameter overrides for the schedule explorer.
     explore_params: tuple = ()
-    #: Driver takes ``progress=``/``guards=`` keywords (long-running).
-    accepts_progress: bool = False
     #: Free-form labels (``"paper"``, ``"taskbench"``, ``"collective"``).
     tags: tuple = ()
 
@@ -128,17 +131,19 @@ class WorkloadSpec:
         """The workload's config dataclass (resolved)."""
         return _resolve(self.config)
 
-    def driver_fn(self) -> Callable:
-        """The workload's benchmark driver (resolved)."""
-        return _resolve(self.driver)
+    def result_fn(self) -> Callable:
+        """The workload's result function (resolved)."""
+        return _resolve(self.result or "repro.workloads.runner:graph_result")
 
-    def reducer_fn(self) -> Callable:
-        """The workload's typed result reducer (resolved)."""
-        return _resolve(self.reducer)
+    def context_options(self, config: Any) -> dict:
+        """The ``ParsecContext`` keywords for ``config``.
 
-    def graph_fn(self) -> Optional[Callable]:
-        """The workload's ``(config, platform) -> TaskGraph`` builder."""
-        return _resolve(self.graph) if self.graph is not None else None
+        ``platform`` is always among them."""
+        if self.context is not None:
+            return dict(_resolve(self.context)(config))
+        from repro.config import scaled_platform
+
+        return {"platform": scaled_platform(num_nodes=config.num_nodes)}
 
     def field_names(self) -> frozenset:
         """Names of every config field (the accepted parameter set)."""
@@ -200,40 +205,27 @@ class WorkloadSpec:
         progress: Any = None,
         guards: Any = None,
     ):
-        """Execute one run through the workload's driver.
+        """Execute one run and return the frozen typed result.
 
-        ``progress``/``guards`` are forwarded only to drivers declaring
-        ``accepts_progress``; passing them to any other workload raises
-        :class:`~repro.errors.ConfigError` instead of silently dropping
-        a supervision request.
-        """
-        kwargs = {
-            "faults": faults,
-            "schedule_policy": schedule_policy,
-            "ctx_observer": ctx_observer,
-        }
-        if self.accepts_progress:
-            kwargs["progress"] = progress
-            kwargs["guards"] = guards
-        elif progress is not None or guards is not None:
-            raise ConfigError(
-                f"workload {self.name!r} does not support progress "
-                f"reporting or run guards"
-            )
-        return self.driver_fn()(backend, config, platform, **kwargs)
+        See :func:`~repro.workloads.runner.run_workload`."""
+        from repro.workloads.runner import run_workload
 
-    def freeze(self, raw: Any, backend: str):
-        """Reduce a raw driver result to the frozen typed public result."""
-        return self.reducer_fn()(raw, backend)
+        return run_workload(
+            self, backend, config, platform,
+            faults=faults,
+            schedule_policy=schedule_policy,
+            ctx_observer=ctx_observer,
+            progress=progress,
+            guards=guards,
+        )
 
     def build_graph(self, config: Any, platform: Any):
         """Build (without running) the workload's task graph."""
-        builder = self.graph_fn()
-        if builder is None:
+        if self.graph is None:
             raise ConfigError(
                 f"workload {self.name!r} has no task-graph builder"
             )
-        return builder(config, platform)
+        return _resolve(self.graph)(config, platform)
 
 
 _REGISTRY: dict = {}

@@ -1,18 +1,10 @@
-"""Tests for the benchmark workload generators and drivers."""
+"""Tests for the benchmark workload generators and their runs."""
 
 import pytest
 
-from repro.bench.overlap import (
-    OverlapConfig,
-    no_overlap_flops,
-    roofline_flops,
-    run_overlap_benchmark,
-)
-from repro.bench.pingpong import (
-    PingPongConfig,
-    build_pingpong_graph,
-    run_pingpong_benchmark,
-)
+from repro import Experiment
+from repro.bench.overlap import OverlapConfig, no_overlap_flops, roofline_flops
+from repro.bench.pingpong import PingPongConfig, build_pingpong_graph
 from repro.bench.report import Comparison
 from repro.config import scaled_platform
 from repro.errors import BenchmarkError
@@ -72,10 +64,10 @@ class TestPingPongGraph:
 
 class TestPingPongDriver:
     def test_result_fields(self):
-        r = run_pingpong_benchmark(
-            "lci",
-            PingPongConfig(fragment_size=256 * KiB, total_bytes=1 * MiB, iterations=4),
-        )
+        r = Experiment(
+            workload="pingpong", backend="lci",
+            fragment_size=256 * KiB, total_bytes=1 * MiB, iterations=4,
+        ).run()
         assert r.bandwidth > 0
         assert r.bandwidth_gbit == pytest.approx(r.bandwidth * 8 / 1e9)
         assert len(r.iteration_times) == 4
@@ -83,9 +75,11 @@ class TestPingPongDriver:
         assert "lci" in r.summary()
 
     def test_deterministic(self):
-        cfg = PingPongConfig(fragment_size=256 * KiB, total_bytes=1 * MiB, iterations=4)
-        a = run_pingpong_benchmark("mpi", cfg)
-        b = run_pingpong_benchmark("mpi", cfg)
+        exp = Experiment(workload="pingpong", backend="mpi",
+                         fragment_size=256 * KiB, total_bytes=1 * MiB,
+                         iterations=4)
+        a = exp.run()
+        b = exp.run()
         assert a.bandwidth == b.bandwidth
 
 
@@ -106,8 +100,8 @@ class TestOverlapConfig:
 
     def test_driver_runs(self):
         plat = scaled_platform(num_nodes=2)
-        cfg = OverlapConfig(fragment_size=1 * MiB, total_bytes=4 * MiB)
-        r = run_overlap_benchmark("lci", cfg, plat)
+        r = Experiment(workload="overlap", backend="lci",
+                       fragment_size=1 * MiB, total_bytes=4 * MiB).run(platform=plat)
         assert r.flops_per_s > 0
         assert r.total_flops > 0
         assert "overlap" in r.summary()

@@ -12,15 +12,15 @@ stability, not digit matching.
 
 import pytest
 
-from repro.bench.pingpong import PingPongConfig, run_pingpong_benchmark
+from repro import Experiment
 from repro.units import KiB, MiB
 
 
 def bandwidth(backend: str, fragment: int) -> float:
-    r = run_pingpong_benchmark(
-        backend,
-        PingPongConfig(fragment_size=fragment, total_bytes=8 * MiB, iterations=5),
-    )
+    r = Experiment(
+        workload="pingpong", backend=backend,
+        fragment_size=fragment, total_bytes=8 * MiB, iterations=5,
+    ).run()
     return r.bandwidth_gbit
 
 

@@ -12,8 +12,8 @@ from repro.faults import fault_plan
 # "chaos" plan to guarantee every injector actually fires.
 PLAN = dataclasses.replace(fault_plan("chaos"), drop_rate=0.08,
                            dup_rate=0.05, corrupt_rate=0.05)
-CFG = ChaosConfig(plan_name="chaos", plan=PLAN,
-                  matrix_size=4800, tile_size=1200, num_nodes=2, seed=1)
+CFG = ChaosConfig(plan_name="chaos", plan=PLAN, num_nodes=2, seed=1,
+                  params={"matrix_size": 4800, "tile_size": 1200})
 
 
 def assert_no_leaks(ctx, backend):
@@ -54,3 +54,25 @@ class TestChaosSoak:
         assert res.total_injected > 0
         assert res.recovered.get("drop", 0) > 0
         assert "injected" in res.summary()
+
+
+#: The CLI's default chaos pair (``python -m repro chaos``: hicma N=7200,
+#: tile 1200, 2 nodes, seed 0): tasks, makespan and injections per
+#: backend, which the registry's hicma graph builder must reproduce.
+DEFAULT_PAIR = {
+    "mpi": (56, 0.002264557792789068,
+            {"corrupt": 4, "delay": 11, "drop": 2, "dup": 1, "flap": 3,
+             "pool_spike": 0, "straggler": 1}),
+    "lci": (56, 0.0019332319124704535,
+            {"corrupt": 4, "delay": 11, "drop": 2, "dup": 1, "flap": 0,
+             "pool_spike": 1, "straggler": 1}),
+}
+
+
+@pytest.mark.parametrize("backend", ["mpi", "lci"])
+def test_default_chaos_pair_pinned(backend):
+    cfg = ChaosConfig(plan_name="chaos", plan=fault_plan("chaos"),
+                      params={"matrix_size": 7200, "tile_size": 1200})
+    res = run_chaos(backend, cfg)
+    assert (res.stats.tasks_executed, res.stats.makespan,
+            res.injected) == DEFAULT_PAIR[backend]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import _size, build_parser, main
+from repro.errors import BenchmarkError
 
 
 class TestSizeParsing:
@@ -74,7 +75,13 @@ class TestCommands:
             ["hicma", "--matrix", "7200", "--tile", "1200", "--nodes", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "TTS=" in out
+        assert "time-to-solution" in out
+
+    def test_chaos_rejects_indivisible_matrix(self):
+        """``--matrix`` must divide by ``--tile``, as for ``run hicma``;
+        a silently rounded-down matrix is not the job asked for."""
+        with pytest.raises(BenchmarkError, match="not divisible"):
+            main(["chaos", "--matrix", "7000", "--tile", "1200"])
 
     def test_hicma_native_put(self, capsys):
         assert main(

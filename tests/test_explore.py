@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.pingpong import PingPongConfig, run_pingpong_benchmark
+from repro import Experiment
 from repro.errors import ExploreError
 from repro.explore import (
     ExploreConfig,
@@ -22,16 +22,17 @@ from repro.explore import (
 
 DATA = Path(__file__).parent / "data"
 
-CFG = PingPongConfig(fragment_size=256 * 1024, total_bytes=1024 * 1024,
-                     iterations=3)
+PINGPONG = Experiment(workload="pingpong", backend="lci",
+                      fragment_size=256 * 1024, total_bytes=1024 * 1024,
+                      iterations=3)
 
 
 class TestPolicyKernel:
     def test_fifo_policy_is_bit_identical(self):
         """An all-FIFO replay policy must not perturb the default schedule."""
-        base = run_pingpong_benchmark("lci", CFG)
-        replay = run_pingpong_benchmark(
-            "lci", CFG, schedule_policy=ReplayPolicy([], budget=24)
+        base = PINGPONG.run()
+        replay = PINGPONG.run(
+            schedule_policy=ReplayPolicy([], budget=24)
         )
         assert replay.makespan == base.makespan
         assert replay.iteration_times == base.iteration_times
@@ -39,20 +40,20 @@ class TestPolicyKernel:
 
     def test_recording_policy_sees_choice_points(self):
         policy = ReplayPolicy([], budget=24)
-        run_pingpong_benchmark("lci", CFG, schedule_policy=policy)
+        PINGPONG.run(schedule_policy=policy)
         assert len(policy.sites) > 0
         assert policy.total_sites >= len(policy.sites)
         assert all(site["n"] >= 2 for site in policy.sites)
 
     def test_random_walk_records_taken_decisions(self):
         policy = RandomWalkPolicy(seed=7, budget=24)
-        run_pingpong_benchmark("lci", CFG, schedule_policy=policy)
+        PINGPONG.run(schedule_policy=policy)
         assert len(policy.taken) == len(policy.sites)
         # Replaying the taken decisions reproduces the walk exactly.
         replay = ReplayPolicy(list(policy.taken), budget=24)
-        r1 = run_pingpong_benchmark("lci", CFG, schedule_policy=replay)
-        r2 = run_pingpong_benchmark(
-            "lci", CFG, schedule_policy=RandomWalkPolicy(seed=7, budget=24)
+        r1 = PINGPONG.run(schedule_policy=replay)
+        r2 = PINGPONG.run(
+            schedule_policy=RandomWalkPolicy(seed=7, budget=24)
         )
         assert r1.makespan == r2.makespan
 

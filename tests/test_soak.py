@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.pingpong import PingPongConfig, run_pingpong_benchmark
+from repro import Experiment
 from repro.config import scaled_platform
 from repro.runtime import ParsecContext
 from repro.units import KiB, MiB
@@ -51,27 +51,27 @@ class TestMultiNodeStreams:
         """§6.2: with P streams on P nodes, every node sends and receives
         concurrently each iteration."""
         nodes = 4
-        r = run_pingpong_benchmark(
-            "lci",
-            PingPongConfig(
-                fragment_size=256 * KiB,
-                streams=nodes,
-                num_nodes=nodes,
-                total_bytes=2 * MiB,
-                iterations=4,
-                sync=False,
-            ),
-        )
+        r = Experiment(
+            workload="pingpong",
+            backend="lci",
+            nodes=nodes,
+            fragment_size=256 * KiB,
+            streams=nodes,
+            total_bytes=2 * MiB,
+            iterations=4,
+            sync=False,
+        ).run()
         assert r.tasks > 0
         # Aggregate bandwidth beyond a single link's unidirectional rate:
         # 4 rings drive all 4 NICs simultaneously.
         assert r.bandwidth_gbit > 150.0
 
     def test_multi_node_pingpong_deterministic(self):
-        cfg = PingPongConfig(
-            fragment_size=128 * KiB, streams=3, num_nodes=3,
+        exp = Experiment(
+            workload="pingpong", backend="mpi", nodes=3,
+            fragment_size=128 * KiB, streams=3,
             total_bytes=1 * MiB, iterations=3,
         )
-        a = run_pingpong_benchmark("mpi", cfg)
-        b = run_pingpong_benchmark("mpi", cfg)
+        a = exp.run()
+        b = exp.run()
         assert a.bandwidth == b.bandwidth

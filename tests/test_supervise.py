@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
+from repro import Experiment
 from repro.config import SweepConfig
 from repro.errors import (
     ConfigError,
@@ -30,6 +30,11 @@ from repro.sweep import SweepPoint, SweepSpec, pingpong_grid, run_sweep
 ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = dict(matrix_size=2048, tile_size=256, num_nodes=4)
+
+
+def run_small(**run_kw):
+    """One run of the SMALL hicma job through the Experiment API."""
+    return Experiment(workload="hicma", backend="lci", **SMALL).run(**run_kw)
 
 
 def tiny_grid():
@@ -57,14 +62,13 @@ class TestRunGuards:
     def test_disabled_guards_are_noop(self):
         guards = RunGuards()
         assert not guards.enabled
-        r1 = run_hicma_benchmark("lci", HicmaConfig(**SMALL))
-        r2 = run_hicma_benchmark("lci", HicmaConfig(**SMALL), guards=guards)
+        r1 = run_small()
+        r2 = run_small(guards=guards)
         assert r1.time_to_solution == r2.time_to_solution
 
     def test_event_budget_aborts_with_snapshot_and_partial(self):
         with pytest.raises(RunBudgetExceeded) as exc_info:
-            run_hicma_benchmark(
-                "lci", HicmaConfig(**SMALL),
+            run_small(
                 guards=RunGuards(max_events=1000, check_every=256),
             )
         exc = exc_info.value
@@ -80,10 +84,20 @@ class TestRunGuards:
         assert 0 < exc.partial.tasks_executed < 120
         assert exc.partial.makespan > 0
 
+    def test_pingpong_honours_guards(self):
+        """Every workload takes run guards, the paper's ping-pong included."""
+        experiment = Experiment(workload="pingpong", backend="lci",
+                                fragment_size=256 * 1024,
+                                total_bytes=1024 * 1024, iterations=3)
+        with pytest.raises(RunBudgetExceeded) as exc_info:
+            experiment.run(guards=RunGuards(max_events=200, check_every=64))
+        partial = exc_info.value.partial
+        assert partial is not None
+        assert 0 < partial.tasks_executed < experiment.run().tasks
+
     def test_deadline_aborts(self):
         with pytest.raises(RunBudgetExceeded) as exc_info:
-            run_hicma_benchmark(
-                "lci", HicmaConfig(**SMALL),
+            run_small(
                 guards=RunGuards(deadline=1e-9, check_every=64),
             )
         assert "deadline" in str(exc_info.value)
@@ -91,8 +105,7 @@ class TestRunGuards:
     def test_memory_ceiling_aborts(self):
         # 1 byte of RSS budget trips on the first check.
         with pytest.raises(RunBudgetExceeded) as exc_info:
-            run_hicma_benchmark(
-                "lci", HicmaConfig(**SMALL),
+            run_small(
                 guards=RunGuards(max_rss_bytes=1, check_every=64),
             )
         assert "memory ceiling" in str(exc_info.value)
@@ -100,17 +113,15 @@ class TestRunGuards:
     def test_no_progress_aborts(self):
         # A window far below the inter-completion gap reads as live-lock.
         with pytest.raises(NoProgressError) as exc_info:
-            run_hicma_benchmark(
-                "lci", HicmaConfig(**SMALL),
+            run_small(
                 guards=RunGuards(no_progress_window=1e-9, check_every=64),
             )
         assert "no progress" in str(exc_info.value)
         assert exc_info.value.snapshot["tasks_total"] == 120
 
     def test_generous_guards_bit_identical(self):
-        r1 = run_hicma_benchmark("lci", HicmaConfig(**SMALL))
-        r2 = run_hicma_benchmark(
-            "lci", HicmaConfig(**SMALL),
+        r1 = run_small()
+        r2 = run_small(
             guards=RunGuards(deadline=3600.0, max_events=10**9,
                              no_progress_window=3600.0),
         )
@@ -122,11 +133,11 @@ class TestRunGuards:
         from repro.obs.progress import ProgressReporter
 
         reporter = ProgressReporter(interval=0.0)
-        r = run_hicma_benchmark(
-            "lci", HicmaConfig(**SMALL), progress=reporter,
+        r = run_small(
+            progress=reporter,
             guards=RunGuards(deadline=3600.0),
         )
-        base = run_hicma_benchmark("lci", HicmaConfig(**SMALL))
+        base = run_small()
         assert r.time_to_solution == base.time_to_solution
         assert reporter.beats > 0  # the chained tick still fired
 

@@ -1,11 +1,13 @@
 """The sweep engine: cache correctness, determinism, failure handling."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from repro import Experiment
 from repro.config import SweepConfig
 from repro.errors import SweepError
 from repro.sweep import (
@@ -21,6 +23,7 @@ from repro.sweep import (
     run_sweep,
     stable_hash,
 )
+from repro.sweep.spec import resolve_platform, taskbench_grid
 
 
 def tiny_grid():
@@ -69,6 +72,26 @@ class TestPointKey:
         cold = point_key(point)
         monkeypatch.setenv("REPRO_PAPER_SCALE", "1")
         assert point_key(point) != cold
+
+    @pytest.mark.parametrize("point", [
+        SweepPoint("stencil", "lci", {"grid": 4, "steps": 2}),
+        SweepPoint("hicma", "lci", {"matrix_size": 2400, "tile_size": 1200}),
+    ], ids=["stencil", "hicma"])
+    def test_key_platform_is_the_run_platform(self, point, monkeypatch):
+        """A point without ``num_nodes`` keys and runs on the workload's
+        default node count, not a 2-node guess."""
+        import repro.runtime.context as context
+
+        seen = []
+
+        class Recording(context.ParsecContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self)
+
+        monkeypatch.setattr(context, "ParsecContext", Recording)
+        execute_point(point)
+        assert seen[0].platform.to_dict() == resolve_platform(point).to_dict()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SweepError):
@@ -147,6 +170,24 @@ class TestRunSweep:
         outcome = run_sweep(spec, SweepConfig(cache_enabled=False))
         direct = json.loads(json.dumps(execute_point(spec.points[0]), sort_keys=True))
         assert json.dumps(outcome.records[0]) == json.dumps(direct)
+
+    @pytest.mark.parametrize("grid", ["fig4", "pingpong", "taskbench"])
+    def test_record_is_the_frozen_result(self, grid):
+        """A sweep record holds exactly the fields ``Experiment.run()``
+        returns for the same point."""
+        if grid == "fig4":
+            points = named_grid("fig4").points
+            # The coarsest tile: the cheapest point of the scan.
+            point = max(points, key=lambda p: p.params["tile_size"])
+        elif grid == "pingpong":
+            point = tiny_grid().points[0]
+        else:
+            point = taskbench_grid().points[0]
+        record = execute_point(point)
+        result = Experiment(workload=point.kind, backend=point.backend,
+                            **point.params).run()
+        assert record == dataclasses.asdict(result)
+        assert record["workload"] == point.kind
 
     def test_obs_events_and_counters(self, tmp_path):
         from repro.obs import ObsBus

@@ -2,8 +2,7 @@
 
 Covers the registration contract (duplicate/invalid names, schema
 completeness), parameter validation through ``build_config``, builtin
-bit-identity (the registry path must produce exactly what the historical
-direct-driver path produced, on both simulation kernels), the new DAG
+bit-identity (``spec.run`` and ``Experiment`` give the same result), the new DAG
 generators' structure and determinism, end-to-end execution of the
 catalog scenarios on both backends, and a dummy third-party plugin driven
 through the sweep engine and the schedule explorer.
@@ -19,10 +18,8 @@ from repro.config import SweepConfig, scaled_platform
 from repro.errors import ConfigError, ExploreError, SweepError
 from repro.workloads import (
     WorkloadSpec,
-    freeze_graph_result,
     get_workload,
     register,
-    run_graph_benchmark,
     unregister,
     workload_names,
     workload_specs,
@@ -151,45 +148,21 @@ class TestParamValidation:
         with pytest.raises(ConfigError, match="mode"):
             get_workload("tree").build_config(mode="scatter")
 
-    def test_progress_rejected_without_support(self):
-        spec = get_workload("pingpong")
-        cfg = spec.build_config(fragment_size=256 * KiB)
-        with pytest.raises(ConfigError, match="progress"):
-            spec.run("lci", cfg, progress=lambda *_: None)
-
-    def test_hicma_accepts_progress(self):
-        assert get_workload("hicma").accepts_progress
-        # So does every catalog workload: they share the graph driver.
-        for spec in workload_specs():
-            if "scenario" in spec.tags:
-                assert spec.accepts_progress, spec.name
-
 
 class TestBuiltinBitIdentity:
-    """The registry path must be indistinguishable from the historical
-    direct-driver path, result for result."""
+    """The registry path must be indistinguishable from the Experiment
+    path, result for result."""
 
     def test_pingpong_registry_equals_experiment(self):
         spec = get_workload("pingpong")
         cfg = spec.build_config(fragment_size=256 * KiB,
                                 total_bytes=1 * MiB, iterations=3)
-        via_registry = spec.freeze(spec.run("lci", cfg), "lci")
+        via_registry = spec.run("lci", cfg)
         via_api = repro.Experiment(
             workload="pingpong", backend="lci", fragment_size=256 * KiB,
             total_bytes=1 * MiB, iterations=3,
         ).run()
         assert via_registry == via_api
-
-    def test_overlap_registry_equals_direct_driver(self):
-        from repro.bench.overlap import OverlapConfig, run_overlap_benchmark
-
-        spec = get_workload("overlap")
-        cfg = spec.build_config(fragment_size=1 * MiB, total_bytes=4 * MiB)
-        assert isinstance(cfg, OverlapConfig)
-        via_registry = spec.run("mpi", cfg)
-        direct = run_overlap_benchmark("mpi", cfg)
-        assert via_registry.flops_per_s == direct.flops_per_s
-        assert via_registry.makespan == direct.makespan
 
 
 class TestGenerators:
@@ -280,7 +253,7 @@ class TestCatalogEndToEnd:
         spec = get_workload("stencil")
         cfg = spec.build_config(grid=4, steps=2, num_nodes=2)
         graph = spec.build_graph(cfg, scaled_platform(num_nodes=2))
-        result = spec.freeze(spec.run("lci", cfg), "lci")
+        result = spec.run("lci", cfg)
         assert result.tasks == graph.num_tasks
 
 
@@ -305,15 +278,6 @@ def _plugin_graph(cfg, platform):
     return chain(cfg.length, cfg.num_nodes)
 
 
-def _plugin_driver(backend, cfg, platform=None, *, faults=None,
-                   schedule_policy=None, ctx_observer=None):
-    return run_graph_benchmark(
-        "dummyplug", _plugin_graph, backend, cfg, platform,
-        faults=faults, schedule_policy=schedule_policy,
-        ctx_observer=ctx_observer,
-    )
-
-
 @pytest.fixture()
 def dummy_plugin():
     spec = register(WorkloadSpec(
@@ -321,8 +285,6 @@ def dummy_plugin():
         description="In-test third-party plugin: a tiny chain.",
         example="python -m repro run dummyplug",
         config=_PluginConfig,
-        driver=_plugin_driver,
-        reducer=freeze_graph_result,
         graph=_plugin_graph,
         param_docs=(("length", "Chain length."),
                     ("num_nodes", "Cluster size."),

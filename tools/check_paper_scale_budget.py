@@ -89,16 +89,16 @@ def deadline_smoke() -> "tuple[dict, list]":
     suite's budget; what it exercises — tick-hook guards, structured
     abort, snapshot, partial-stats salvage — is scale-independent.
     """
-    from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
+    from repro import Experiment
     from repro.errors import RunBudgetExceeded
     from repro.supervise import RunGuards
 
-    cfg = HicmaConfig(matrix_size=2048, tile_size=256, num_nodes=4)
+    experiment = Experiment(workload="hicma", backend="lci", nodes=4,
+                            matrix_size=2048, tile_size=256)
     problems = []
     doc = {}
     try:
-        run_hicma_benchmark(
-            "lci", cfg,
+        experiment.run(
             guards=RunGuards(deadline=3600.0, max_events=1000, check_every=256),
         )
         problems.append("guarded run finished: max_events guard never fired")
@@ -119,17 +119,21 @@ def deadline_smoke() -> "tuple[dict, list]":
 
 def full_run(nodes: int, tile: int) -> dict:
     """Simulate the paper-scale point end to end; return run metrics."""
-    from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
+    from repro import Experiment
     from repro.config import expanse_platform
     from repro.obs.progress import ProgressReporter
 
-    cfg = HicmaConfig(matrix_size=PAPER_N, tile_size=tile, num_nodes=nodes)
+    experiment = Experiment(workload="hicma", backend="lci", nodes=nodes,
+                            matrix_size=PAPER_N, tile_size=tile)
     reporter = ProgressReporter(interval=10.0, stream=sys.stderr)
+    seen = []
     t0 = time.perf_counter()
-    result = run_hicma_benchmark(
-        "lci", cfg, expanse_platform(num_nodes=nodes), progress=reporter,
+    result = experiment.run(
+        platform=expanse_platform(num_nodes=nodes), progress=reporter,
+        ctx_observer=seen.append,
     )
     wall = time.perf_counter() - t0
+    events = seen[0].sim.events_processed
     return {
         "run_wall_seconds": round(wall, 1),
         "makespan_seconds": result.time_to_solution,
@@ -137,8 +141,8 @@ def full_run(nodes: int, tile: int) -> dict:
         "mean_flow_latency": result.flow_latency.get("mean", 0.0),
         "activates_sent": result.activates_sent,
         "wire_bytes": result.wire_bytes,
-        "events_total": result.events_processed,
-        "events_per_second": round(result.events_processed / wall, 1),
+        "events_total": events,
+        "events_per_second": round(events / wall, 1),
         "peak_rss_gib": round(peak_rss_bytes() / 2**30, 3),
         "progress_beats": reporter.beats,
     }
