@@ -14,7 +14,6 @@ Run:  python examples/dense_vs_tlr.py           (~1 minute)
 from repro.analysis.ascii_plot import ascii_table
 from repro.config import scaled_platform
 from repro.hicma import KernelTimeModel, RankModel, build_tlr_cholesky_graph
-from repro.hicma.dag import build_dense_cholesky_graph
 from repro.runtime import ParsecContext
 
 
@@ -26,7 +25,10 @@ def main() -> None:
     ranks = RankModel(nt, tile, maxrank=150)
 
     graphs = {
-        "dense (DPLASMA)": build_dense_cholesky_graph(nt, tile, nodes, times),
+        # A dense band as wide as the matrix: every tile dense.
+        "dense (DPLASMA)": build_tlr_cholesky_graph(
+            nt, tile, nodes, time_model=times, band=nt
+        ),
         "TLR (HiCMA)": build_tlr_cholesky_graph(
             nt, tile, nodes, rank_model=ranks, time_model=times
         ),

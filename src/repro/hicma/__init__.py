@@ -12,35 +12,49 @@ Two complementary halves:
   our own measured ranks, kernel flop/time models, and a task-graph builder
   producing the two-flow TLR Cholesky DAG the paper runs at N = 360,000 —
   executable on the simulated PaRSEC runtime at any scale.
+
+The numerics import SciPy; the simulation models need only NumPy.  So
+the numerics names resolve on first use (PEP 562), and a simulated HiCMA
+run never loads SciPy.
 """
 
-from repro.hicma.starsh import SqExpProblem
-from repro.hicma.lowrank import LowRankTile, compress_dense, recompress
-from repro.hicma.tlr import TLRMatrix
-from repro.hicma.cholesky import tlr_cholesky, dense_tiled_cholesky
-from repro.hicma.solve import tlr_solve, tlr_forward_solve, tlr_backward_solve
+import importlib
+
 from repro.hicma.ranks import RankModel
 from repro.hicma.timing import KernelTimeModel
-from repro.hicma.dag import (
-    build_tlr_cholesky_graph,
-    build_dense_cholesky_graph,
-    block_cyclic_node,
-)
+from repro.hicma.dag import build_tlr_cholesky_graph, block_cyclic_node
+
+#: Numerics name -> the submodule defining it, imported on first access.
+_NUMERICS = {
+    "SqExpProblem": "starsh",
+    "LowRankTile": "lowrank",
+    "compress_dense": "lowrank",
+    "recompress": "lowrank",
+    "TLRMatrix": "tlr",
+    "tlr_cholesky": "cholesky",
+    "dense_tiled_cholesky": "cholesky",
+    "tlr_solve": "solve",
+    "tlr_forward_solve": "solve",
+    "tlr_backward_solve": "solve",
+}
 
 __all__ = [
-    "SqExpProblem",
-    "LowRankTile",
-    "compress_dense",
-    "recompress",
-    "TLRMatrix",
-    "tlr_cholesky",
-    "dense_tiled_cholesky",
-    "tlr_solve",
-    "tlr_forward_solve",
-    "tlr_backward_solve",
+    *_NUMERICS,
     "RankModel",
     "KernelTimeModel",
     "build_tlr_cholesky_graph",
-    "build_dense_cholesky_graph",
     "block_cyclic_node",
 ]
+
+
+def __getattr__(name: str):
+    module = _NUMERICS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_NUMERICS})

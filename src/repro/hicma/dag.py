@@ -57,7 +57,9 @@ def build_tlr_cholesky_graph(
 
     ``band`` widens the dense diagonal band (the paper uses 1): tiles with
     ``|i − j| < band`` are dense, so their kernels run at dense rates and
-    their dataflows carry full b²·8-byte tiles.
+    their dataflows carry full b²·8-byte tiles.  ``band=nt`` makes every
+    tile dense: the dense tile Cholesky of DPLASMA, HiCMA's substrate,
+    whose compute and traffic show what compression saves (§6.4.1).
     """
     if nt < 1:
         raise HicmaError("need at least one tile")
@@ -69,104 +71,72 @@ def build_tlr_cholesky_graph(
     g = TaskGraph()
     b = tile_size
     dense_bytes = b * b * 8
-    # Emit straight into the columnar builder: bind the two append methods
-    # once — at paper scale (NT=150) this loop runs ~575k times and the
-    # builder appends are the entire cost of the build.
+    # Everything a task needs besides its flows depends only on the tile's
+    # distance d = i − j from the diagonal (dense when d < band), so it is
+    # tabulated per distance once.  At paper scale (NT=150) the loop below
+    # runs ~575k times and the builder appends are then most of its cost.
+    rank_at = [0 if d < band else ranks.rank(d, 0) for d in range(nt)]
+    trsm_at = [times.trsm_dense(b) if d < band else times.trsm(b, rank_at[d])
+               for d in range(nt)]
+    syrk_at = [times.syrk_dense(b) if d < band else times.syrk(b, rank_at[d])
+               for d in range(nt)]
+    # A TRSM output ships as one dense tile, or, low rank, as the U and V
+    # factors in two flows (two-flow variant) or one packed flow.
+    panel_at = [
+        (dense_bytes,) if d < band
+        else (b * rank_at[d] * 8,) * 2 if two_flow
+        else (2 * b * rank_at[d] * 8,)
+        for d in range(nt)
+    ]
+    gemm_out_at = [dense_bytes if d < band else 2 * b * rank_at[d] * 8
+                   for d in range(nt)]
+    # GEMM(i, j, k) durations by (A = tile (i, k) dense, B = tile (j, k)
+    # dense), then by the distance of its C = tile (i, j).
+    gemm_at = {
+        (a_dense, b_dense): [
+            times.gemm_mixed(b, max(rank_at[d], 1), d < band, a_dense, b_dense)
+            for d in range(nt)
+        ]
+        for a_dense in (False, True) for b_dense in (False, True)
+    }
+    potrf_d = times.potrf(b)
     add_task = g.add_task
     add_flow = g.add_flow
-    rank_of = ranks.rank
-    potrf_d = times.potrf(b)
-
-    def owner(i: int, j: int) -> int:
-        return block_cyclic_node(i, j, p, q)
-
-    def is_dense(i: int, j: int) -> bool:
-        return abs(i - j) < band
-
-    def prio(kind: str, k: int) -> float:
+    # tile[i][j]: the flow holding the latest version of tile (i, j) (its
+    # accumulation chain), or () before any update.  The owner of tile
+    # (i, j) is block_cyclic_node(i, j, p, q), inlined.
+    tile: list[list[tuple]] = [[()] * nt for _ in range(nt)]
+    for k in range(nt):
         # Higher = sooner.  Panel ops of early steps dominate the critical
         # path; within a step POTRF > TRSM > SYRK > GEMM (DPLASMA-style).
-        base = {"potrf": 3e9, "trsm": 2e9, "syrk": 1e9, "gemm": 0.0}[kind]
-        return base + (nt - k) * 1e3
-
-    # tile_dep[(i, j)] = flow ids representing the latest version of tile
-    # (i, j) (the accumulation chain); None before any update.
-    tile_dep: dict[tuple[int, int], list[int]] = {}
-    # trsm_flows[i] = flows of the current panel column's TRSM output row i.
-    for k in range(nt):
-        # ---- POTRF(k) ----
-        inputs = tile_dep.pop((k, k), [])
-        potrf_t = add_task(
-            node=owner(k, k),
-            duration=potrf_d,
-            priority=prio("potrf", k),
-            inputs=inputs,
-            kind="potrf",
+        potrf_p, trsm_p, syrk_p, gemm_p = (
+            base + (nt - k) * 1e3 for base in (3e9, 2e9, 1e9, 0.0)
         )
+        col = k % q
+        potrf_t = add_task((k % p) * q + col, potrf_d, potrf_p, tile[k][k], "potrf")
         if k == nt - 1:
             break
         # L_kk flows to every TRSM in column k (broadcast).
-        lkk_flow = add_flow(potrf_t, dense_bytes)
-
-        # ---- TRSM(i, k) for i > k ----
-        trsm_flows: dict[int, list[int]] = {}
+        lkk = (add_flow(potrf_t, dense_bytes),)
+        # panel[i]: the flows of TRSM(i, k)'s output, read by SYRK(i, k)
+        # and by every GEMM in row and column i.
+        panel: list[tuple] = [()] * nt
         for i in range(k + 1, nt):
-            inputs = [lkk_flow] + tile_dep.pop((i, k), [])
-            dense_panel = is_dense(i, k)
-            r = 0 if dense_panel else rank_of(i, k)
-            trsm_t = add_task(
-                node=owner(i, k),
-                duration=times.trsm_dense(b) if dense_panel else times.trsm(b, r),
-                priority=prio("trsm", k),
-                inputs=inputs,
-                kind="trsm",
-            )
-            if dense_panel:
-                trsm_flows[i] = [add_flow(trsm_t, dense_bytes)]
-            elif two_flow:
-                half = b * r * 8
-                trsm_flows[i] = [add_flow(trsm_t, half), add_flow(trsm_t, half)]
-            else:
-                trsm_flows[i] = [add_flow(trsm_t, 2 * b * r * 8)]
-
-        # ---- SYRK(i, k) and GEMM(i, j, k) ----
+            trsm_t = add_task((i % p) * q + col, trsm_at[i - k], trsm_p,
+                              lkk + tile[i][k], "trsm")
+            panel[i] = tuple(add_flow(trsm_t, size) for size in panel_at[i - k])
         for i in range(k + 1, nt):
-            panel_dense = is_dense(i, k)
-            r_ik = 0 if panel_dense else rank_of(i, k)
-            syrk_inputs = list(trsm_flows[i]) + tile_dep.pop((i, i), [])
-            syrk_t = add_task(
-                node=owner(i, i),
-                duration=times.syrk_dense(b) if panel_dense else times.syrk(b, r_ik),
-                priority=prio("syrk", k),
-                inputs=syrk_inputs,
-                kind="syrk",
-            )
+            row, tile_i, panel_i = (i % p) * q, tile[i], panel[i]
+            syrk_t = add_task(row + i % q, syrk_at[i - k], syrk_p,
+                              panel_i + tile_i[i], "syrk")
             # SYRK's output is the updated (i,i) tile: a node-local chain
             # flow consumed by the next update or the POTRF of step i.
-            tile_dep[(i, i)] = [add_flow(syrk_t, dense_bytes)]
+            tile_i[i] = (add_flow(syrk_t, dense_bytes),)
+            a_dense = i - k < band
             for j in range(k + 1, i):
-                gemm_inputs = (
-                    list(trsm_flows[i])
-                    + list(trsm_flows[j])
-                    + tile_dep.pop((i, j), [])
-                )
-                c_dense = is_dense(i, j)
-                r_ij = 0 if c_dense else rank_of(i, j)
-                gemm_t = add_task(
-                    node=owner(i, j),
-                    duration=times.gemm_mixed(
-                        b,
-                        max(r_ij, 1),
-                        c_dense,
-                        is_dense(i, k),
-                        is_dense(j, k),
-                    ),
-                    priority=prio("gemm", k),
-                    inputs=gemm_inputs,
-                    kind="gemm",
-                )
-                out_bytes = dense_bytes if c_dense else 2 * b * r_ij * 8
-                tile_dep[(i, j)] = [add_flow(gemm_t, out_bytes)]
+                gemm_t = add_task(row + j % q, gemm_at[a_dense, j - k < band][i - j],
+                                  gemm_p, panel_i + panel[j] + tile_i[j], "gemm")
+                tile_i[j] = (add_flow(gemm_t, gemm_out_at[i - j]),)
     return g
 
 
@@ -206,80 +176,3 @@ def build_compression_graph(
 def expected_task_count(nt: int) -> int:
     """POTRF + TRSM + SYRK + GEMM counts for an NT-tile Cholesky."""
     return nt + nt * (nt - 1) // 2 + nt * (nt - 1) // 2 + nt * (nt - 1) * (nt - 2) // 6
-
-
-def build_dense_cholesky_graph(
-    nt: int,
-    tile_size: int,
-    num_nodes: int,
-    time_model: Optional[KernelTimeModel] = None,
-) -> TaskGraph:
-    """The DPLASMA substrate: dense tile Cholesky DAG.
-
-    Same task-graph structure as the TLR variant, but every tile is dense:
-    kernels are full-rank BLAS3 (TRSM b³, SYRK b³, GEMM 2b³) and every
-    dataflow carries b²·8 bytes.  HiCMA's motivation (§6.4.1) is visible by
-    comparing this graph's compute and traffic with the TLR one.
-    """
-    if nt < 1:
-        raise HicmaError("need at least one tile")
-    times = time_model or KernelTimeModel()
-    rate = times.compute.flops_per_core
-    p, q = process_grid(num_nodes)
-    g = TaskGraph()
-    b = tile_size
-    dense_bytes = b * b * 8
-    potrf_d = times.potrf(b)
-    trsm_d = b**3 / rate
-    syrk_d = b**3 / rate
-    gemm_d = 2 * b**3 / rate
-
-    def owner(i: int, j: int) -> int:
-        return block_cyclic_node(i, j, p, q)
-
-    def prio(kind: str, k: int) -> float:
-        base = {"potrf": 3e9, "trsm": 2e9, "syrk": 1e9, "gemm": 0.0}[kind]
-        return base + (nt - k) * 1e3
-
-    tile_dep: dict[tuple[int, int], list[int]] = {}
-    for k in range(nt):
-        potrf_t = g.add_task(
-            node=owner(k, k),
-            duration=potrf_d,
-            priority=prio("potrf", k),
-            inputs=tile_dep.pop((k, k), []),
-            kind="potrf",
-        )
-        if k == nt - 1:
-            break
-        lkk_flow = g.add_flow(potrf_t, dense_bytes)
-        trsm_flows: dict[int, int] = {}
-        for i in range(k + 1, nt):
-            trsm_t = g.add_task(
-                node=owner(i, k),
-                duration=trsm_d,
-                priority=prio("trsm", k),
-                inputs=[lkk_flow] + tile_dep.pop((i, k), []),
-                kind="trsm",
-            )
-            trsm_flows[i] = g.add_flow(trsm_t, dense_bytes)
-        for i in range(k + 1, nt):
-            syrk_t = g.add_task(
-                node=owner(i, i),
-                duration=syrk_d,
-                priority=prio("syrk", k),
-                inputs=[trsm_flows[i]] + tile_dep.pop((i, i), []),
-                kind="syrk",
-            )
-            tile_dep[(i, i)] = [g.add_flow(syrk_t, dense_bytes)]
-            for j in range(k + 1, i):
-                gemm_t = g.add_task(
-                    node=owner(i, j),
-                    duration=gemm_d,
-                    priority=prio("gemm", k),
-                    inputs=[trsm_flows[i], trsm_flows[j]]
-                    + tile_dep.pop((i, j), []),
-                    kind="gemm",
-                )
-                tile_dep[(i, j)] = [g.add_flow(gemm_t, dense_bytes)]
-    return g

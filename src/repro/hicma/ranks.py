@@ -49,14 +49,23 @@ class RankModel:
             float(maxrank),
             self.R_NEAR_REF * (tile_size / self.B_REF) ** self.SIZE_EXPONENT,
         )
+        #: Rank by diagonal distance, filled on first use.
+        self._by_distance: dict[int, int] = {}
 
     def rank(self, i: int, j: int) -> int:
-        """Rank of off-diagonal tile (i, j); diagonal tiles are dense."""
+        """Rank of off-diagonal tile (i, j); diagonal tiles are dense.
+
+        The rank depends only on ``|i − j|``, so each distance is
+        evaluated once (a scalar ``np.exp``, as a vectorised one may round
+        differently) and memoised."""
         d = abs(i - j)
-        if d == 0:
-            raise HicmaError("diagonal tiles are dense (band)")
-        r = 1.0 + (self.r_near - 1.0) * np.exp(-self.LAMBDA * d / self.nt)
-        return int(max(1, min(self.maxrank, round(r))))
+        r = self._by_distance.get(d)
+        if r is None:
+            if d == 0:
+                raise HicmaError("diagonal tiles are dense (band)")
+            x = 1.0 + (self.r_near - 1.0) * np.exp(-self.LAMBDA * d / self.nt)
+            r = self._by_distance[d] = int(max(1, min(self.maxrank, round(x))))
+        return r
 
     def mean_rank(self) -> float:
         """Average off-band rank (weighted by tiles per diagonal distance)."""

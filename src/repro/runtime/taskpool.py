@@ -41,6 +41,8 @@ from repro.errors import RuntimeBackendError
 
 __all__ = ["FlowSpec", "TaskSpec", "TaskGraph"]
 
+_INF = float("inf")
+
 
 class TaskSpec:
     """View of one task: node placement, compute duration, priority, flows.
@@ -270,12 +272,21 @@ class TaskGraph:
         kind: str = "task",
     ) -> int:
         """Add a task; returns its id.  ``inputs`` are existing flow ids;
-        consumer lists of those flows are updated automatically."""
-        if duration < 0:
-            raise RuntimeBackendError(
-                f"task {len(self._t_node)}: negative duration"
-            )
+        consumer lists of those flows are updated automatically.
+
+        Only existing flows are accepted, and :meth:`add_flow` accepts only
+        an existing producer, so every input edge runs from a lower task id
+        to a higher one: id order is a topological order (see
+        :meth:`validate`).
+        """
         tid = len(self._t_node)
+        if not (0 <= duration < _INF and -_INF < priority < _INF):
+            if duration < 0:
+                raise RuntimeBackendError(f"task {tid}: negative duration")
+            raise RuntimeBackendError(
+                f"task {tid}: non-finite duration {duration!r} "
+                f"or priority {priority!r}"
+            )
         num_flows = len(self._f_size)
         in_flat = self._in_flat
         n_in = 0
@@ -544,6 +555,12 @@ class TaskGraph:
     def validate(self, num_nodes: Optional[int] = None) -> None:
         """Check structural invariants; raises RuntimeBackendError.
 
+        A graph built only through :meth:`add_task`/:meth:`add_flow` is
+        acyclic by construction, which one vectorised comparison confirms
+        (:meth:`_inputs_precede`).  Once any ``inputs``/``outputs``/
+        ``consumers`` override is set, or if that comparison fails, the
+        Kahn pass decides instead and names the tasks it cannot drain.
+
         A repeat call with the same ``num_nodes`` on an unmodified graph
         is a no-op (structural edits through :meth:`add_task` /
         :meth:`add_flow` or spec-view assignment clear the memo).
@@ -552,24 +569,46 @@ class TaskGraph:
             return
         if not len(self._t_node):
             raise RuntimeBackendError("empty task graph")
+        import numpy as np
+
         if num_nodes is not None:
-            for tid, node in enumerate(self._t_node):
-                if not 0 <= node < num_nodes:
-                    raise RuntimeBackendError(
-                        f"task {tid} placed on node {node} "
-                        f"outside [0, {num_nodes})"
-                    )
-        num_flows = len(self._f_size)
-        for tid, inputs in self._in_override.items():
-            for fid in inputs:
-                if not 0 <= fid < num_flows:
-                    raise RuntimeBackendError(
-                        f"task {tid}: missing input flow {fid}"
-                    )
-        if not self.source_tasks():
-            raise RuntimeBackendError("task graph has no source tasks (cycle?)")
-        self._check_acyclic()
+            nodes = np.frombuffer(self._t_node, dtype=np.int64)
+            misplaced = np.flatnonzero((nodes < 0) | (nodes >= num_nodes))
+            del nodes  # a live view would pin the column against appends
+            if len(misplaced):
+                tid = int(misplaced[0])
+                raise RuntimeBackendError(
+                    f"task {tid} placed on node {self._t_node[tid]} "
+                    f"outside [0, {num_nodes})"
+                )
+        overridden = self._in_override or self._out_override or self._cons_override
+        if overridden or not self._inputs_precede():
+            num_flows = len(self._f_size)
+            for tid, inputs in self._in_override.items():
+                for fid in inputs:
+                    if not 0 <= fid < num_flows:
+                        raise RuntimeBackendError(
+                            f"task {tid}: missing input flow {fid}"
+                        )
+            if not self.source_tasks():
+                raise RuntimeBackendError("task graph has no source tasks (cycle?)")
+            self._check_acyclic()
         self._validated = (num_nodes,)
+
+    def _inputs_precede(self) -> bool:
+        """True when every input flow's producer has a lower id than its
+        consumer, which :meth:`add_task`/:meth:`add_flow` guarantee.  Id
+        order is then a topological order and task 0 a source, so the
+        graph is acyclic without a Kahn pass."""
+        import numpy as np
+
+        if not len(self._in_flat):
+            return True
+        in_flat = np.frombuffer(self._in_flat, dtype=np.int64)
+        in_ptr = np.frombuffer(self._in_ptr, dtype=np.int64)
+        owner = np.repeat(np.arange(len(self._t_node), dtype=np.int64), np.diff(in_ptr))
+        prod = np.frombuffer(self._f_prod, dtype=np.int64)
+        return bool((prod[in_flat] < owner).all())
 
     def _check_acyclic(self) -> None:
         """Kahn's algorithm over the task-dependency relation."""

@@ -3,7 +3,7 @@
 A workload is a config, a task-graph builder and a result function (see
 :class:`~repro.workloads.registry.WorkloadSpec`).  :func:`run_workload`
 does everything else, identically for all of them: pick the platform,
-build and validate the graph, construct the
+build, freeze and validate the graph, construct the
 :class:`~repro.runtime.context.ParsecContext`, hand it to
 ``ctx_observer``, run it, and let the workload's result function turn
 the :class:`~repro.runtime.context.RunStats` into its frozen
@@ -59,7 +59,8 @@ def run_workload(
     if platform is not None:
         options["platform"] = platform
     t_build = time.perf_counter()
-    graph = spec.build_graph(cfg, options["platform"])
+    # Derive the adjacency now, so set-up ends with a graph ready to load.
+    graph = spec.build_graph(cfg, options["platform"]).freeze()
     # Fail eagerly on misplacement: a task on a node outside the platform
     # would otherwise only surface deep inside ctx.run().
     graph.validate(num_nodes=cfg.num_nodes)

@@ -1,5 +1,10 @@
 """Tests for the HiCMA simulation models: ranks, timing, DAG, execution."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -206,3 +211,23 @@ class TestDagExecution:
         ).run(gn, until=60.0)
         assert t1.wire_bytes == 0
         assert tn.wire_bytes > 0
+
+
+def test_simulated_run_does_not_load_scipy():
+    """The numerics (the only SciPy users) load lazily, on first use."""
+    code = (
+        "import sys\n"
+        "from repro import Experiment\n"
+        "Experiment(workload='hicma', backend='lci', nodes=4,\n"
+        "           matrix_size=4800, tile_size=600).run()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from repro.hicma import tlr_cholesky\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

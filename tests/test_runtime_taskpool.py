@@ -41,6 +41,22 @@ class TestTaskGraphConstruction:
         with pytest.raises(RuntimeBackendError, match="negative duration"):
             g.add_task(node=0, duration=-1.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        # A NaN duration used to run in zero simulated time, an infinite
+        # one to surface only as a deadlock at run time.
+        g = TaskGraph()
+        with pytest.raises(RuntimeBackendError, match="task 0: non-finite"):
+            g.add_task(node=0, duration=duration)
+        assert g.num_tasks == 0
+
+    @pytest.mark.parametrize("priority", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_priority_rejected(self, priority):
+        # A NaN priority makes every ready-heap comparison false.
+        g = TaskGraph()
+        with pytest.raises(RuntimeBackendError, match="task 0: non-finite"):
+            g.add_task(node=0, duration=1e-6, priority=priority)
+
     def test_negative_flow_size_rejected(self):
         g = TaskGraph()
         a = g.add_task(node=0, duration=0)

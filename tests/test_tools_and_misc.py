@@ -174,6 +174,10 @@ class TestRepoCheckers:
             assert entry["host_cpus"] >= 1 and entry["python"] and entry["rev"]
             assert entry["run_wall_seconds"] is None  # build-only
             assert entry["events_per_second"] is None
+            split = (entry["build_seconds"], entry["freeze_seconds"],
+                     entry["validate_seconds"])
+            assert sum(split) == pytest.approx(entry["total_build_seconds"],
+                                               abs=0.003)
 
     def test_explorer_finds_planted_bugs(self):
         # The mutation smoke test: the explorer must catch both known-bad

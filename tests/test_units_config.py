@@ -18,7 +18,7 @@ from repro.config import (
     scaled_platform,
 )
 from repro.errors import ConfigError
-from repro.hicma.dag import build_dense_cholesky_graph, expected_task_count
+from repro.hicma.dag import build_tlr_cholesky_graph, expected_task_count
 from repro.units import (
     GiB,
     KiB,
@@ -183,24 +183,24 @@ class TestConfigValidation:
 
 
 class TestDenseCholeskyGraph:
+    """The dense (DPLASMA) Cholesky: the TLR builder with `band=nt`."""
+
     def test_task_count(self):
-        g = build_dense_cholesky_graph(6, 512, num_nodes=2)
+        g = build_tlr_cholesky_graph(6, 512, num_nodes=2, band=6)
         assert g.num_tasks == expected_task_count(6)
 
     def test_validates(self):
-        g = build_dense_cholesky_graph(5, 512, num_nodes=4)
+        g = build_tlr_cholesky_graph(5, 512, num_nodes=4, band=5)
         g.validate(num_nodes=4)
 
     def test_flows_are_dense_sized(self):
         b = 512
-        g = build_dense_cholesky_graph(4, b, num_nodes=2)
+        g = build_tlr_cholesky_graph(4, b, num_nodes=2, band=4)
         for flow in g.flows.values():
             assert flow.size == b * b * 8
 
     def test_more_traffic_than_tlr(self):
-        from repro.hicma import build_tlr_cholesky_graph
-
-        dense = build_dense_cholesky_graph(8, 1200, num_nodes=4)
+        dense = build_tlr_cholesky_graph(8, 1200, num_nodes=4, band=8)
         tlr = build_tlr_cholesky_graph(8, 1200, num_nodes=4)
         assert dense.total_remote_bytes() > 5 * tlr.total_remote_bytes()
 
@@ -208,7 +208,7 @@ class TestDenseCholeskyGraph:
         from repro.config import scaled_platform
         from repro.runtime import ParsecContext
 
-        g = build_dense_cholesky_graph(5, 1200, num_nodes=2)
+        g = build_tlr_cholesky_graph(5, 1200, num_nodes=2, band=5)
         ctx = ParsecContext(scaled_platform(num_nodes=2, cores_per_node=4))
         stats = ctx.run(g, until=60.0)
         assert stats.tasks_executed == g.num_tasks

@@ -8,6 +8,10 @@ meet:
 
 - graph build + freeze + validate completes in under ``--build-budget``
   seconds (default 60);
+- at NT=150 on 16 nodes the graph is the pinned one: the SHA-256 over
+  its build columns (:func:`column_digest`) equals
+  :data:`PINNED_DIGESTS`, so a faster builder cannot pass with a
+  different graph;
 - peak RSS stays under ``--rss-budget`` GiB (default 4);
 - the run-guard deadline machinery (``--deadline`` on the ``hicma`` verb,
   :class:`repro.supervise.guards.RunGuards`) aborts a guarded run with a
@@ -18,8 +22,9 @@ meet:
 Each invocation appends one entry to the ``"history"`` list of
 ``BENCH_scale.json`` next to the repo root: host facts (``rev``,
 ``host_cpus``, ``python``), the point (``nodes``, ``tile``, ``nt``),
-build seconds, peak RSS, tasks/flows and — with ``--full`` — the
-end-to-end simulated run's wall time, kernel events/second and makespan
+build, freeze and validate seconds, peak RSS, tasks/flows and — with
+``--full`` — the end-to-end simulated run's wall time, kernel
+events/second and makespan
 (``run_wall_seconds``/``events_per_second`` are ``null`` for a
 build-only entry).  Every other key already in the output file is left
 as it is, so earlier records stay readable.  The default mode checks
@@ -37,6 +42,7 @@ Run as::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -52,6 +58,22 @@ from repro.hicma.dag import build_tlr_cholesky_graph, expected_task_count  # noq
 from repro.obs.progress import peak_rss_bytes  # noqa: E402
 
 PAPER_N = 360_000
+#: (nt, nodes) -> column digest of the default-model TLR Cholesky graph.
+PINNED_DIGESTS = {
+    (150, 16): "3bf23c76f780f2e3b5be0902b8de6f06af07e39fa9ca2c5f335281c6db96ec2d",
+}
+
+
+def column_digest(graph) -> str:
+    """SHA-256 over a :class:`TaskGraph`'s build columns and kind names:
+    every task's placement, duration, priority, kind and inputs, and every
+    flow's size and producer."""
+    h = hashlib.sha256()
+    for col in (graph._t_node, graph._t_dur, graph._t_prio, graph._t_kind,
+                graph._in_ptr, graph._in_flat, graph._f_size, graph._f_prod):
+        h.update(col.tobytes())
+    h.update(repr(graph._kind_names).encode())
+    return h.hexdigest()
 
 
 def build_check(nodes: int, tile: int) -> dict:
@@ -79,6 +101,7 @@ def build_check(nodes: int, tile: int) -> dict:
         "validate_seconds": round(t_validate, 3),
         "total_build_seconds": round(t_build + t_freeze + t_validate, 3),
         "peak_rss_gib": round(peak_rss_bytes() / 2**30, 3),
+        "column_digest": column_digest(graph),
     }
 
 
@@ -149,12 +172,19 @@ def full_run(nodes: int, tile: int) -> dict:
 
 
 def _git_rev() -> str:
-    """Short git revision of this checkout (``unknown`` outside git)."""
-    try:
-        rev = subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
+    """Short git revision of this checkout (``unknown`` outside git), with
+    ``-dirty`` appended when ``src/`` differs from it: the record then
+    measured uncommitted simulator code."""
+    def git(*args) -> str:
+        return subprocess.run(
+            ["git", "-C", str(ROOT), *args],
             capture_output=True, text=True, timeout=30,
         ).stdout.strip()
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        if rev and git("status", "--porcelain", "--", "src"):
+            rev += "-dirty"
     except (OSError, subprocess.SubprocessError):
         rev = ""
     return rev or "unknown"
@@ -172,6 +202,9 @@ def history_entry(doc: dict) -> dict:
         "nt": doc["nt"],
         "tasks": doc["tasks"],
         "flows": doc["flows"],
+        "build_seconds": doc["build_seconds"],
+        "freeze_seconds": doc["freeze_seconds"],
+        "validate_seconds": doc["validate_seconds"],
         "total_build_seconds": doc["total_build_seconds"],
         "build_peak_rss_gib": doc["peak_rss_gib"],
         "run_wall_seconds": run.get("run_wall_seconds"),
@@ -214,6 +247,11 @@ def main(argv=None) -> int:
         problems.append(
             f"peak RSS {doc['peak_rss_gib']:.2f} GiB "
             f"(> {args.rss_budget:.1f} GiB budget)"
+        )
+    pinned = PINNED_DIGESTS.get((doc["nt"], doc["num_nodes"]))
+    if pinned is not None and doc["column_digest"] != pinned:
+        problems.append(
+            f"graph column digest {doc['column_digest']} != pinned {pinned}"
         )
     print(
         f"paper-scale build: NT={doc['nt']} -> {doc['tasks']:,} tasks, "
