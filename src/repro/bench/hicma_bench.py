@@ -58,6 +58,7 @@ class HicmaConfig(DictCodec):
     two_flow: bool = True
     multithreaded_activate: bool = False
     clock_sync: bool = False
+    native_put: bool = False
     seed: int = 0
 
     @property
@@ -83,6 +84,7 @@ def hicma_context(cfg: HicmaConfig) -> dict:
         "platform": platform,
         "multithreaded_activate": cfg.multithreaded_activate,
         "clock_sync": cfg.clock_sync,
+        "native_put": cfg.native_put,
     }
 
 

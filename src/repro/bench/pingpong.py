@@ -167,11 +167,11 @@ def pingpong_result(workload: str, cfg: PingPongConfig, ctx):
     iter_done: dict[int, float] = {}
     inner = ctx.on_task_done
 
-    def hook(task):
-        if task.kind.startswith("pp"):
-            t = int(task.kind[2:])
-            iter_done[t] = ctx.sim.now
-        inner(task)
+    def hook(tid):
+        kind = ctx.nodes[0].graph.task_kind(tid)
+        if kind.startswith("pp"):
+            iter_done[int(kind[2:])] = ctx.sim.now
+        inner(tid)
 
     ctx.on_task_done = hook
 

@@ -458,7 +458,7 @@ def _report_abort(exc) -> int:
 def cmd_hicma(args) -> int:
     """Run one simulated TLR Cholesky configuration."""
     from repro.api import Experiment
-    from repro.errors import SupervisionError
+    from repro.errors import RuntimeBackendError, SupervisionError
     from repro.bench.hicma_bench import default_matrix_size
     from repro.config import paper_scale_enabled
 
@@ -476,6 +476,7 @@ def cmd_hicma(args) -> int:
         matrix_size=matrix,
         tile_size=tile,
         multithreaded_activate=args.mt_activate,
+        native_put=args.native_put,
     )
     progress = None
     if args.progress:
@@ -487,33 +488,16 @@ def cmd_hicma(args) -> int:
         from repro.supervise import RunGuards
 
         guards = RunGuards(deadline=args.deadline, max_events=args.max_events)
-    if args.native_put:
-        # LCI one-sided put: a runtime option no workload config carries.
-        from repro.config import scaled_platform
-        from repro.runtime.context import ParsecContext
-        from repro.workloads import get_workload
-
-        cfg = experiment.config()
-        platform = scaled_platform(num_nodes=cfg.num_nodes, cores_per_node=8)
-        graph = get_workload("hicma").build_graph(cfg, platform)
-        ctx = ParsecContext(
-            platform, backend="lci", native_put=True,
-            multithreaded_activate=args.mt_activate, seed=args.seed,
-        )
-        try:
-            stats = ctx.run(graph, until=36_000.0, progress=progress,
-                            guards=guards)
-        except SupervisionError as exc:
-            return _report_abort(exc)
-        print(f"hicma[lci, native put] N={cfg.matrix_size} tile={cfg.tile_size} "
-              f"nodes={cfg.num_nodes}: TTS={stats.makespan:.3f}s "
-              f"e2e={stats.mean_flow_latency * 1e3:.2f}ms")
-        return 0
     try:
         result = experiment.run(progress=progress, guards=guards)
     except SupervisionError as exc:
         return _report_abort(exc)
+    except RuntimeBackendError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result.summary())
+    if args.native_put:
+        print("  data transfer    : native put")
     print(f"  tasks            : {result.tasks}")
     print(f"  wire traffic     : {result.wire_bytes / 1e6:.1f} MB")
     print(f"  worker utilization: {result.worker_utilization:.1%}")

@@ -19,15 +19,13 @@ This package reproduces the runtime architecture the paper describes:
   :class:`RunStats` (time-to-solution, per-flow end-to-end latencies, ...).
 """
 
-from repro.runtime.taskpool import FlowSpec, TaskSpec, TaskGraph
+from repro.runtime.taskpool import TaskGraph
 from repro.runtime.comm_engine import CommEngine, TAG_ACTIVATE, TAG_GETDATA, TAG_PUT_COMPLETE
 from repro.runtime.context import ParsecContext, RunStats
 from repro.runtime.scheduler import CentralScheduler, WorkStealingScheduler
 from repro.runtime.node import NodeRuntime, binomial_tree
 
 __all__ = [
-    "FlowSpec",
-    "TaskSpec",
     "TaskGraph",
     "CommEngine",
     "TAG_ACTIVATE",

@@ -125,6 +125,8 @@ class ParsecContext:
     ):
         if backend not in ("mpi", "lci"):
             raise RuntimeBackendError(f"unknown backend {backend!r}")
+        if scheduler not in ("central", "ws"):
+            raise RuntimeBackendError(f"unknown scheduler {scheduler!r}")
         if native_put and backend != "lci":
             raise RuntimeBackendError("native_put requires the LCI backend")
         if num_progress_threads < 1 or num_comm_threads < 1:
@@ -249,8 +251,13 @@ class ParsecContext:
         """Record one per-hop message latency sample."""
         self._msg_lat.append(latency)
 
-    def on_task_done(self, task) -> None:
-        """Count a task completion; stops the run when all have executed."""
+    def on_task_done(self, tid: int) -> None:
+        """Count task ``tid`` as done; stops the run when all have executed.
+
+        Wrappers installed on the instance (result functions, tests) see
+        every completion as the task id, before the task's output flows
+        are released, and must call the wrapped method; they read task
+        fields from the graph being run (``ctx.nodes[0].graph``)."""
         self._executed += 1
         if self._executed >= self._total_tasks:
             self._makespan = self.sim.now

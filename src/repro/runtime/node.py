@@ -169,9 +169,7 @@ class NodeRuntime:
         self._t_dur = graph._t_dur
         self._t_prio = graph._t_prio
         self._f_local = graph._f_local
-        self.sched = make_scheduler(
-            getattr(self.ctx, "scheduler", "central"), self.sim, num_workers
-        )
+        self.sched = make_scheduler(self.ctx.scheduler, self.sim, num_workers)
         prio = self._t_prio
         for tid in graph.task_ids_on(self.rank):
             n_in = graph.input_count(tid)
@@ -200,7 +198,7 @@ class NodeRuntime:
         # Only the first comm thread runs the one-time engine start.  The
         # run-wide stop event wakes parked comm/progress threads so they
         # can observe the stop flag.
-        for ci in range(getattr(self.ctx, "num_comm_threads", 1)):
+        for ci in range(self.ctx.num_comm_threads):
             holder = []
             proc = self.sim.process(
                 self._comm_thread(holder, run_start=ci == 0),
@@ -210,7 +208,7 @@ class NodeRuntime:
             self.ctx.stop_event.add_callback(lambda _evt, p=proc: p.wake())
             self._threads.append(proc)
         if self.ctx.has_progress_thread:
-            for pi in range(getattr(self.ctx, "num_progress_threads", 1)):
+            for pi in range(self.ctx.num_progress_threads):
                 holder = []
                 proc = self.sim.process(
                     self._progress_thread(holder), name=f"n{self.rank}prog{pi}"
@@ -260,9 +258,7 @@ class NodeRuntime:
 
     def _complete_task(self, tid: int, wid: Optional[int] = None) -> Generator:
         self.tasks_executed += 1
-        # The hook's contract passes a spec view (wrappers read .kind etc.);
-        # views are two-slot proxies, so this stays allocation-cheap.
-        self.ctx.on_task_done(self.graph.tasks[tid])
+        self.ctx.on_task_done(tid)
         f_local = self._f_local
         for fid in self.graph.outputs_of(tid):
             yield self.rt.sched_op

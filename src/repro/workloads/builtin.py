@@ -117,6 +117,7 @@ HICMA = register(WorkloadSpec(
         ("multithreaded_activate",
          "Spray ACTIVATE sends across worker threads (paper's MT variant)."),
         ("clock_sync", "Model per-node clock skew in latency reporting."),
+        ("native_put", "LCI one-sided put for the data transfer (§7 future work)."),
         ("seed", "Deterministic simulation seed."),
     ),
     explore_params=(

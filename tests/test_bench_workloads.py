@@ -33,7 +33,7 @@ class TestPingPongGraph:
             fragment_size=256 * KiB, total_bytes=512 * KiB, iterations=2, sync=False
         )
         g = build_pingpong_graph(cfg, 1e9)
-        nodes = {t.kind: t.node for t in g.tasks.values()}
+        nodes = {g.task_kind(t): g.task_node(t) for t in range(g.num_tasks)}
         assert nodes["pp0"] == 0 and nodes["pp1"] == 1
 
     def test_fragment_larger_than_total_rejected(self):
@@ -50,7 +50,7 @@ class TestPingPongGraph:
             intensity=10.0,
         )
         g = build_pingpong_graph(cfg, flops_per_core=1e9)
-        d = next(iter(g.tasks.values())).duration
+        d = g.task_duration(0)
         # (64KiB/8 elements) * 10 FMA * 2 flops / 1e9 flops/s
         assert d == pytest.approx((64 * KiB / 8) * 10 * 2 / 1e9)
 

@@ -91,6 +91,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "native put" in out
 
+    def test_hicma_native_put_writes_json(self, capsys, tmp_path):
+        path = tmp_path / "hicma.json"
+        assert main(
+            ["hicma", "--matrix", "7200", "--tile", "1200", "--nodes", "2",
+             "--native-put", "--json", str(path)]
+        ) == 0
+        assert path.exists() and f"wrote {path}" in capsys.readouterr().out
+
+    def test_hicma_native_put_needs_lci(self, capsys):
+        assert main(
+            ["hicma", "--matrix", "7200", "--tile", "1200", "--nodes", "2",
+             "--backend", "mpi", "--native-put"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "native_put requires the LCI backend" in captured.err
+        assert "hicma[" not in captured.out
+
     def test_overlap(self, capsys):
         assert main(["overlap", "--fragment", "1M", "--total", "4M"]) == 0
         out = capsys.readouterr().out

@@ -11,6 +11,7 @@ graph of the former dense builder, now ``band=nt``.
 
 import importlib.util
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -112,54 +113,69 @@ def _built_graphs(draw):
     return g, num_nodes
 
 
+def _kahn_drains(graph):
+    """Kahn's algorithm over the task-dependency relation: True when
+    every task can be drained, i.e. the graph is acyclic."""
+    indeg = [graph.input_count(tid) for tid in range(graph.num_tasks)]
+    ready = [tid for tid, d in enumerate(indeg) if d == 0]
+    seen = 0
+    while ready:
+        tid = ready.pop()
+        seen += 1
+        for fid in graph.outputs_of(tid):
+            for consumer in graph.consumers_of(fid):
+                indeg[consumer] -= 1
+                if indeg[consumer] == 0:
+                    ready.append(consumer)
+    return seen == graph.num_tasks
+
+
 class TestValidateByConstruction:
     @settings(max_examples=200, deadline=None)
     @given(_built_graphs())
     def test_built_graphs_validate_and_kahn_agrees(self, case):
         graph, num_nodes = case
-        assert graph._inputs_precede()
         graph.validate(num_nodes=num_nodes)
-        graph._check_acyclic()  # the Kahn pass reaches the same verdict
-        assert graph.source_tasks()[0] == 0
+        assert _kahn_drains(graph)  # the Kahn pass reaches the same verdict
+        assert graph.input_count(0) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(_built_graphs(), st.data())
     def test_fast_path_never_passes_what_kahn_rejects(self, case, data):
         """Rewire flow producers behind the builder's back (a cycle may
-        appear): whenever ids still order every edge, Kahn passes too,
-        and validate() always returns Kahn's verdict."""
+        appear): validate() passes only graphs Kahn drains, and a
+        rejection names an edge whose producer does not precede it."""
         graph, num_nodes = case
         if graph.num_flows:
             for fid in data.draw(st.lists(
                     st.integers(0, graph.num_flows - 1), max_size=3)):
                 graph._f_prod[fid] = data.draw(
                     st.integers(0, graph.num_tasks - 1))
-        graph._frozen = False
-        graph._validated = None
-        try:
-            graph._check_acyclic()
-            kahn_ok = True
-        except RuntimeBackendError:
-            kahn_ok = False
-        if graph._inputs_precede():
-            assert kahn_ok
         try:
             graph.validate(num_nodes=num_nodes)
-            validate_ok = True
-        except RuntimeBackendError:
-            validate_ok = False
-        assert validate_ok == kahn_ok
+        except RuntimeBackendError as exc:
+            task, flow, producer = map(int, re.match(
+                r"task (\d+) reads input flow (\d+) of task (\d+)", str(exc)
+            ).groups())
+            assert flow in graph.inputs_of(task)
+            assert graph.flow_producer(flow) == producer >= task
+        else:
+            assert _kahn_drains(graph)
 
-    def test_order_violation_falls_back_to_kahn(self):
+    def test_order_violation_names_first_edge(self):
+        """A producer rewritten behind the builder's back (here a cycle
+        b <- c <- b) fails validate(), naming the first late edge."""
         g = TaskGraph()
         a = g.add_task(0, 0.0)
         fa = g.add_flow(a, 1)
         b = g.add_task(0, 0.0, 0.0, [fa], "trsm")
         fb = g.add_flow(b, 1)
         c = g.add_task(0, 0.0, 0.0, [fb], "gemm")
-        g._f_prod[fa] = c  # b <- c <- b, past add_flow's checks
-        assert not g._inputs_precede()
-        with pytest.raises(RuntimeBackendError, match="2 tasks unreachable"):
+        g._f_prod[fa] = c
+        assert not _kahn_drains(g)
+        with pytest.raises(RuntimeBackendError, match=(
+                rf"^task {b} reads input flow {fa} of task {c}, which does "
+                r"not precede it \(a cycle or an out-of-order edge\)$")):
             g.validate()
 
     def test_misplaced_task_named_first(self):

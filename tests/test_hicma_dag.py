@@ -130,8 +130,8 @@ class TestDagConstruction:
         nt = 6
         g = build_tlr_cholesky_graph(nt, 256, num_nodes=2)
         kinds = {}
-        for t in g.tasks.values():
-            kinds[t.kind] = kinds.get(t.kind, 0) + 1
+        for t in range(g.num_tasks):
+            kinds[g.task_kind(t)] = kinds.get(g.task_kind(t), 0) + 1
         assert kinds["potrf"] == nt
         assert kinds["trsm"] == nt * (nt - 1) // 2
         assert kinds["syrk"] == nt * (nt - 1) // 2
@@ -156,19 +156,16 @@ class TestDagConstruction:
     def test_potrf_has_highest_priority(self):
         g = build_tlr_cholesky_graph(4, 256, num_nodes=1)
         by_kind = {}
-        for t in g.tasks.values():
-            by_kind.setdefault(t.kind, []).append(t.priority)
+        for t in range(g.num_tasks):
+            by_kind.setdefault(g.task_kind(t), []).append(g.task_priority(t))
         assert min(by_kind["potrf"]) > max(by_kind["trsm"])
         assert min(by_kind["trsm"]) > max(by_kind["syrk"])
         assert min(by_kind["syrk"]) > max(by_kind["gemm"])
 
     def test_early_steps_prioritized(self):
         g = build_tlr_cholesky_graph(6, 256, num_nodes=1)
-        potrfs = sorted(
-            (t for t in g.tasks.values() if t.kind == "potrf"),
-            key=lambda t: t.task_id,
-        )
-        prios = [t.priority for t in potrfs]
+        potrfs = [t for t in range(g.num_tasks) if g.task_kind(t) == "potrf"]
+        prios = [g.task_priority(t) for t in potrfs]
         assert prios == sorted(prios, reverse=True)
 
     def test_invalid_nt_rejected(self):

@@ -39,10 +39,10 @@ class TestGetDataPriority:
         finish_order = []
         inner = ctx.on_task_done
 
-        def spy(task):
-            if task.kind.startswith("c"):
-                finish_order.append(task.priority)
-            inner(task)
+        def spy(tid):
+            if g.task_kind(tid).startswith("c"):
+                finish_order.append(g.task_priority(tid))
+            inner(tid)
 
         ctx.on_task_done = spy
         ctx.run(g, until=10.0)

@@ -418,31 +418,29 @@ class TestUnitsProperties:
 
 @st.composite
 def _plan_graphs(draw):
-    """A random layered DAG, some of whose flows get rewired consumer
-    lists (``FlowSpec.consumers`` assignment, i.e. ``_cons_override``)."""
+    """A random layered DAG whose tasks read up to six flows of any
+    earlier layer, repeats allowed: consumer lists span layers and nodes
+    and may name a task twice."""
     from repro.runtime import TaskGraph
 
     num_nodes = draw(st.integers(1, 6))
     # Signed zeros and ties pin max()'s keep-the-first-maximum rule.
     prios = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, -3.0])
     g = TaskGraph()
-    prev: list = []
+    earlier: list = []
     for width in draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)):
         new = []
         for _ in range(width):
             inputs = (
-                draw(st.lists(st.sampled_from(prev), max_size=3, unique=True))
-                if prev else []
+                draw(st.lists(st.sampled_from(earlier), max_size=6))
+                if earlier else []
             )
             t = g.add_task(
                 node=draw(st.integers(0, num_nodes - 1)), duration=1e-6,
                 priority=draw(prios), inputs=inputs,
             )
             new.append(g.add_flow(t, draw(st.integers(0, 1 << 20))))
-        prev = new
-    tasks = st.integers(0, g.num_tasks - 1)
-    for fid in draw(st.lists(st.integers(0, g.num_flows - 1), max_size=3, unique=True)):
-        g.flows[fid].consumers = draw(st.lists(tasks, max_size=6))
+        earlier += new
     return g, num_nodes
 
 

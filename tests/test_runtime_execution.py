@@ -107,9 +107,9 @@ class TestBasicExecution:
         ctx = ParsecContext(platform(nodes=1, cores=1), backend=backend)
         original = ctx.on_task_done
 
-        def spy(task):
-            order.append(task.kind)
-            original(task)
+        def spy(tid):
+            order.append(g.task_kind(tid))
+            original(tid)
 
         ctx.on_task_done = spy
         ctx.run(g, until=1.0)
@@ -231,3 +231,7 @@ class TestStressPressure:
     def test_unknown_backend_rejected(self):
         with pytest.raises(RuntimeBackendError, match="unknown backend"):
             ParsecContext(platform(), backend="gasnet")
+
+    def test_unknown_scheduler_rejected_at_construction(self):
+        with pytest.raises(RuntimeBackendError, match="unknown scheduler 'bogus'"):
+            ParsecContext(platform(), scheduler="bogus")

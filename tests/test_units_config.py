@@ -196,8 +196,8 @@ class TestDenseCholeskyGraph:
     def test_flows_are_dense_sized(self):
         b = 512
         g = build_tlr_cholesky_graph(4, b, num_nodes=2, band=4)
-        for flow in g.flows.values():
-            assert flow.size == b * b * 8
+        for fid in range(g.num_flows):
+            assert g.flow_size(fid) == b * b * 8
 
     def test_more_traffic_than_tlr(self):
         dense = build_tlr_cholesky_graph(8, 1200, num_nodes=4, band=8)

@@ -171,7 +171,7 @@ class TestGenerators:
         g.validate(num_nodes=2)
         assert g.num_tasks == 4 * 4 * 3
         assert g.num_flows == g.num_tasks
-        inputs = [len(t.inputs) for t in g.tasks.values()]
+        inputs = [g.input_count(t) for t in range(g.num_tasks)]
         # First step has no inputs; every later tile pulls self + 4 halos.
         assert inputs.count(0) == 16 and inputs.count(5) == 32
 
@@ -180,14 +180,14 @@ class TestGenerators:
         g.validate(num_nodes=3)
         assert g.num_tasks == 12
         # After the first step every task consumes own + left neighbour.
-        assert [len(t.inputs) for t in g.tasks.values()].count(2) == 9
+        assert [g.input_count(t) for t in range(g.num_tasks)].count(2) == 9
 
     def test_fork_join_structure(self):
         g = fork_join(fanout=2, depth=2, num_nodes=2)
         g.validate(num_nodes=2)
         # 1 root + 2 + 4 forks, 2 + 1 joins, 1 sink.
         assert g.num_tasks == 11
-        kinds = [t.kind for t in g.tasks.values()]
+        kinds = [g.task_kind(t) for t in range(g.num_tasks)]
         assert kinds.count("fork2") == 4 and kinds.count("sink") == 1
 
     @pytest.mark.parametrize("mode,tasks", [
@@ -210,8 +210,8 @@ class TestGenerators:
         def layer1_inputs(pattern):
             g = taskbench_graph(width=4, depth=2, pattern=pattern,
                                 num_nodes=2)
-            return [len(t.inputs) for t in g.tasks.values()
-                    if t.kind == "tb1"]
+            return [g.input_count(t) for t in range(g.num_tasks)
+                    if g.task_kind(t) == "tb1"]
 
         assert layer1_inputs("trivial") == [0, 0, 0, 0]
         assert layer1_inputs("serial") == [1, 1, 1, 1]
@@ -222,7 +222,7 @@ class TestGenerators:
         def shape(seed):
             g = taskbench_graph(width=6, depth=4, pattern="random",
                                 num_nodes=3, seed=seed)
-            return [tuple(t.inputs) for t in g.tasks.values()]
+            return [tuple(g.inputs_of(t)) for t in range(g.num_tasks)]
 
         assert shape(7) == shape(7)
         assert shape(7) != shape(8)

@@ -20,7 +20,7 @@ class TestGenerators:
         g.validate(num_nodes=2)
         assert g.num_tasks == 10
         assert g.num_flows == 10
-        assert len(g.source_tasks()) == 1
+        assert [g.input_count(t) for t in range(g.num_tasks)].count(0) == 1
 
     def test_chain_rejects_empty(self):
         with pytest.raises(BenchmarkError):
@@ -30,8 +30,7 @@ class TestGenerators:
         g = fan_out(consumers_per_node=3, num_nodes=4)
         g.validate(num_nodes=4)
         assert g.num_tasks == 1 + 12
-        flow = g.flows[0]
-        assert len(flow.consumers) == 12
+        assert len(g.consumers_of(0)) == 12
 
     def test_halo_exchange_structure(self):
         g = halo_exchange(num_nodes=4, steps=3, tiles_per_node=4)
@@ -39,7 +38,8 @@ class TestGenerators:
         assert g.num_tasks == 3 * 4 * 4
         # A middle-step boundary tile has 2 inputs (own state + halo).
         boundary_inputs = [
-            len(t.inputs) for t in g.tasks.values() if t.kind == "step1"
+            g.input_count(t) for t in range(g.num_tasks)
+            if g.task_kind(t) == "step1"
         ]
         assert max(boundary_inputs) == 2
 
@@ -50,8 +50,8 @@ class TestGenerators:
     def test_random_dag_deterministic_by_seed(self):
         g1 = random_layered_dag([3, 4, 2], num_nodes=3, seed=7)
         g2 = random_layered_dag([3, 4, 2], num_nodes=3, seed=7)
-        assert [t.node for t in g1.tasks.values()] == [
-            t.node for t in g2.tasks.values()
+        assert [g1.task_node(t) for t in range(g1.num_tasks)] == [
+            g2.task_node(t) for t in range(g2.num_tasks)
         ]
         g3 = random_layered_dag([3, 4, 2], num_nodes=3, seed=8)
         assert g1.num_tasks == g3.num_tasks
@@ -82,7 +82,7 @@ class TestGeneratorsRunOnRuntime:
     @pytest.mark.parametrize("backend", ["mpi", "lci"])
     def test_completes(self, graph_fn, backend):
         g = graph_fn()
-        nodes = max(t.node for t in g.tasks.values()) + 1
+        nodes = max(map(g.task_node, range(g.num_tasks))) + 1
         ctx = ParsecContext(
             scaled_platform(num_nodes=max(nodes, 2), cores_per_node=2),
             backend=backend,

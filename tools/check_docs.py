@@ -46,10 +46,11 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: Pages whose links/references are verified.
+#: Pages whose links/references are verified (the verify skill included:
+#: it lists every verb as a command line).
 PAGES = ["README.md", "EXPERIMENTS.md", "DESIGN.md", *sorted(
     str(p.relative_to(ROOT)) for p in (ROOT / "docs").glob("*.md")
-)]
+), ".claude/skills/verify/SKILL.md"]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _CODEREF = re.compile(r"`([A-Za-z0-9_/.-]+\.py)(?::([A-Za-z0-9_.]+))?`")
