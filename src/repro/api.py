@@ -107,12 +107,18 @@ class OverlapResult(Result):
 
     flops_per_s: float = 0.0
     total_flops: float = 0.0
+    #: Perfect-overlap analytic bound, FLOP/s.
+    roofline: float = 0.0
+    #: Zero-overlap analytic bound, FLOP/s.
+    no_overlap: float = 0.0
 
     def summary(self) -> str:
         """One-line human-readable report."""
         return (
             f"{self.workload}[{self.backend}]: "
-            f"{self.flops_per_s / 1e9:.2f} GFLOP/s sustained"
+            f"{self.flops_per_s / 1e9:.2f} GFLOP/s sustained "
+            f"(roofline {self.roofline / 1e12:.3f} TFLOP/s, "
+            f"no overlap {self.no_overlap / 1e12:.3f} TFLOP/s)"
         )
 
 
@@ -131,7 +137,8 @@ class HicmaResult(Result):
         return (
             f"{self.workload}[{self.backend}]: "
             f"time-to-solution {self.time_to_solution * 1e3:.3f} ms, "
-            f"{self.tasks} tasks, utilization {self.worker_utilization:.1%}"
+            f"{self.tasks} tasks, {self.wire_bytes / 1e6:.1f} MB wire, "
+            f"utilization {self.worker_utilization:.1%}"
         )
 
 
@@ -222,13 +229,15 @@ class Experiment:
         ctx_observer=None,
         progress=None,
         guards=None,
+        observability: bool = False,
     ) -> Result:
         """Execute the experiment and return its typed frozen result.
 
         ``platform`` overrides the workload's default platform; the other
         hooks pass through to :func:`repro.workloads.runner.run_workload`
         (``progress`` heartbeats and ``guards`` run budgets work on every
-        workload).
+        workload; ``observability`` turns on the context's obs bus, which
+        ``ctx_observer`` can read back after the run).
         """
         return self._spec.run(
             self.backend,
@@ -239,6 +248,7 @@ class Experiment:
             ctx_observer=ctx_observer,
             progress=progress,
             guards=guards,
+            observability=observability,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -12,18 +12,15 @@ workloads run through :func:`repro.workloads.runner.run_workload`):
 - :mod:`repro.bench.hicma_bench` — the HiCMA TLR Cholesky experiments of
   §6.4 (Fig. 4a/4b, Fig. 5a/5b, Table 2);
 - :mod:`repro.bench.paper_data` — the paper's reported numbers (digitized
-  anchor points) for paper-vs-measured comparison;
-- :mod:`repro.bench.report` — comparison/rendering helpers.
+  anchor points) for paper-vs-measured comparison.
 """
 
 from repro.bench.pingpong import PingPongConfig
 from repro.bench.overlap import OverlapConfig
 from repro.bench.hicma_bench import HicmaConfig
-from repro.bench.report import Comparison
 
 __all__ = [
     "PingPongConfig",
     "OverlapConfig",
     "HicmaConfig",
-    "Comparison",
 ]

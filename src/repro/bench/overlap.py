@@ -126,7 +126,9 @@ def overlap_graph(cfg: OverlapConfig, platform) -> TaskGraph:
 
 
 def overlap_result(workload: str, cfg: OverlapConfig, ctx):
-    """The workload's result: achieved FLOP/s over the run."""
+    """The workload's result: achieved FLOP/s and its analytic bounds.
+
+    The roofline and no-overlap bounds are taken on the run's platform."""
 
     def finish(stats) -> OverlapResult:
         flops = _total_flops(cfg)
@@ -140,6 +142,8 @@ def overlap_result(workload: str, cfg: OverlapConfig, ctx):
             flow_latency=summarize(stats.flow_latencies),
             flops_per_s=flops / stats.makespan,
             total_flops=flops,
+            roofline=roofline_flops(cfg, ctx.platform),
+            no_overlap=no_overlap_flops(cfg, ctx.platform),
         )
 
     return finish

@@ -2,19 +2,15 @@
 
 Commands
 --------
-``run``          run any registered workload (see ``docs/workloads.md``)
+``run``          run any registered workload once (see ``docs/workloads.md``),
+                 with optional progress, run guards, JSON and trace output
 ``workloads``    list the registered workloads and their parameters
-``pingpong``     run the §6.2 bandwidth benchmark for one fragment size
-``overlap``      run the §6.3 overlap benchmark for one fragment size
-``hicma``        run one §6.4 TLR Cholesky configuration
 ``sweep``        run a named experiment grid (fig4 / fig5 / pingpong /
                  taskbench) in parallel through the cached sweep engine
 ``netpipe``      raw fabric ping-pong baseline for a list of sizes
-``compare``      MPI vs LCI side-by-side on the ping-pong benchmark
 ``validate``     simulator self-checks against closed-form models
 ``explore``      schedule-space exploration: re-run a scenario under
                  alternative legal interleavings, check protocol invariants
-``trace-export`` run a small job with observability on, export the trace
 ``chaos``        run TLR Cholesky under a named fault plan, report recovery
 ``info``         print the calibrated platform constants
 
@@ -155,6 +151,17 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--faults", metavar="PLAN", default=None,
                     choices=sorted(FAULT_PLANS),
                     help="run under a named fault plan")
+    rn.add_argument("--progress", action="store_true",
+                    help="print heartbeats (tasks, events/s, RSS, ETA) to stderr")
+    rn.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+                    help="run guard: abort after this much wall-clock time")
+    rn.add_argument("--max-events", type=int, default=None, metavar="N",
+                    help="run guard: abort after N kernel events")
+    rn.add_argument("--json", metavar="PATH", default=None,
+                    help="also dump the result as JSON")
+    rn.add_argument("--trace", metavar="PATH", default=None,
+                    help="run with observability on and write the event "
+                    "trace: CSV if PATH ends in .csv, else Chrome JSON")
     for name, doc in sorted(_workload_param_flags().items()):
         rn.add_argument(f"--{name.replace('_', '-')}", dest=name,
                         type=_param_value, default=argparse.SUPPRESS,
@@ -167,52 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--params", action="store_true",
                     help="also list each workload's parameters and defaults")
 
-    pp = sub.add_parser("pingpong", help="ping-pong bandwidth (Fig. 2)",
-                        parents=[_common_flags(backend="lci", seed=0, nodes=2)])
-    pp.add_argument("--fragment", type=_size, default=_size("128K"))
-    pp.add_argument("--total", type=_size, default=None, help="bytes per iteration")
-    pp.add_argument("--streams", type=int, default=1)
-    pp.add_argument("--iterations", type=int, default=6)
-    pp.add_argument("--no-sync", action="store_true")
-
-    ov = sub.add_parser("overlap", help="compute/comm overlap (Fig. 3)",
-                        parents=[_common_flags(backend="lci", seed=0, nodes=2)])
-    ov.add_argument("--fragment", type=_size, default=_size("512K"))
-    ov.add_argument("--total", type=_size, default=None)
-
-    hc = sub.add_parser("hicma", help="TLR Cholesky (Fig. 4/5)",
-                        parents=[_common_flags(backend="lci", seed=0, nodes=4)])
-    hc.add_argument("--matrix", type=int, default=None,
-                    help="matrix dimension N (default 36,000, or 360,000 "
-                    "under REPRO_PAPER_SCALE=1)")
-    hc.add_argument("--tile", type=int, default=None,
-                    help="tile size b (default 1200, or 2400 under "
-                    "REPRO_PAPER_SCALE=1)")
-    hc.add_argument("--mt-activate", action="store_true",
-                    help="workers send ACTIVATEs directly (§6.4.3)")
-    hc.add_argument("--native-put", action="store_true",
-                    help="LCI one-sided put (§7 future work)")
-    hc.add_argument("--json", metavar="PATH", default=None,
-                    help="also dump the result as JSON")
-    hc.add_argument("--progress", action="store_true",
-                    help="print run-progress heartbeats to stderr (tasks "
-                    "done, events/s, RSS, ETA) — recommended with "
-                    "REPRO_PAPER_SCALE=1")
-    hc.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                    help="abort the run after this much wall-clock time "
-                    "with a diagnostic snapshot (run guard)")
-    hc.add_argument("--max-events", type=int, default=None, metavar="N",
-                    help="abort the run after N kernel events with a "
-                    "diagnostic snapshot (run guard)")
-
     np_ = sub.add_parser("netpipe", help="raw fabric ping-pong baseline")
     np_.add_argument("sizes", nargs="*", type=_size,
                      default=[_size(s) for s in ("4K", "64K", "1M", "8M")])
-
-    cp = sub.add_parser("compare", help="MPI vs LCI ping-pong side by side",
-                        parents=[_common_flags(seed=0)])
-    cp.add_argument("--fragment", type=_size, default=_size("128K"))
-    cp.add_argument("--total", type=_size, default=None)
 
     sw = sub.add_parser(
         "sweep",
@@ -291,18 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--progress", action="store_true",
                     help="print one line per explored schedule to stderr")
 
-    te = sub.add_parser(
-        "trace-export",
-        help="run a small TLR Cholesky job with observability on and export "
-        "the event trace (Chrome about://tracing JSON or CSV)",
-        parents=[_common_flags(backend="lci", seed=0, nodes=2)],
-    )
-    te.add_argument("--matrix", type=int, default=7200)
-    te.add_argument("--tile", type=int, default=1200)
-    te.add_argument("--format", choices=["chrome", "csv"], default="chrome")
-    te.add_argument("--out", metavar="PATH", default=None,
-                    help="output file (default: trace.json / trace.csv)")
-
     ch = sub.add_parser(
         "chaos",
         help="run a workload under a named fault plan and report "
@@ -341,15 +293,28 @@ def _progress_bus(args, kinds):
 
 
 def cmd_run(args) -> int:
-    """Run one registered workload through :class:`~repro.api.Experiment`."""
+    """Run one registered workload through :class:`~repro.api.Experiment`.
+
+    Bad input exits 2 with ``error: …``; a run-guard abort exits 3."""
     from repro.api import Experiment
-    from repro.errors import ConfigError
+    from repro.errors import (BenchmarkError, ConfigError,
+                              RuntimeBackendError, SupervisionError)
 
     params = {
         name: getattr(args, name)
         for name in _workload_param_flags()
         if hasattr(args, name)
     }
+    progress = guards = None
+    if args.progress:
+        from repro.obs.progress import ProgressReporter
+
+        progress = ProgressReporter(stream=sys.stderr)
+    if args.deadline is not None or args.max_events is not None:
+        from repro.supervise import RunGuards
+
+        guards = RunGuards(deadline=args.deadline, max_events=args.max_events)
+    contexts = []
     try:
         result = Experiment(
             workload=args.workload,
@@ -358,15 +323,29 @@ def cmd_run(args) -> int:
             seed=args.seed,
             faults=args.faults,
             **params,
-        ).run()
-    except ConfigError as exc:
+        ).run(progress=progress, guards=guards,
+              observability=args.trace is not None,
+              ctx_observer=contexts.append)
+    except SupervisionError as exc:
+        return _report_abort(exc)
+    except (ConfigError, BenchmarkError, RuntimeBackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.summary())
-    for key in ("flow_latency",):
-        stats = getattr(result, key, None)
-        if stats and stats.get("mean"):
-            print(f"  mean e2e latency: {stats['mean'] * 1e6:.2f} us")
+    if result.flow_latency.get("mean"):
+        print(f"  mean e2e latency: {result.flow_latency['mean'] * 1e6:.2f} us")
+    if args.json:
+        from repro.analysis.export import dump_results
+
+        dump_results(result, args.json, title=args.workload)
+        print(f"  wrote {args.json}")
+    if args.trace:
+        from repro.obs import ChromeTraceSink, CsvSink
+
+        sink = CsvSink() if args.trace.endswith(".csv") else ChromeTraceSink()
+        contexts[0].obs.export(sink)
+        sink.write(args.trace)
+        print(f"  wrote {args.trace}")
     return 0
 
 
@@ -384,53 +363,8 @@ def cmd_workloads(args) -> int:
     return 0
 
 
-def cmd_pingpong(args) -> int:
-    """Run one ping-pong configuration and print its bandwidth."""
-    from repro.api import Experiment
-
-    experiment = Experiment(
-        workload="pingpong",
-        backend=args.backend,
-        nodes=args.nodes,
-        seed=args.seed,
-        fragment_size=args.fragment,
-        streams=args.streams,
-        total_bytes=args.total,
-        iterations=args.iterations,
-        sync=not args.no_sync,
-    )
-    result = experiment.run()
-    print(result.summary())
-    print(f"  window          : {experiment.config().window} fragments")
-    print(f"  mean e2e latency: {result.flow_latency.get('mean', 0) * 1e6:.2f} us")
-    return 0
-
-
-def cmd_overlap(args) -> int:
-    """Run one overlap configuration against the analytic bounds."""
-    from repro.api import Experiment
-    from repro.bench.overlap import no_overlap_flops, roofline_flops
-    from repro.config import scaled_platform
-
-    platform = scaled_platform(num_nodes=args.nodes)
-    experiment = Experiment(
-        workload="overlap",
-        backend=args.backend,
-        nodes=args.nodes,
-        seed=args.seed,
-        fragment_size=args.fragment,
-        total_bytes=args.total,
-    )
-    cfg = experiment.config()
-    result = experiment.run(platform=platform)
-    print(result.summary())
-    print(f"  roofline  : {roofline_flops(cfg, platform) / 1e12:.3f} TFLOP/s")
-    print(f"  no overlap: {no_overlap_flops(cfg, platform) / 1e12:.3f} TFLOP/s")
-    return 0
-
-
 def _report_abort(exc) -> int:
-    """Print a structured guard-abort report; the ``hicma`` failure path.
+    """Print a structured guard-abort report; ``run``'s exit-3 path.
 
     The run died on a budget (:class:`~repro.errors.RunBudgetExceeded`) or
     live-lock (:class:`~repro.errors.NoProgressError`); report *where* it
@@ -455,60 +389,6 @@ def _report_abort(exc) -> int:
     return 3
 
 
-def cmd_hicma(args) -> int:
-    """Run one simulated TLR Cholesky configuration."""
-    from repro.api import Experiment
-    from repro.errors import RuntimeBackendError, SupervisionError
-    from repro.bench.hicma_bench import default_matrix_size
-    from repro.config import paper_scale_enabled
-
-    # Paper scale flips the *defaults*; explicit --matrix/--tile always win.
-    # Tile 2400 is the tractable paper-scale sweet spot (NT=150).
-    matrix = args.matrix if args.matrix is not None else default_matrix_size()
-    tile = args.tile if args.tile is not None else (
-        2400 if paper_scale_enabled() else 1200
-    )
-    experiment = Experiment(
-        workload="hicma",
-        backend=args.backend,
-        nodes=args.nodes,
-        seed=args.seed,
-        matrix_size=matrix,
-        tile_size=tile,
-        multithreaded_activate=args.mt_activate,
-        native_put=args.native_put,
-    )
-    progress = None
-    if args.progress:
-        from repro.obs.progress import ProgressReporter
-
-        progress = ProgressReporter(stream=sys.stderr)
-    guards = None
-    if args.deadline is not None or args.max_events is not None:
-        from repro.supervise import RunGuards
-
-        guards = RunGuards(deadline=args.deadline, max_events=args.max_events)
-    try:
-        result = experiment.run(progress=progress, guards=guards)
-    except SupervisionError as exc:
-        return _report_abort(exc)
-    except RuntimeBackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(result.summary())
-    if args.native_put:
-        print("  data transfer    : native put")
-    print(f"  tasks            : {result.tasks}")
-    print(f"  wire traffic     : {result.wire_bytes / 1e6:.1f} MB")
-    print(f"  worker utilization: {result.worker_utilization:.1%}")
-    if args.json:
-        from repro.analysis.export import dump_results
-
-        dump_results(result, args.json, title="hicma")
-        print(f"  wrote {args.json}")
-    return 0
-
-
 def cmd_netpipe(args) -> int:
     """Print the raw fabric ping-pong bandwidth for each size."""
     from repro.network.netpipe import netpipe_bandwidth_curve
@@ -516,31 +396,6 @@ def cmd_netpipe(args) -> int:
 
     for size, bw in netpipe_bandwidth_curve(args.sizes):
         print(f"  {fmt_size(size):>10}: {gbit_per_s(bw):7.2f} Gbit/s")
-    return 0
-
-
-def cmd_compare(args) -> int:
-    """Run MPI and LCI side by side on the ping-pong benchmark."""
-    from repro.api import BackendKind, Experiment
-    from repro.bench.report import Comparison
-
-    results = {
-        kind.value: Experiment(
-            workload="pingpong",
-            backend=kind,
-            seed=args.seed,
-            fragment_size=args.fragment,
-            total_bytes=args.total,
-        ).run()
-        for kind in (BackendKind.MPI, BackendKind.LCI)
-    }
-    comp = Comparison(
-        title=f"ping-pong @ fragment={args.fragment} B",
-        results=results,
-        metric="bandwidth_gbit",
-        higher_is_better=True,
-    )
-    print(comp.summary())
     return 0
 
 
@@ -589,35 +444,6 @@ def cmd_explore(args) -> int:
     print(f"  wrote {args.out} (key {doc['key'][:12]}…), replay with: "
           f"python -m repro explore --replay {args.out}")
     return 1
-
-
-def cmd_trace_export(args) -> int:
-    """Run a small HiCMA configuration with the obs bus on and export it."""
-    from repro.bench.hicma_bench import HicmaConfig
-    from repro.config import scaled_platform
-    from repro.obs import ChromeTraceSink, CsvSink
-    from repro.runtime.context import ParsecContext
-    from repro.workloads import get_workload
-
-    cfg = HicmaConfig(matrix_size=args.matrix, tile_size=args.tile,
-                      num_nodes=args.nodes, seed=args.seed)
-    platform = scaled_platform(num_nodes=args.nodes, cores_per_node=4)
-    graph = get_workload("hicma").build_graph(cfg, platform)
-    ctx = ParsecContext(platform, backend=args.backend, observability=True,
-                        seed=args.seed)
-    stats = ctx.run(graph, until=36_000.0)
-    sink = ChromeTraceSink() if args.format == "chrome" else CsvSink()
-    ctx.obs.export(sink)
-    out = args.out or ("trace.json" if args.format == "chrome" else "trace.csv")
-    sink.write(out)
-    n_events = len(ctx.obs.memory)
-    print(f"trace-export[{args.backend}] N={args.matrix} tile={args.tile} "
-          f"nodes={args.nodes}: TTS={stats.makespan:.3f}s "
-          f"{stats.tasks_executed} tasks, {n_events} events")
-    for name, total in sorted(stats.obs_counters.items()):
-        print(f"  {name:<28} {total}")
-    print(f"  wrote {out}")
-    return 0
 
 
 def cmd_chaos(args) -> int:
@@ -726,15 +552,10 @@ def cmd_validate(args) -> int:
 _COMMANDS = {
     "run": cmd_run,
     "workloads": cmd_workloads,
-    "pingpong": cmd_pingpong,
-    "overlap": cmd_overlap,
-    "hicma": cmd_hicma,
     "netpipe": cmd_netpipe,
-    "compare": cmd_compare,
     "sweep": cmd_sweep,
     "validate": cmd_validate,
     "explore": cmd_explore,
-    "trace-export": cmd_trace_export,
     "chaos": cmd_chaos,
     "info": cmd_info,
 }

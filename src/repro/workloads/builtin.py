@@ -103,7 +103,8 @@ HICMA = register(WorkloadSpec(
 [POTRF(k)] -> [TRSM(k,i)] -> [SYRK/GEMM(k,i,j)] -> [POTRF(k+1)] ...
     (panel factorization cascades down the tile grid;
      each TRSM output multicasts to a row of updates)""",
-    example="python -m repro run hicma --nodes 16 --backend lci",
+    example=("python -m repro run hicma --nodes 16 --backend lci "
+             "--matrix-size 36000 --tile-size 1200"),
     config="repro.bench.hicma_bench:HicmaConfig",
     graph="repro.bench.hicma_bench:hicma_graph",
     result="repro.bench.hicma_bench:hicma_result",

@@ -145,10 +145,6 @@ class WorkloadSpec:
 
         return {"platform": scaled_platform(num_nodes=config.num_nodes)}
 
-    def field_names(self) -> frozenset:
-        """Names of every config field (the accepted parameter set)."""
-        return frozenset(f.name for f in dataclasses.fields(self.config_cls()))
-
     def params(self) -> tuple:
         """The documented parameter schema, one :class:`Param` per field.
 
@@ -180,17 +176,33 @@ class WorkloadSpec:
     def build_config(self, **kwargs: Any):
         """Validate ``kwargs`` against the schema and build the config.
 
-        Unknown parameter names raise :class:`~repro.errors.ConfigError`
-        listing the valid set; value validation is the config dataclass's
-        own ``__post_init__`` job.
+        Unknown parameter names (the error lists the valid set), missing
+        required ones, and a non-bool value for a ``bool`` field raise
+        :class:`~repro.errors.ConfigError`; any other value validation is
+        the config dataclass's own ``__post_init__`` job.
         """
-        valid = self.field_names()
+        fields = dataclasses.fields(self.config_cls())
+        valid = {f.name for f in fields}
         unknown = sorted(set(kwargs) - valid)
         if unknown:
             raise ConfigError(
                 f"workload {self.name!r} does not accept parameter(s) "
                 f"{unknown}; valid: {sorted(valid)}"
             )
+        missing = [f.name for f in fields
+                   if f.default is dataclasses.MISSING and f.name not in kwargs]
+        if missing:
+            raise ConfigError(
+                f"workload {self.name!r} requires parameter(s) {missing}"
+            )
+        for f in fields:
+            # Under postponed annotations ``f.type`` is the string "bool".
+            value = kwargs.get(f.name, False)
+            if f.type in ("bool", bool) and not isinstance(value, bool):
+                raise ConfigError(
+                    f"workload {self.name!r}: parameter {f.name!r} must be "
+                    f"true or false, got {value!r}"
+                )
         return self.config_cls()(**kwargs)
 
     def run(
@@ -204,6 +216,7 @@ class WorkloadSpec:
         ctx_observer: Any = None,
         progress: Any = None,
         guards: Any = None,
+        observability: bool = False,
     ):
         """Execute one run and return the frozen typed result.
 
@@ -217,6 +230,7 @@ class WorkloadSpec:
             ctx_observer=ctx_observer,
             progress=progress,
             guards=guards,
+            observability=observability,
         )
 
     def build_graph(self, config: Any, platform: Any):

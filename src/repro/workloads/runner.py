@@ -39,13 +39,14 @@ def run_workload(
     ctx_observer: Any = None,
     progress: Any = None,
     guards: Any = None,
+    observability: bool = False,
 ):
     """Run ``cfg`` of workload ``spec`` and return its frozen result.
 
     ``platform`` overrides the spec's default platform.  ``faults`` (a
-    :class:`~repro.config.FaultConfig`) and ``schedule_policy`` (a
-    :class:`~repro.sim.core.SchedulePolicy`) pass straight to the
-    context; ``ctx_observer(ctx)`` runs after context construction and
+    :class:`~repro.config.FaultConfig`), ``schedule_policy`` (a
+    :class:`~repro.sim.core.SchedulePolicy`) and ``observability`` pass
+    straight to the context; ``ctx_observer(ctx)`` runs after context construction and
     before the run, so callers such as the schedule explorer can install
     audits and inspect the context afterwards.  ``progress`` (``True`` or
     a :class:`~repro.obs.progress.ProgressReporter`) turns on heartbeats;
@@ -77,6 +78,7 @@ def run_workload(
         seed=cfg.seed,
         faults=faults,
         schedule_policy=schedule_policy,
+        observability=observability,
         **options,
     )
     if ctx_observer is not None:

@@ -5,7 +5,6 @@ import pytest
 from repro import Experiment
 from repro.bench.overlap import OverlapConfig, no_overlap_flops, roofline_flops
 from repro.bench.pingpong import PingPongConfig, build_pingpong_graph
-from repro.bench.report import Comparison
 from repro.config import scaled_platform
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB
@@ -100,44 +99,14 @@ class TestOverlapConfig:
 
     def test_driver_runs(self):
         plat = scaled_platform(num_nodes=2)
-        r = Experiment(workload="overlap", backend="lci",
-                       fragment_size=1 * MiB, total_bytes=4 * MiB).run(platform=plat)
+        experiment = Experiment(workload="overlap", backend="lci",
+                                fragment_size=1 * MiB, total_bytes=4 * MiB)
+        r = experiment.run(platform=plat)
         assert r.flops_per_s > 0
         assert r.total_flops > 0
-        assert "overlap" in r.summary()
-
-
-class TestComparison:
-    class _R:
-        def __init__(self, v):
-            self.metric = v
-
-    def test_winner_higher_is_better(self):
-        c = Comparison("t", {"a": self._R(1.0), "b": self._R(2.0)}, "metric")
-        assert c.winner() == "b"
-
-    def test_winner_lower_is_better(self):
-        c = Comparison(
-            "t", {"a": self._R(1.0), "b": self._R(2.0)}, "metric", higher_is_better=False
-        )
-        assert c.winner() == "a"
-
-    def test_ratio(self):
-        c = Comparison("t", {"a": self._R(1.0), "b": self._R(4.0)}, "metric")
-        assert c.ratio("b", "a") == 4.0
-
-    def test_summary_mentions_winner(self):
-        c = Comparison("title", {"a": self._R(3.0), "b": self._R(1.0)}, "metric")
-        assert "winner: a" in c.summary()
-
-    def test_dict_results_supported(self):
-        c = Comparison("t", {"a": {"metric": 5.0}}, "metric")
-        assert c.value("a") == 5.0
-
-    def test_missing_metric_raises(self):
-        c = Comparison("t", {"a": object()}, "nope")
-        with pytest.raises(AttributeError):
-            c.value("a")
+        assert r.roofline == roofline_flops(experiment.config(), plat)
+        assert r.no_overlap == no_overlap_flops(experiment.config(), plat)
+        assert "overlap" in r.summary() and "roofline" in r.summary()
 
 
 class TestApiFacade:
@@ -151,10 +120,7 @@ class TestApiFacade:
             ).run()
             for backend in ("mpi", "lci")
         }
-        comp = Comparison("ping-pong", results, "bandwidth_gbit",
-                          higher_is_better=True)
-        assert set(comp.results) == {"mpi", "lci"}
-        assert comp.winner() == "lci"
+        assert results["lci"].bandwidth_gbit > results["mpi"].bandwidth_gbit
 
     def test_run_pingpong_facade(self):
         import repro

@@ -33,17 +33,28 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_pingpong_defaults(self):
-        args = build_parser().parse_args(["pingpong"])
+        args = build_parser().parse_args(
+            ["run", "pingpong", "--fragment-size", "128K"])
         assert args.backend == "lci"
-        assert args.fragment == 128 * 1024
+        assert args.fragment_size == 128 * 1024
+        assert not args.progress and args.json is None and args.trace is None
 
     def test_hicma_flags(self):
         args = build_parser().parse_args(
-            ["hicma", "--backend", "mpi", "--tile", "900", "--mt-activate"]
+            ["run", "hicma", "--backend", "mpi", "--tile-size", "900",
+             "--multithreaded-activate", "true"]
         )
         assert args.backend == "mpi"
-        assert args.tile == 900
-        assert args.mt_activate is True
+        assert args.tile_size == 900
+        assert args.multithreaded_activate is True
+
+    def test_verbs(self):
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command")
+        assert sorted(sub.choices) == sorted([
+            "run", "workloads", "netpipe", "sweep", "validate", "explore",
+            "chaos", "info",
+        ])
 
 
 class TestCommands:
@@ -60,22 +71,31 @@ class TestCommands:
 
     def test_pingpong(self, capsys):
         assert main(
-            ["pingpong", "--fragment", "256K", "--total", "1M", "--iterations", "3"]
+            ["run", "pingpong", "--fragment-size", "256K", "--total-bytes",
+             "1M", "--iterations", "3"]
         ) == 0
         out = capsys.readouterr().out
         assert "Gbit/s" in out
 
-    def test_compare(self, capsys):
-        assert main(["compare", "--fragment", "256K", "--total", "1M"]) == 0
-        out = capsys.readouterr().out
-        assert "winner: lci" in out
+    def test_compare(self, capsys, tmp_path):
+        """MPI and LCI side by side on ping-pong: the sweep's pingpong grid."""
+        out_path = tmp_path / "outcome.json"
+        assert main(["sweep", "pingpong", "--fragments", "256K", "--total",
+                     "1M", "--no-cache", "--out", str(out_path)]) == 0
+        assert "MPI Gbit/s" in capsys.readouterr().out
+        import json
+
+        records = json.loads(out_path.read_text())["records"]
+        bandwidth = {r["backend"]: r["bandwidth"] for r in records}
+        assert bandwidth["lci"] > bandwidth["mpi"]
 
     def test_hicma(self, capsys):
         assert main(
-            ["hicma", "--matrix", "7200", "--tile", "1200", "--nodes", "2"]
+            ["run", "hicma", "--matrix-size", "7200", "--tile-size", "1200",
+             "--nodes", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "time-to-solution" in out
+        assert "time-to-solution" in out and "MB wire" in out
 
     def test_chaos_rejects_indivisible_matrix(self):
         """``--matrix`` must divide by ``--tile``, as for ``run hicma``;
@@ -83,33 +103,61 @@ class TestCommands:
         with pytest.raises(BenchmarkError, match="not divisible"):
             main(["chaos", "--matrix", "7000", "--tile", "1200"])
 
+    HICMA_SMALL = ["run", "hicma", "--matrix-size", "7200",
+                   "--tile-size", "1200", "--nodes", "2"]
+
     def test_hicma_native_put(self, capsys):
-        assert main(
-            ["hicma", "--matrix", "7200", "--tile", "1200", "--nodes", "2",
-             "--native-put"]
-        ) == 0
+        assert main([*self.HICMA_SMALL, "--native-put", "true"]) == 0
         out = capsys.readouterr().out
-        assert "native put" in out
+        assert "hicma[lci]" in out and "MB wire" in out
 
     def test_hicma_native_put_writes_json(self, capsys, tmp_path):
         path = tmp_path / "hicma.json"
         assert main(
-            ["hicma", "--matrix", "7200", "--tile", "1200", "--nodes", "2",
-             "--native-put", "--json", str(path)]
+            [*self.HICMA_SMALL, "--native-put", "true", "--json", str(path)]
         ) == 0
         assert path.exists() and f"wrote {path}" in capsys.readouterr().out
 
     def test_hicma_native_put_needs_lci(self, capsys):
         assert main(
-            ["hicma", "--matrix", "7200", "--tile", "1200", "--nodes", "2",
-             "--backend", "mpi", "--native-put"]
+            [*self.HICMA_SMALL, "--backend", "mpi", "--native-put", "true"]
         ) == 2
         captured = capsys.readouterr()
-        assert "native_put requires the LCI backend" in captured.err
+        assert "error: native_put requires the LCI backend" in captured.err
         assert "hicma[" not in captured.out
 
+    def test_run_indivisible_matrix_exits_2(self, capsys):
+        assert main(["run", "hicma", "--matrix-size", "7000",
+                     "--tile-size", "1200", "--nodes", "2"]) == 2
+        assert "error: matrix 7000 not divisible" in capsys.readouterr().err
+
+    def test_run_missing_required_param_exits_2(self, capsys):
+        assert main(["run", "hicma", "--nodes", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "requires parameter(s)" in err and "matrix_size" in err
+
+    def test_run_non_bool_flag_exits_2(self, capsys):
+        assert main(["run", "pingpong", "--fragment-size", "128K",
+                     "--sync", "no"]) == 2
+        assert "'sync' must be true or false" in capsys.readouterr().err
+
+    def test_run_guard_abort_exits_3(self, capsys):
+        assert main(["run", "hicma", "--nodes", "4", "--matrix-size", "7200",
+                     "--tile-size", "600", "--max-events", "5000"]) == 3
+        captured = capsys.readouterr()
+        assert "run aborted" in captured.err
+        assert "partial stats" in captured.err
+        assert "hicma[" not in captured.out
+
+    def test_run_progress_heartbeats(self, capsys):
+        assert main(["run", "pingpong", "--fragment-size", "256K",
+                     "--total-bytes", "1M", "--iterations", "3",
+                     "--progress"]) == 0
+        assert "[progress]" in capsys.readouterr().err
+
     def test_overlap(self, capsys):
-        assert main(["overlap", "--fragment", "1M", "--total", "4M"]) == 0
+        assert main(["run", "overlap", "--fragment-size", "1M",
+                     "--total-bytes", "4M"]) == 0
         out = capsys.readouterr().out
         assert "TFLOP/s" in out and "roofline" in out
 
@@ -164,13 +212,13 @@ class TestNewCommands:
 
     @pytest.mark.parametrize("fmt,loader", [("chrome", "json"), ("csv", "csv")])
     def test_trace_export(self, capsys, tmp_path, fmt, loader):
-        out_path = tmp_path / f"trace.{fmt}"
+        out_path = tmp_path / f"trace.{loader}"
         assert main([
-            "trace-export", "--matrix", "4800", "--nodes", "2",
-            "--format", fmt, "--out", str(out_path),
+            "run", "hicma", "--matrix-size", "4800", "--tile-size", "1200",
+            "--nodes", "2", "--trace", str(out_path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "events" in out and str(out_path) in out
+        assert "hicma[lci]" in out and f"wrote {out_path}" in out
         if loader == "json":
             import json
 
@@ -226,3 +274,21 @@ class TestRunVerb:
     def test_sweep_taskbench_grid_exists(self):
         args = build_parser().parse_args(["sweep", "taskbench", "--jobs", "2"])
         assert args.grid == "taskbench" and args.jobs == 2
+
+
+class TestVerifyRecipe:
+    def test_skill_cli_block_runs(self, capsys, tmp_path, monkeypatch):
+        """Every command line of the verify recipe's CLI block exits 0."""
+        import pathlib
+        import shlex
+
+        skill = (pathlib.Path(__file__).resolve().parent.parent / ".claude"
+                 / "skills" / "verify" / "SKILL.md").read_text()
+        block = skill.split("## CLI surface", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("python -m repro ")]
+        assert len(lines) >= 8
+        monkeypatch.chdir(tmp_path)  # the recipe writes out.json, trace.csv
+        for line in lines:
+            assert main(shlex.split(line)[3:]) == 0, line
+        capsys.readouterr()

@@ -148,6 +148,35 @@ class TestParamValidation:
         with pytest.raises(ConfigError, match="mode"):
             get_workload("tree").build_config(mode="scatter")
 
+    def test_missing_required_parameters_named(self):
+        with pytest.raises(ConfigError,
+                           match=r"requires parameter\(s\) \['fragment_size'\]"):
+            repro.Experiment(workload="pingpong")
+        with pytest.raises(ConfigError, match="matrix_size.*tile_size"):
+            get_workload("hicma").build_config(num_nodes=16)
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_bool_parameter_rejects_non_bool(self, value):
+        with pytest.raises(ConfigError, match="'sync' must be true or false"):
+            get_workload("pingpong").build_config(fragment_size=1024,
+                                                  sync=value)
+
+    @pytest.mark.parametrize("spec", workload_specs(), ids=lambda s: s.name)
+    def test_example_parses_and_builds_config(self, spec):
+        """Every catalog example is a command line ``run`` accepts."""
+        import shlex
+
+        from repro.cli import _workload_param_flags, build_parser
+
+        argv = shlex.split(spec.example)[3:]
+        args = build_parser().parse_args(argv)
+        assert args.workload == spec.name
+        params = {name: getattr(args, name)
+                  for name in _workload_param_flags() if hasattr(args, name)}
+        if args.nodes is not None:
+            params["num_nodes"] = args.nodes
+        spec.build_config(seed=args.seed, **params)
+
 
 class TestBuiltinBitIdentity:
     """The registry path must be indistinguishable from the Experiment

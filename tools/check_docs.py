@@ -68,7 +68,7 @@ WORKLOADS_SRC = ROOT / "src" / "repro" / "workloads"
 #: here without a doc update is drift.
 REQUIRED_DOCUMENTED_FLAGS = {
     "sweep": ("--journal", "--resume", "--out", "--heartbeat-timeout"),
-    "hicma": ("--deadline", "--max-events"),
+    "run": ("--deadline", "--max-events", "--progress", "--json", "--trace"),
 }
 
 
