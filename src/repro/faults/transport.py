@@ -233,6 +233,7 @@ class ReliableTransport:
         probe = WireMessage(
             src=src, dst=dst, size=_ACK_SIZE,
             msg_class=MessageClass.CONTROL, channel=channel,
+            msg_id=next(fabric.msg_ids),
         )
         drop, _dup, corrupt, extra_delay, _kinds = self.engine.judge(probe, now)
         depart = fabric.nics[src].inject(now, _ACK_SIZE, MessageClass.CONTROL)

@@ -45,8 +45,6 @@ _CTRL = 64
 _CONTROL = MessageClass.CONTROL
 _DATA = MessageClass.DATA
 
-_op_ids = itertools.count()
-
 Completion = Any  # Synchronizer | CompletionQueue | Callable | None
 
 
@@ -64,6 +62,8 @@ class LciWorld:
         self.fabric = fabric
         self.costs = costs or LciCosts()
         self.obs = obs if obs is not None else sim.obs
+        #: Direct-operation ids, unique across the job's devices.
+        self.op_ids = itertools.count()
         self.devices = [LciDevice(self, node) for node in range(fabric.num_nodes)]
         # Deferred wire sends carry their sender-side FIN as a ``_fin``
         # payload hint; the fabric raises it here once the destination NIC
@@ -84,8 +84,11 @@ class _DirectOp:
 
     __slots__ = ("op_id", "peer", "tag", "size", "payload", "comp", "user_ctx")
 
-    def __init__(self, peer: int, tag: int, size: int, payload: Any, comp: Completion, user_ctx: Any):
-        self.op_id = next(_op_ids)
+    def __init__(
+        self, op_id: int, peer: int, tag: int, size: int, payload: Any,
+        comp: Completion, user_ctx: Any,
+    ):
+        self.op_id = op_id
         self.peer = peer
         self.tag = tag
         self.size = size
@@ -103,6 +106,7 @@ class LciDevice:
         self.costs = world.costs
         self.node = node
         self.faults = world.fabric.faults
+        self._op_ids = world.op_ids
         # Resource pools.
         self.tx_packets_free = self.costs.packet_pool_size
         self.rx_packets_free = self.costs.packet_pool_size
@@ -294,7 +298,7 @@ class LciDevice:
             self._c_retry_sendd.inc()
             return LCI_ERR_RETRY
         self.send_slots_free -= 1
-        op = _DirectOp(dst, tag, size, data, comp, user_ctx)
+        op = _DirectOp(next(self._op_ids), dst, tag, size, data, comp, user_ctx)
         self._send_ops[op.op_id] = op
         yield self.costs.direct_post
         self.world.fabric.send(
@@ -333,7 +337,7 @@ class LciDevice:
             self._c_retry_putd.inc()
             return LCI_ERR_RETRY
         self.send_slots_free -= 1
-        op = _DirectOp(dst, tag, size, data, comp, user_ctx)
+        op = _DirectOp(next(self._op_ids), dst, tag, size, data, comp, user_ctx)
         self._send_ops[op.op_id] = op
         yield self.costs.direct_post
         fabric = self.world.fabric
@@ -376,7 +380,7 @@ class LciDevice:
             self._c_retry_recvd.inc()
             return LCI_ERR_RETRY
         self.recv_slots_free -= 1
-        op = _DirectOp(src, tag, size, None, comp, user_ctx)
+        op = _DirectOp(next(self._op_ids), src, tag, size, None, comp, user_ctx)
         self._recv_ops[op.op_id] = op
         yield self.costs.direct_post
         # Check unexpected RTS first (handshake may have raced us).

@@ -15,7 +15,6 @@ while the simulated charge stays per active array entry.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from typing import Any, Iterable, Optional
 
@@ -30,17 +29,15 @@ __all__ = [
     "RequestArray",
 ]
 
-_req_ids = itertools.count()
-
 
 class Request:
     """Base request: completion flag plus activation flag."""
 
     __slots__ = ("sim", "req_id", "done", "active", "_array", "_akey")
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, req_id: int):
         self.sim = sim
-        self.req_id = next(_req_ids)
+        self.req_id = req_id
         self.done = False
         self.active = True
         #: The :class:`RequestArray` this request is enrolled in, and its
@@ -72,10 +69,10 @@ class SendRequest(Request):
 
     __slots__ = ("dst", "tag", "size", "payload", "protocol")
 
-    def __init__(self, sim: Simulator, dst: int, tag: int, size: int, payload: Any):
+    def __init__(self, sim: Simulator, req_id: int, dst: int, tag: int, size: int, payload: Any):
         # Request.__init__, inlined: one frame less per request.
         self.sim = sim
-        self.req_id = next(_req_ids)
+        self.req_id = req_id
         self.done = False
         self.active = True
         self._array = None
@@ -92,10 +89,12 @@ class RecvRequest(Request):
 
     __slots__ = ("src", "tag", "max_size", "source", "recv_tag", "recv_size", "payload")
 
-    def __init__(self, sim: Simulator, src: Optional[int], tag: Optional[int], max_size: int):
+    def __init__(
+        self, sim: Simulator, req_id: int, src: Optional[int], tag: Optional[int], max_size: int
+    ):
         # Request.__init__, inlined: one frame less per request.
         self.sim = sim
-        self.req_id = next(_req_ids)
+        self.req_id = req_id
         self.done = False
         self.active = True
         self._array = None
@@ -117,8 +116,10 @@ class PersistentRecvRequest(RecvRequest):
 
     __slots__ = ()
 
-    def __init__(self, sim: Simulator, src: Optional[int], tag: Optional[int], max_size: int):
-        super().__init__(sim, src, tag, max_size)
+    def __init__(
+        self, sim: Simulator, req_id: int, src: Optional[int], tag: Optional[int], max_size: int
+    ):
+        super().__init__(sim, req_id, src, tag, max_size)
         self.active = False  # must be started first
 
     def _rearm(self) -> None:

@@ -25,6 +25,7 @@ Key modelled behaviours (matching the paper's description of Open MPI):
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Any, Generator, Optional, Sequence
 
@@ -85,6 +86,8 @@ class MpiWorld:
         self.costs = costs or MpiCosts()
         self.allow_overtaking = allow_overtaking
         self.obs = obs if obs is not None else sim.obs
+        #: Request ids, unique across the job's ranks.
+        self.req_ids = itertools.count()
         self.ranks = [
             MpiRank(self, rank) for rank in range(fabric.num_nodes)
         ]
@@ -112,6 +115,7 @@ class MpiRank:
         self.rank = rank
         self._n_ranks = world.fabric.num_nodes
         self.faults = world.fabric.faults
+        self._req_ids = world.req_ids
         self.match = MatchEngine()
         self._inbox: deque[WireMessage] = deque()
         self._sends: dict[int, SendRequest] = {}
@@ -223,7 +227,7 @@ class MpiRank:
             self._locked = True
         try:
             costs = self.costs
-            sreq = SendRequest(self.sim, dst, tag, size, payload)
+            sreq = SendRequest(self.sim, next(self._req_ids), dst, tag, size, payload)
             if size <= costs.rendezvous_threshold:
                 sreq.protocol = "eager"
                 if self._obs_on:
@@ -292,7 +296,7 @@ class MpiRank:
         else:
             self._locked = True
         try:
-            rreq = RecvRequest(self.sim, src, tag, max_size)
+            rreq = RecvRequest(self.sim, next(self._req_ids), src, tag, max_size)
             yield self.costs.post_request
             env = self.match.post_recv(rreq)
             if env is not None:
@@ -312,7 +316,7 @@ class MpiRank:
     ) -> PersistentRecvRequest:
         """Create (but do not start) a persistent receive."""
         self._check_recv(src, max_size)
-        return PersistentRecvRequest(self.sim, src, tag, max_size)
+        return PersistentRecvRequest(self.sim, next(self._req_ids), src, tag, max_size)
 
     def start(self, preq: PersistentRecvRequest) -> Generator:
         """Arm (or re-arm) a persistent receive — ``MPI_Start``."""
@@ -440,7 +444,7 @@ class MpiRank:
         else:
             self._locked = True
         try:
-            req = Request(self.sim)
+            req = Request(self.sim, next(self._req_ids))
             yield self.costs.rma_put_post
             fabric = self.world.fabric
             wire_payload = {"kind": "rma_put", "size": size, "data": payload}

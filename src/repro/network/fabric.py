@@ -8,6 +8,7 @@ constant memory-copy latency.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import Callable, Optional
@@ -98,6 +99,9 @@ class Fabric:
             self.defers_wire = False
         else:
             self._rel = None
+        #: Message ids: :meth:`send` stamps one on every message, in send
+        #: order (the reliable transport's ACK probes draw here too).
+        self.msg_ids = itertools.count()
         #: Per-source-node wire-send sequence numbers: the third component
         #: of the canonical ``(inject, src, seq)`` tie-break key stamped on
         #: every deferred wire send.
@@ -178,6 +182,7 @@ class Fabric:
                 f"no handler for channel {msg.channel!r} at node {dst}"
             )
         now = self.sim.now
+        msg.msg_id = next(self.msg_ids)
         msg.inject_time = now
         if src == dst:
             deliver = now + self.LOOPBACK_LATENCY

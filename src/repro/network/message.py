@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["MessageClass", "WireMessage"]
-
-_msg_ids = itertools.count()
 
 
 class MessageClass(enum.IntEnum):
@@ -42,7 +39,7 @@ class WireMessage:
     payload: Any
     #: Library-level channel discriminator (e.g. "mpi", "lci").
     channel: str
-    #: Unique id from a process-wide counter (assigned when not given).
+    #: Stamped by the fabric on send: unique within that fabric's run.
     msg_id: int
     #: Stamped by the fabric: injection time, NIC tail-departure time, and
     #: delivery time at the destination.
@@ -62,7 +59,7 @@ class WireMessage:
         msg_class: MessageClass,
         payload: Any = None,
         channel: str = "",
-        msg_id: Optional[int] = None,
+        msg_id: int = -1,
         inject_time: float = -1.0,
         depart_time: float = -1.0,
         deliver_time: float = -1.0,
@@ -75,14 +72,13 @@ class WireMessage:
         self.msg_class = msg_class
         self.payload = payload
         self.channel = channel
-        self.msg_id = next(_msg_ids) if msg_id is None else msg_id
+        self.msg_id = msg_id
         self.inject_time = inject_time
         self.depart_time = depart_time
         self.deliver_time = deliver_time
         self.seq = seq
         self.checksum = checksum
-        # Checked after the id is drawn: a rejected message still consumes
-        # one.  Self-sends (src == dst) are legal loopback; the fabric
+        # Self-sends (src == dst) are legal loopback; the fabric
         # special-cases them.
         if size < 0:
             raise ValueError(f"negative message size: {size}")

@@ -21,7 +21,7 @@ See ``docs/observability.md`` for the event taxonomy and sink API.
 """
 
 from repro.obs.bus import NULL_BUS, NullBus, ObsBus, Span
-from repro.obs.events import ObsEvent
+from repro.obs.events import ObsEvent, trace_sha256
 from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM, Counter, Histogram
 from repro.obs.progress import ProgressReporter, peak_rss_bytes
 from repro.obs.sinks import (
@@ -39,6 +39,7 @@ __all__ = [
     "NULL_BUS",
     "Span",
     "ObsEvent",
+    "trace_sha256",
     "ProgressReporter",
     "peak_rss_bytes",
     "Counter",

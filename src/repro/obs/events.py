@@ -34,10 +34,11 @@ counters and the ``sweep.resumed`` counter for journal-recovered points.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
-__all__ = ["ObsEvent"]
+__all__ = ["ObsEvent", "trace_sha256"]
 
 
 @dataclass(frozen=True)
@@ -51,3 +52,16 @@ class ObsEvent:
     info: Any = None
     local_time: Optional[float] = None
     phase: str = "I"
+
+
+def trace_sha256(events: Iterable[ObsEvent]) -> str:
+    """SHA-256 over ``(time, kind, node, key, info)`` of each event, in order.
+
+    The digest the stack fingerprints pin (``tools/bench_ab.py``, the
+    fingerprint corpus).  A run's trace depends only on its inputs, so two
+    runs of one case in one process give the same digest.
+    """
+    digest = hashlib.sha256()
+    for ev in events:
+        digest.update(repr((ev.time, ev.kind, ev.node, ev.key, ev.info)).encode())
+    return digest.hexdigest()

@@ -19,8 +19,7 @@ its progress path.  One-sided completion callbacks have the same shape.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from repro.errors import RuntimeBackendError
 from repro.faults.transport import SeqTracker
@@ -45,15 +44,6 @@ TAG_PUT_COMPLETE = 3
 
 AmCallback = Callable[..., Generator]
 OnesidedCallback = Callable[..., Generator]
-
-_put_tags = itertools.count(1000)
-
-
-def next_data_tag() -> int:
-    """A fresh wire tag for one put's data transfer.  Unique per origin while
-    in flight (the (origin, tag) tuple disambiguates at the target, §5.3.3)."""
-    return next(_put_tags)
-
 
 class BackoffPolicy:
     """Retry-delay schedule for backend back-pressure (LCI_ERR_RETRY etc.).
@@ -88,9 +78,20 @@ class BackoffPolicy:
 class CommEngine:
     """Abstract communication engine (Listing 1)."""
 
-    def __init__(self, sim: Simulator, node: int, obs=None, backoff: Optional[BackoffPolicy] = None):
+    def __init__(
+        self,
+        sim: Simulator,
+        node: int,
+        data_tags: Iterator[int],
+        obs=None,
+        backoff: Optional[BackoffPolicy] = None,
+    ):
         self.sim = sim
         self.node = node
+        #: Wire tags for put data transfers, one fresh tag per put.  The
+        #: run's engines share one source: the target tells transfers apart
+        #: by (origin, tag) (§5.3.3).
+        self._data_tags = data_tags
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         #: Observability bus (defaults to the simulator's, usually NULL_BUS).
         self.obs = obs if obs is not None else getattr(sim, "obs", NULL_BUS)

@@ -17,6 +17,7 @@ including its small synchronisation error.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -177,6 +178,8 @@ class ParsecContext:
                 jitter=fc.retry_jitter,
                 rng=self.rng.get("faults.backend_backoff"),
             )
+        # Put data tags: one source per run, shared by all its engines.
+        data_tags = itertools.count(1000)
         if backend == "mpi":
             mpi_costs = _scale_time_costs(self.platform.mpi, penalty)
             self.mpi_world = MpiWorld(
@@ -186,6 +189,7 @@ class ParsecContext:
                 MpiBackend(
                     self.sim,
                     self.mpi_world.ranks[r],
+                    data_tags,
                     self.platform.runtime,
                     put_mode=mpi_put_mode,
                     backoff=backoff,
@@ -200,6 +204,7 @@ class ParsecContext:
                 LciBackend(
                     self.sim,
                     self.lci_world.devices[r],
+                    data_tags,
                     self.platform.runtime,
                     native_put=native_put,
                     backoff=backoff,

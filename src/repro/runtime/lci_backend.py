@@ -26,7 +26,7 @@ Other §5.3 behaviours reproduced here:
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterator, Optional
 
 from repro.config import RuntimeCosts
 from repro.errors import RuntimeBackendError
@@ -38,7 +38,6 @@ from repro.runtime.comm_engine import (
     CommEngine,
     OnesidedCallback,
     TAG_PUT_COMPLETE,
-    next_data_tag,
 )
 from repro.sim.core import Event, Process, Simulator
 from repro.sim.primitives import NotifyQueue
@@ -53,11 +52,12 @@ class LciBackend(CommEngine):
         self,
         sim: Simulator,
         device: LciDevice,
+        data_tags: Iterator[int],
         rt_costs: Optional[RuntimeCosts] = None,
         native_put: bool = False,
         backoff: Optional[BackoffPolicy] = None,
     ):
-        super().__init__(sim, device.node, backoff=backoff)
+        super().__init__(sim, device.node, data_tags, backoff=backoff)
         self.device = device
         self.rt = rt_costs or RuntimeCosts()
         #: Use LCI's one-sided put with remote completion instead of the
@@ -147,7 +147,8 @@ class LciBackend(CommEngine):
                 if status == LCI_OK:
                     break
                 attempt += 1
-                self._c_send_retry.inc()
+                if self._obs_on:
+                    self._c_send_retry.inc()
                 yield self.backoff.delay(attempt)
 
     def put(
@@ -161,7 +162,7 @@ class LciBackend(CommEngine):
     ) -> Generator:
         """Specialized handshake (+ eager payload for small data) and a
         Direct transfer otherwise (§5.3.3)."""
-        data_tag = next_data_tag()
+        data_tag = next(self._data_tags)
         self.stats["puts_started"] += 1
         self.stats["bytes_put"] += size
         if self._obs_on:
@@ -183,7 +184,8 @@ class LciBackend(CommEngine):
                 if status == LCI_OK:
                     return
                 attempt += 1
-                self._c_send_retry.inc()
+                if self._obs_on:
+                    self._c_send_retry.inc()
                 yield self.backoff.delay(attempt)
         eager = size <= self.rt.lci_eager_put_max
         hs_payload = {
@@ -200,7 +202,8 @@ class LciBackend(CommEngine):
             if status == LCI_OK:
                 break
             attempt += 1
-            self._c_send_retry.inc()
+            if self._obs_on:
+                self._c_send_retry.inc()
             yield self.backoff.delay(attempt)
         if eager:
             # No separate data communication; local completion is immediate.
@@ -220,7 +223,8 @@ class LciBackend(CommEngine):
                 if status == LCI_OK:
                     break
                 attempt += 1
-                self._c_send_retry.inc()
+                if self._obs_on:
+                    self._c_send_retry.inc()
                 yield self.backoff.delay(attempt)
 
     def progress(self) -> Generator[Any, Any, int]:

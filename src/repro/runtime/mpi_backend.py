@@ -21,7 +21,7 @@ Faithful to the described design:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterator, Optional
 
 from repro.config import RuntimeCosts
 from repro.errors import RuntimeBackendError
@@ -32,7 +32,6 @@ from repro.runtime.comm_engine import (
     CommEngine,
     OnesidedCallback,
     TAG_PUT_COMPLETE,
-    next_data_tag,
 )
 from repro.sim.core import Event, Process, Simulator
 
@@ -78,11 +77,12 @@ class MpiBackend(CommEngine):
         self,
         sim: Simulator,
         rank: MpiRank,
+        data_tags: Iterator[int],
         rt_costs: Optional[RuntimeCosts] = None,
         put_mode: str = "twosided",
         backoff: Optional[BackoffPolicy] = None,
     ):
-        super().__init__(sim, rank.rank, backoff=backoff)
+        super().__init__(sim, rank.rank, data_tags, backoff=backoff)
         if put_mode not in ("twosided", "rma"):
             raise RuntimeBackendError(f"unknown put mode {put_mode!r}")
         self.rank = rank
@@ -177,7 +177,7 @@ class MpiBackend(CommEngine):
         l_cb_data: Any = None,
     ) -> Generator:
         """Handshake AM + (possibly deferred) two-sided data send."""
-        data_tag = next_data_tag()
+        data_tag = next(self._data_tags)
         self.stats["puts_started"] += 1
         self.stats["bytes_put"] += size
         if self._obs_on:

@@ -22,9 +22,7 @@ from repro.sim.core import (
 from repro.sim.primitives import (
     Store,
     PriorityStore,
-    Resource,
     Semaphore,
-    Latch,
     NotifyQueue,
 )
 from repro.sim.rng import RngStreams
@@ -41,9 +39,7 @@ __all__ = [
     "PARK",
     "Store",
     "PriorityStore",
-    "Resource",
     "Semaphore",
-    "Latch",
     "NotifyQueue",
     "RngStreams",
     "NodeClock",

@@ -13,7 +13,7 @@ from typing import Any, Optional
 from repro.errors import SimulationError
 from repro.sim.core import Event, Process, Simulator, noop
 
-__all__ = ["Store", "PriorityStore", "Resource", "Semaphore", "Latch", "NotifyQueue"]
+__all__ = ["Store", "PriorityStore", "Semaphore", "NotifyQueue"]
 
 
 class Store:
@@ -168,61 +168,6 @@ class PriorityStore(Store):
         return False, None
 
 
-class Resource:
-    """A counted resource with FIFO acquisition.
-
-    ``acquire()`` yields an event; callers must call ``release()`` exactly
-    once per successful acquisition.
-    """
-
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
-
-    def __init__(self, sim: Simulator, capacity: int):
-        if capacity <= 0:
-            raise SimulationError("Resource capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Currently held slots."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Free slots."""
-        return self.capacity - self._in_use
-
-    def acquire(self) -> Event:
-        """Event that fires once a slot is held (FIFO)."""
-        evt = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            evt.succeed()
-        else:
-            self._waiters.append(evt)
-        return evt
-
-    def try_acquire(self) -> bool:
-        """Take a slot if one is free; False otherwise."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
-
-    def release(self) -> None:
-        """Return a slot, waking the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError("Resource.release without acquire")
-        if self._waiters:
-            # Hand the slot straight to the next waiter.
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
-
-
 class Semaphore:
     """A counting semaphore (may start at zero)."""
 
@@ -323,36 +268,3 @@ class NotifyQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-
-class Latch:
-    """A countdown latch: triggers its event when the count reaches zero."""
-
-    __slots__ = ("sim", "_count", "event")
-
-    def __init__(self, sim: Simulator, count: int):
-        if count < 0:
-            raise SimulationError("Latch count must be non-negative")
-        self.sim = sim
-        self._count = count
-        self.event = Event(sim)
-        if count == 0:
-            self.event.succeed()
-
-    @property
-    def count(self) -> int:
-        """Remaining count before the latch opens."""
-        return self._count
-
-    def count_down(self, n: int = 1) -> None:
-        """Decrement; opens the latch (fires the event) at zero."""
-        if self._count <= 0:
-            raise SimulationError("Latch already released")
-        self._count -= n
-        if self._count < 0:
-            raise SimulationError("Latch count went negative")
-        if self._count == 0:
-            self.event.succeed()
-
-    def wait(self) -> Event:
-        """The latch event (fires when the count reaches zero)."""
-        return self.event

@@ -6,6 +6,8 @@ persistent-receive re-arming, the 30-transfer cap with FIFO promotion,
 eager-put handshakes, FIFO fairness batching, and retry delegation.
 """
 
+import itertools
+
 import pytest
 
 from repro.config import LciCosts, MpiCosts, RuntimeCosts
@@ -26,8 +28,9 @@ def make_mpi_pair(rt_costs=None, mpi_costs=None):
     sim = Simulator()
     fabric = Fabric(sim, 2)
     world = MpiWorld(sim, fabric, mpi_costs, allow_overtaking=True)
+    tags = itertools.count(1000)
     engines = [
-        MpiBackend(sim, world.ranks[i], rt_costs or RuntimeCosts()) for i in range(2)
+        MpiBackend(sim, world.ranks[i], tags, rt_costs or RuntimeCosts()) for i in range(2)
     ]
     return sim, engines
 
@@ -36,8 +39,9 @@ def make_lci_pair(rt_costs=None, lci_costs=None):
     sim = Simulator()
     fabric = Fabric(sim, 2)
     world = LciWorld(sim, fabric, lci_costs)
+    tags = itertools.count(1000)
     engines = [
-        LciBackend(sim, world.devices[i], rt_costs or RuntimeCosts()) for i in range(2)
+        LciBackend(sim, world.devices[i], tags, rt_costs or RuntimeCosts()) for i in range(2)
     ]
     return sim, engines
 

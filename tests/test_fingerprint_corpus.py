@@ -8,7 +8,12 @@
 - the abort point of a guarded ``hicma`` run, both backends.
 
 Each entry records the run's inputs, the SHA-256 that ``perf/run.py``'s
-``fingerprint()`` computes over its outputs, and a few readable figures.
+``fingerprint()`` computes over its outputs, a few readable figures, and
+the ``trace_sha256`` of the same case rerun with observability on.  The
+fingerprint comes from the obs-off run: an obs-on partial ``RunStats``
+carries ``obs_counters``, which would move the abort fingerprints.  A
+run's trace depends only on its inputs, so every entry holds in any test
+order.
 The corpus has no bless switch.  A deliberate change of simulated output
 is a reviewed edit of the JSON file: a mismatch prints the observed entry
 to paste in.
@@ -23,6 +28,7 @@ import pytest
 
 from repro import Experiment
 from repro.errors import RunBudgetExceeded
+from repro.obs import trace_sha256
 from repro.supervise import RunGuards
 from repro.workloads import get_workload, workload_specs
 
@@ -64,31 +70,43 @@ def corpus_cases() -> dict:
     return cases
 
 
-def observe(run: dict, fingerprint) -> dict:
-    """Execute one case and return its corpus entry."""
+def execute(run: dict, observability: bool = False):
+    """Run one case; return ``(outcome, context, aborted)``.  An aborted
+    run's outcome is the guard's partial ``RunStats``."""
     seen = []
     experiment = Experiment(workload=run["workload"], backend=run["backend"],
                             seed=SEED, faults=run.get("faults"), **run["params"])
     guards = RunGuards(**run["guards"]) if "guards" in run else None
     try:
-        outcome = experiment.run(ctx_observer=seen.append, guards=guards)
+        outcome = experiment.run(ctx_observer=seen.append, guards=guards,
+                                 observability=observability)
         aborted = False
-        tasks = outcome.tasks
     except RunBudgetExceeded as exc:
         if exc.partial is None:
             raise
         outcome = exc.partial
         aborted = True
-        tasks = outcome.tasks_executed
-    ctx = seen[-1]
+    return outcome, seen[-1], aborted
+
+
+def trace_of(run: dict) -> str:
+    """The obs-trace SHA-256 of one case."""
+    _outcome, ctx, _aborted = execute(run, observability=True)
+    return trace_sha256(ctx.obs.memory.events)
+
+
+def observe(run: dict, fingerprint) -> dict:
+    """Execute one case and return its corpus entry."""
+    outcome, ctx, aborted = execute(run)
     entry = {
         "run": run,
         "fingerprint": fingerprint(outcome, ctx),
         "makespan": outcome.makespan,
-        "tasks": tasks,
+        "tasks": outcome.tasks_executed if aborted else outcome.tasks,
         "events_processed": ctx.sim.events_processed,
+        "trace_sha256": trace_of(run),
     }
-    if guards is not None:
+    if "guards" in run:
         entry["aborted"] = aborted
     return entry
 
@@ -126,3 +144,11 @@ def test_case_matches_corpus(case_id, corpus, fingerprint):
             f"{case_id} differs from {CORPUS.name}; observed entry:\n"
             + json.dumps({case_id: observed}, indent=2, sort_keys=True)
         )
+
+
+@pytest.mark.parametrize("case_id", ["taskbench/mpi", "randomdag/lci/chaos"])
+def test_repeat_run_in_one_process_gives_same_trace(case_id):
+    # Put tags reach MPI event keys and message ids reach fault events:
+    # both must restart with each run, not continue from the last one.
+    run = corpus_cases()[case_id]
+    assert trace_of(run) == trace_of(run)

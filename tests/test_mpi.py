@@ -21,7 +21,7 @@ def make_world(n=2, costs=None):
 
 class TestMatchEngine:
     def _recv(self, src=None, tag=None, size=1 << 20):
-        return RecvRequest(Simulator(), src, tag, size)
+        return RecvRequest(Simulator(), 0, src, tag, size)
 
     def test_post_then_arrive(self):
         m = MatchEngine()
@@ -381,7 +381,7 @@ class TestTestsome:
         r0 = world.ranks[0]
         costs = world.costs
         arr = RequestArray()
-        early, late, late_fixed = (Request(sim) for _ in range(3))
+        early, late, late_fixed = (Request(sim, next(world.req_ids)) for _ in range(3))
         for req in (early, late, late_fixed):
             req._complete()
         arr._append(early)
@@ -418,7 +418,7 @@ class TestTestsome:
 
     def test_request_in_two_arrays_rejected(self):
         sim, _world = make_world()
-        req = RecvRequest(sim, 0, 1, 64)
+        req = RecvRequest(sim, 0, 0, 1, 64)
         RequestArray([req])
         with pytest.raises(MpiError, match="already in a request array"):
             RequestArray([req])

@@ -1,6 +1,8 @@
 """Tests for MPI RMA dynamic windows and the RMA put mode (§4.2.2's
 unexplored alternative, implemented here as an ablation)."""
 
+import itertools
+
 import pytest
 
 from repro.config import scaled_platform
@@ -112,7 +114,7 @@ class TestRmaPutMode:
 
         sim, world = make_world()
         with pytest.raises(RuntimeBackendError, match="put mode"):
-            MpiBackend(sim, world.ranks[0], put_mode="windows95")
+            MpiBackend(sim, world.ranks[0], itertools.count(1000), put_mode="windows95")
 
     def test_multicast_works_under_rma(self):
         g = TaskGraph()

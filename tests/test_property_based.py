@@ -97,7 +97,7 @@ class TestMatchingProperties:
         for op, src, tag, wild in ops:
             if op == "post":
                 n_posts += 1
-                recv = RecvRequest(sim, None if wild else src, tag, 1 << 20)
+                recv = RecvRequest(sim, 0, None if wild else src, tag, 1 << 20)
                 env = engine.post_recv(recv)
                 if env is not None:
                     matches.append((recv, env))
@@ -129,7 +129,7 @@ class TestMatchingProperties:
             engine.arrive(Envelope(src=0, tag=7, size=1, kind="eager", payload=i))
         got = []
         for _ in payloads:
-            recv = RecvRequest(sim, 0, 7, 1 << 20)
+            recv = RecvRequest(sim, 0, 0, 7, 1 << 20)
             env = engine.post_recv(recv)
             assert env is not None
             got.append(env.payload)
@@ -159,14 +159,14 @@ class TestMatchingProperties:
         engine.audit = lambda op, recv, env: log.append(_ids(op, recv, env))
         for op, src, tag, pick in ops:
             if op == "post":
-                recv = RecvRequest(sim, src, tag, 1 << 20)
+                recv = RecvRequest(sim, 0, src, tag, 1 << 20)
                 got, want = engine.post_recv(recv), ref.post_recv(recv)
             elif op == "arrive":
                 env = Envelope(src=src or 0, tag=tag or 0, size=1, kind="eager")
                 got, want = engine.arrive(env), ref.arrive(env)
             else:
                 posted = ref.posted
-                recv = posted[pick % len(posted)] if posted else RecvRequest(sim, src, tag, 1)
+                recv = posted[pick % len(posted)] if posted else RecvRequest(sim, 0, src, tag, 1)
                 got, want = engine.cancel(recv), ref.cancel(recv)
             assert got is want
             assert engine.take_walked() == ref.take_walked()
@@ -267,19 +267,19 @@ class TestRequestArrayProperties:
                 if k % 5 == 0:
                     req = None  # a hole
                 elif flag:
-                    req = PersistentRecvRequest(sim, None, 1, 64)
+                    req = PersistentRecvRequest(sim, next(world.req_ids), None, 1, 64)
                     if k % 2:
                         req._rearm()
                         if k % 4 == 3:
                             req._complete()  # matched inside its first start()
                 else:
-                    req = Request(sim)
+                    req = Request(sim, next(world.req_ids))
                     if k % 2:
                         req._complete()
                 arr._add_fixed(req)
                 fixed.append(req)
             elif op == "append":
-                req = Request(sim)
+                req = Request(sim, next(world.req_ids))
                 if flag:
                     req._complete()  # e.g. an eager send, done before enrolment
                 arr._append(req)

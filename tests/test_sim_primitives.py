@@ -1,10 +1,10 @@
-"""Unit tests for stores, resources, semaphores, and latches."""
+"""Unit tests for stores and semaphores."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import Simulator
-from repro.sim.primitives import Store, PriorityStore, Resource, Semaphore, Latch
+from repro.sim.primitives import Store, PriorityStore, Semaphore
 
 
 @pytest.fixture()
@@ -137,46 +137,6 @@ class TestPriorityStore:
         assert sim.run_process(consumer()) == "direct"
 
 
-class TestResource:
-    def test_capacity_enforced(self, sim):
-        res = Resource(sim, capacity=2)
-        log = []
-
-        def user(tag, hold):
-            yield res.acquire()
-            log.append(("acq", tag, sim.now))
-            yield sim.timeout(hold)
-            res.release()
-
-        sim.process(user("a", 1.0))
-        sim.process(user("b", 1.0))
-        sim.process(user("c", 1.0))
-        sim.run()
-        times = {tag: t for _op, tag, t in log}
-        assert times["a"] == 0.0 and times["b"] == 0.0
-        assert times["c"] == pytest.approx(1.0)
-
-    def test_try_acquire(self, sim):
-        res = Resource(sim, capacity=1)
-        assert res.try_acquire() is True
-        assert res.try_acquire() is False
-        res.release()
-        assert res.try_acquire() is True
-
-    def test_release_without_acquire_raises(self, sim):
-        res = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_available_accounting(self, sim):
-        res = Resource(sim, capacity=3)
-        assert res.available == 3
-        res.try_acquire()
-        res.try_acquire()
-        assert res.in_use == 2
-        assert res.available == 1
-
-
 class TestSemaphore:
     def test_initial_value(self, sim):
         sem = Semaphore(sim, value=2)
@@ -212,38 +172,3 @@ class TestSemaphore:
         with pytest.raises(SimulationError):
             Semaphore(sim, value=-1)
 
-
-class TestLatch:
-    def test_counts_down_to_release(self, sim):
-        latch = Latch(sim, 3)
-
-        def waiter():
-            yield latch.wait()
-            return sim.now
-
-        def worker(delay):
-            yield sim.timeout(delay)
-            latch.count_down()
-
-        for d in (1.0, 2.0, 3.0):
-            sim.process(worker(d))
-        assert sim.run_process(waiter()) == pytest.approx(3.0)
-
-    def test_zero_latch_already_open(self, sim):
-        latch = Latch(sim, 0)
-
-        def waiter():
-            yield latch.wait()
-            return True
-
-        assert sim.run_process(waiter()) is True
-
-    def test_overshoot_raises(self, sim):
-        latch = Latch(sim, 1)
-        latch.count_down()
-        with pytest.raises(SimulationError):
-            latch.count_down()
-
-    def test_negative_count_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            Latch(sim, -1)

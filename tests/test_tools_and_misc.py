@@ -134,19 +134,13 @@ class TestRepoCheckers:
         # The perf fingerprints run with observability off; this pins the
         # obs-on path (every emitted event of bench_ab's default-size stack
         # workload) to the value recorded before the per-message host-path
-        # rewrite, so payload and wire-emit changes cannot drift it.  The
-        # run needs a fresh interpreter: put data tags come from a
-        # process-wide counter and appear in the MPI event keys.
-        spec = {"workload": "stack", "backend": backend,
-                "layers": [8, 12, 12, 12, 8]}
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "bench_ab.py"),
-             "--child", json.dumps(spec)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["trace_sha256"] == sha
+        # rewrite, so payload and wire-emit changes cannot drift it.
+        spec = importlib.util.spec_from_file_location(
+            "bench_ab", ROOT / "tools" / "bench_ab.py")
+        bench_ab = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_ab)
+        run = bench_ab._run_stack(backend, [8, 12, 12, 12, 8])
+        assert run["trace_sha256"] == sha
 
     def test_paper_scale_budget(self, tmp_path):
         # Build-only mode (~5 s): asserts the NT=150 graph build/memory

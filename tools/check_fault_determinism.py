@@ -2,11 +2,12 @@
 """Check: fault-injection runs are deterministic (same seed + same plan ⇒
 bit-identical results).
 
-Runs the same small workload twice under the same seeded fault plan and
-diffs the final run statistics (makespan, task/event counts, wire bytes,
-flow-latency sums) plus every obs counter, including the ``fault.*`` and
-``rel.*`` instruments.  Any divergence means an injector or recovery path
-consumed randomness outside the named RNG streams — exit 1.
+Runs the same small workload twice in this process under the same seeded
+fault plan and diffs the final run statistics (makespan, task/event counts,
+wire bytes, flow-latency sums), every obs counter, including the
+``fault.*`` and ``rel.*`` instruments, and the obs-trace SHA-256.  Any
+divergence means an injector or recovery path consumed randomness outside
+the named RNG streams, or an id leaked from one run into the next — exit 1.
 
 Also asserts the NULL-engine invariant: a run with ``faults=None`` and a run
 with a disabled plan produce identical fingerprints.
@@ -34,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import scaled_platform  # noqa: E402
 from repro.faults.plans import fault_plan  # noqa: E402
+from repro.obs import trace_sha256  # noqa: E402
 from repro.runtime.context import ParsecContext  # noqa: E402
 from repro.workloads.generators import random_layered_dag  # noqa: E402
 
@@ -57,6 +59,7 @@ def fingerprint(backend: str, plan, seed: int = 3) -> dict:
         "flow_latency_sum": sum(stats.flow_latencies),
         "n_flow_latencies": len(stats.flow_latencies),
         "counters": dict(sorted(stats.obs_counters.items())),
+        "trace_sha256": trace_sha256(ctx.obs.memory.events),
     }
 
 
