@@ -223,15 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     va = sub.add_parser("validate", help="simulator self-checks vs closed forms")
     va.add_argument("--size", type=_size, default=_size("1M"))
 
-    from repro.explore.scenarios import SCENARIO_KINDS
-
     ex = sub.add_parser(
         "explore",
         help="explore alternative schedules of a scenario and check "
         "protocol invariants (quiescence, matching, deadlock, invariance)",
         parents=[_common_flags(backend="lci", seed=0, nodes=2, jobs=1)],
     )
-    ex.add_argument("scenario", nargs="?", choices=list(SCENARIO_KINDS),
+    ex.add_argument("scenario", nargs="?", choices=list(workload_names()),
                     default="pingpong",
                     help="which workload scenario to explore")
     ex.add_argument("--max-schedules", type=int, default=50,

@@ -98,7 +98,8 @@ class NetworkConfig(DictCodec):
     100 Gbit/s per direction per node; the topology is a hybrid fat-tree.
     """
 
-    #: NIC injection/ejection bandwidth, bytes/s, per direction (full duplex).
+    #: NIC injection/ejection bandwidth, bytes/s, per direction (full
+    #: duplex).  Per-byte DMA/SerDes time beyond line rate is folded in.
     bandwidth: float = bytes_per_s_from_gbit(100.0)
     #: Base end-to-end wire latency for a minimal message (s).
     wire_latency: float = 1.1 * US
@@ -106,9 +107,6 @@ class NetworkConfig(DictCodec):
     hop_latency: float = 150 * NS
     #: Inter-message gap at the NIC (s) — bounds achievable message rate.
     message_gap: float = 60 * NS
-    #: Per-byte DMA/SerDes time beyond line rate is folded into `bandwidth`.
-    #: MTU used to segment very large transfers for fair link sharing (bytes).
-    mtu: int = 4096
     #: Number of switch levels in the fat tree (2 ⇒ leaf + spine).
     fat_tree_levels: int = 2
     #: Nodes per leaf switch.
@@ -117,7 +115,6 @@ class NetworkConfig(DictCodec):
     def __post_init__(self) -> None:
         _no_negative_numbers(self)
         _require(self.bandwidth > 0, f"NetworkConfig.bandwidth must be > 0 (got {self.bandwidth!r})")
-        _require(self.mtu >= 1, f"NetworkConfig.mtu must be >= 1 (got {self.mtu!r})")
         _require(
             self.fat_tree_levels >= 1,
             f"NetworkConfig.fat_tree_levels must be >= 1 (got {self.fat_tree_levels!r})",
@@ -195,8 +192,6 @@ class LciCosts(DictCodec):
     direct_post: float = 0.85 * US
     #: Per-byte copy cost into pre-registered buffers (Buffered protocol).
     copy_per_byte: float = 0.05 * NS
-    #: Fixed cost of one LCI_progress poll iteration.
-    progress_poll: float = 0.15 * US
     #: Cost of draining one completion from a hardware queue.
     completion_drain: float = 0.20 * US
     #: Cost of dispatching a user handler from the progress engine.

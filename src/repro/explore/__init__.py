@@ -23,12 +23,11 @@ from repro.explore.explorer import (
 )
 from repro.explore.invariants import MatchAuditor, Violation, check_quiescence
 from repro.explore.policy import MAX_BRANCH, RandomWalkPolicy, ReplayPolicy, scope_of
-from repro.explore.scenarios import SCENARIO_KINDS, Scenario, default_scenario, run_scenario
+from repro.explore.scenarios import Scenario, default_scenario, run_scenario
 from repro.explore.schedule import encode_schedule, load_schedule, write_schedule
 
 __all__ = [
     "MAX_BRANCH",
-    "SCENARIO_KINDS",
     "ExploreConfig",
     "ExploreOutcome",
     "Finding",

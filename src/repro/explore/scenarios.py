@@ -29,49 +29,21 @@ from repro.explore.invariants import (
 )
 from repro.faults.plans import fault_plan
 
-__all__ = ["scenario_kinds", "SCENARIO_KINDS", "Scenario",
-           "default_scenario", "run_scenario"]
-
-
-def scenario_kinds() -> tuple:
-    """Workloads the explorer can drive: every registered workload,
-    including any plugins registered since import."""
-    from repro.workloads import workload_names
-
-    return workload_names()
+__all__ = ["Scenario", "default_scenario", "run_scenario"]
 
 
 def _spec_of(workload: str):
     """Resolve a workload, re-raising unknown names as ExploreError."""
     from repro.errors import ConfigError
-    from repro.workloads import get_workload
+    from repro.workloads import get_workload, workload_names
 
     try:
         return get_workload(workload)
     except ConfigError:
         raise ExploreError(
             f"unknown scenario workload {workload!r} "
-            f"(known: {', '.join(scenario_kinds())})"
+            f"(known: {', '.join(workload_names())})"
         ) from None
-
-
-class _ScenarioKinds(tuple):
-    """Registry-backed kind listing (kept for back-compat with the old
-    ``SCENARIO_KINDS`` constant): iteration/membership consult the live
-    registry, so workloads registered after import still count."""
-
-    def __iter__(self):
-        return iter(scenario_kinds())
-
-    def __contains__(self, item):
-        return item in scenario_kinds()
-
-    def __len__(self):
-        return len(scenario_kinds())
-
-
-#: Workloads the explorer can drive (live view over the registry).
-SCENARIO_KINDS = _ScenarioKinds()
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from repro.lci.constants import LCI_ERR_RETRY, LCI_OK
 from repro.network.fabric import Fabric
 from repro.network.message import MessageClass, WireMessage
 from repro.obs.bus import ObsBus
-from repro.sim.core import Event, Process, Simulator
+from repro.sim.core import Process, Simulator
 
 __all__ = ["LciDevice", "LciWorld"]
 
@@ -126,7 +126,8 @@ class LciDevice:
         self.am_handler: Optional[Callable[[CompletionRecord], None]] = None
         #: One-sided put notification handler (for :meth:`putd` targets).
         self.put_handler: Optional[Callable[[CompletionRecord], None]] = None
-        self._waiters: list[Event] = []
+        #: Progress threads parked until the next progress work.
+        self._waiters: list[Process] = []
         # Back-pressure / pool-occupancy instruments (§5.2): every
         # LCI_ERR_RETRY is counted per operation class, and the TX/RX packet
         # pools are sampled on each allocation.
@@ -194,20 +195,8 @@ class LciDevice:
         if not self._waiters:
             return
         waiters, self._waiters = self._waiters, []
-        for w in waiters:
-            if isinstance(w, Process):
-                w.wake()
-            else:
-                w.succeed()
-
-    def activity_event(self) -> Event:
-        """Fires when there is (or as soon as there is) progress work."""
-        evt = Event(self.sim)
-        if self._hw or self._rx_proto or (self._rx_am and self.rx_packets_free > 0):
-            evt.succeed()
-        else:
-            self._waiters.append(evt)
-        return evt
+        for proc in waiters:
+            proc.wake()
 
     def park(self, proc: Process) -> bool:
         """Register a parked process to wake on the next progress work.

@@ -22,7 +22,7 @@ This package reproduces the runtime architecture the paper describes:
 from repro.runtime.taskpool import TaskGraph
 from repro.runtime.comm_engine import CommEngine, TAG_ACTIVATE, TAG_GETDATA, TAG_PUT_COMPLETE
 from repro.runtime.context import ParsecContext, RunStats
-from repro.runtime.scheduler import CentralScheduler, WorkStealingScheduler
+from repro.runtime.scheduler import CentralScheduler
 from repro.runtime.node import NodeRuntime, binomial_tree
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ParsecContext",
     "RunStats",
     "CentralScheduler",
-    "WorkStealingScheduler",
     "NodeRuntime",
     "binomial_tree",
 ]

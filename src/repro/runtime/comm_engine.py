@@ -10,7 +10,7 @@ so differences in performance must be due to communication management").
 Active-message callbacks are **generator functions**::
 
     def cb(engine, tag, msg, size, src, cb_data):
-        yield engine.sim.timeout(...)   # CPU work
+        yield 0.5e-6   # CPU work: a number sleeps that many seconds
         ...
 
 invoked (``yield from``) by the backend on whichever simulated thread runs
@@ -24,7 +24,7 @@ from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 from repro.errors import RuntimeBackendError
 from repro.faults.transport import SeqTracker
 from repro.obs.bus import NULL_BUS
-from repro.sim.core import Event, Process, Simulator
+from repro.sim.core import Process, Simulator
 
 __all__ = [
     "BackoffPolicy",
@@ -178,15 +178,10 @@ class CommEngine:
         ``Testsome``)."""
         return False
 
-    def activity_event(self) -> Event:
-        """Event that fires when the engine (may) have work to progress."""
-        raise NotImplementedError
-
     def park(self, proc: Process) -> bool:
         """Register ``proc`` (parked on ``yield PARK``) to be woken when the
         engine may have work; returns ``False`` — without registering — when
-        work is already pending.  The allocation-free replacement for
-        waiting on :meth:`activity_event`."""
+        work is already pending, so the caller polls instead of parking."""
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------

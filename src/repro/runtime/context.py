@@ -118,7 +118,6 @@ class ParsecContext:
         native_put: bool = False,
         num_progress_threads: int = 1,
         num_comm_threads: int = 1,
-        scheduler: str = "central",
         mpi_put_mode: str = "twosided",
         observability: bool = False,
         faults: Optional[FaultConfig] = None,
@@ -126,8 +125,6 @@ class ParsecContext:
     ):
         if backend not in ("mpi", "lci"):
             raise RuntimeBackendError(f"unknown backend {backend!r}")
-        if scheduler not in ("central", "ws"):
-            raise RuntimeBackendError(f"unknown scheduler {scheduler!r}")
         if native_put and backend != "lci":
             raise RuntimeBackendError("native_put requires the LCI backend")
         if num_progress_threads < 1 or num_comm_threads < 1:
@@ -135,8 +132,6 @@ class ParsecContext:
         self.native_put = native_put
         self.num_progress_threads = num_progress_threads
         self.num_comm_threads = num_comm_threads
-        #: Scheduler policy: "central" priority queue or "ws" work stealing.
-        self.scheduler = scheduler
         #: Observability bus shared by every layer (repro.obs); the disabled
         #: path is a free no-op.
         self.obs = ObsBus() if observability else NULL_BUS
@@ -321,7 +316,7 @@ class ParsecContext:
         self._total_tasks = graph.num_tasks
         workers = self.platform.workers_for(self.backend, multinode=n > 1)
         for node in self.nodes:
-            node.load(graph, workers)
+            node.load(graph)
         for node in self.nodes:
             node.start_threads(workers)
         if progress is not None and progress is not False:

@@ -39,7 +39,7 @@ from repro.runtime.comm_engine import (
     OnesidedCallback,
     TAG_PUT_COMPLETE,
 )
-from repro.sim.core import Event, Process, Simulator
+from repro.sim.core import Process, Simulator
 from repro.sim.primitives import NotifyQueue
 
 __all__ = ["LciBackend"]
@@ -283,17 +283,6 @@ class LciBackend(CommEngine):
     def idle(self) -> bool:
         """Both FIFOs empty: :meth:`progress` would find nothing."""
         return not (self.am_fifo._items or self.data_fifo._items)
-
-    def activity_event(self) -> Event:
-        """Fires when either FIFO has handles for the comm thread."""
-        evt = Event(self.sim)
-        if len(self.am_fifo) or len(self.data_fifo):
-            evt.succeed()
-            return evt
-        # Piggyback on both queues' notification lists.
-        self.am_fifo._waiters.append(evt)
-        self.data_fifo._waiters.append(evt)
-        return evt
 
     def park(self, proc: Process) -> bool:
         """Park on both FIFOs; ``False`` when either already has handles.

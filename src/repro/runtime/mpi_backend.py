@@ -33,7 +33,7 @@ from repro.runtime.comm_engine import (
     OnesidedCallback,
     TAG_PUT_COMPLETE,
 )
-from repro.sim.core import Event, Process, Simulator
+from repro.sim.core import Process, Simulator
 
 __all__ = ["MpiBackend"]
 
@@ -255,10 +255,6 @@ class MpiBackend(CommEngine):
                 yield from self._promote_deferred()
             total += len(idxs)
         return total
-
-    def activity_event(self) -> Event:
-        """Engine work is signalled by the MPI library's activity."""
-        return self.rank.activity_event()
 
     def park(self, proc: Process) -> bool:
         """Engine wake-ups are the MPI library's deliveries/completions."""

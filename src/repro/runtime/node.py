@@ -20,11 +20,11 @@ Implements the execution semantics of §4.1/§4.3 and Fig. 1:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import RuntimeBackendError
 from repro.runtime.comm_engine import TAG_ACTIVATE, TAG_GETDATA, TAG_PUT_COMPLETE
-from repro.runtime.scheduler import make_scheduler
+from repro.runtime.scheduler import CentralScheduler
 from repro.runtime.taskpool import TaskGraph
 from repro.sim.core import Interrupt, PARK
 from repro.sim.primitives import NotifyQueue, PriorityStore
@@ -125,7 +125,7 @@ class NodeRuntime:
         self.rank = rank
         self.rt = ctx.platform.runtime
         self.engine = ctx.engines[rank]
-        self.sched = None  # created in load() once the worker count is known
+        self.sched = None  # created in load()
         #: Commands from workers to the comm thread: ("activate", dst, ad).
         self.cmd_q = NotifyQueue(self.sim)
         #: Deferred GET DATA queue, highest priority first (§4.3 duty 3).
@@ -161,7 +161,7 @@ class NodeRuntime:
     # graph loading
     # ------------------------------------------------------------------
 
-    def load(self, graph: TaskGraph, num_workers: int) -> None:
+    def load(self, graph: TaskGraph) -> None:
         """Bind a task graph: build the scheduler, seed source tasks."""
         self.graph = graph.freeze()
         # Column handles for the hot paths (plain arrays: int/float reads).
@@ -169,7 +169,7 @@ class NodeRuntime:
         self._t_dur = graph._t_dur
         self._t_prio = graph._t_prio
         self._f_local = graph._f_local
-        self.sched = make_scheduler(self.ctx.scheduler, self.sim, num_workers)
+        self.sched = CentralScheduler(self.sim)
         prio = self._t_prio
         for tid in graph.task_ids_on(self.rank):
             n_in = graph.input_count(tid)
@@ -233,7 +233,7 @@ class NodeRuntime:
         durations = self._t_dur
         try:
             while True:
-                tid: int = yield from self.sched.pop(wid, me)
+                tid: int = yield from self.sched.pop(me)
                 start = self.sim.now
                 yield rt.sched_op + rt.task_spawn
                 duration = durations[tid]
@@ -252,11 +252,11 @@ class NodeRuntime:
                         info=(self.graph.task_kind(tid), self.sim.now - start),
                         time=start,
                     )
-                yield from self._complete_task(tid, wid)
+                yield from self._complete_task(tid)
         except Interrupt:
             return
 
-    def _complete_task(self, tid: int, wid: Optional[int] = None) -> Generator:
+    def _complete_task(self, tid: int) -> Generator:
         self.tasks_executed += 1
         self.ctx.on_task_done(tid)
         f_local = self._f_local
@@ -266,15 +266,14 @@ class NodeRuntime:
                 # Every consumer is here: the plan path's outcome without
                 # the plan — no multicast children, a single release, and
                 # no _FlowState (no ACTIVATE is ever sent for the flow).
-                self._satisfy_local(self.graph.consumers_of(fid), wid)
+                self._satisfy_local(self.graph.consumers_of(fid))
                 self.flows_retired += 1
             else:
-                yield from self._release_flow(fid, initial=True, origin=wid)
+                yield from self._release_flow(fid, initial=True)
 
-    def _satisfy_local(self, tids, origin: Optional[int]) -> None:
+    def _satisfy_local(self, tids) -> None:
         """Drop the dependence count of local consumers ``tids``; push the
-        ones that become ready (to the originating worker's queue when the
-        work-stealing scheduler is active — data affinity)."""
+        ones that become ready."""
         remaining_in = self.input_remaining
         push = self.sched.push
         t_prio = self._t_prio
@@ -282,15 +281,13 @@ class NodeRuntime:
             remaining = remaining_in[tid] - 1
             remaining_in[tid] = remaining
             if remaining == 0:
-                push(-t_prio[tid], tid, origin)
+                push(-t_prio[tid], tid)
             elif remaining < 0:
                 raise RuntimeBackendError(
                     f"task {tid}: dependence count went negative"
                 )
 
-    def _release_flow(
-        self, fid: int, initial: bool, origin: Optional[int] = None
-    ) -> Generator:
+    def _release_flow(self, fid: int, initial: bool) -> Generator:
         """Data for ``fid`` is now available here: satisfy local consumers
         and activate the multicast subtree.
 
@@ -329,7 +326,7 @@ class NodeRuntime:
             # are satisfied before this method yields).
             self.flow_refs[fid] = len(children)
         if local:
-            self._satisfy_local(local, origin)
+            self._satisfy_local(local)
         if not children:
             # Nothing at this node will ever read the flow again.
             self.flow_states.pop(fid, None)

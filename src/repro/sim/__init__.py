@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulation kernel.
 
-A minimal-but-complete simpy-style kernel: a :class:`Simulator` drives a heap
-of timestamped events; generator coroutines (:class:`Process`) yield
-*waitables* (timeouts, one-shot :class:`Event` completions, store gets, ...)
-and are resumed when those complete.  Tie-breaking is by schedule order, so
-every run is bit-for-bit reproducible.
+A minimal simpy-style kernel: a :class:`Simulator` runs timestamped entries
+in epochs (every entry of one timestamp, in schedule order); generator
+coroutines (:class:`Process`) yield a sleep (a number), a one-shot
+:class:`Event`, or :data:`PARK` (idle until :meth:`Process.wake`), and are
+resumed when that completes.  Tie-breaking is by schedule order, so every
+run is bit-for-bit reproducible.
 
 :class:`Simulator` is the epoch-batched core of :mod:`repro.sim.core`.
 """
@@ -15,14 +16,11 @@ from repro.sim.core import (
     Timeout,
     Process,
     Interrupt,
-    AllOf,
-    AnyOf,
     PARK,
 )
 from repro.sim.primitives import (
     Store,
     PriorityStore,
-    Semaphore,
     NotifyQueue,
 )
 from repro.sim.rng import RngStreams
@@ -34,12 +32,9 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "PARK",
     "Store",
     "PriorityStore",
-    "Semaphore",
     "NotifyQueue",
     "RngStreams",
     "NodeClock",

@@ -23,8 +23,8 @@ class _ParkSentinel:
 
 #: ``yield PARK`` suspends the process with *no* scheduled wake-up; some
 #: other actor must call :meth:`Process.wake` (idempotent until the process
-#: next runs).  This is the allocation-free replacement for parking on an
-#: ``AnyOf`` over per-wait notification events.
+#: next runs).  Every simulated thread idles this way: nothing is allocated
+#: per wait.
 PARK = _ParkSentinel()
 
 

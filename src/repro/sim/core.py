@@ -61,9 +61,9 @@ at a time:
 
 - ``yield PARK`` suspends a process with *no* scheduled wake-up; another
   actor calls :meth:`Process.wake` (idempotent until the process runs)
-  to schedule a K_RESUME at the current time.  Pollers (comm/progress
-  threads) and idle workers wait this way instead of on per-wait
-  notification events;
+  to schedule a K_RESUME at the current time.  This is how every idle
+  thread waits for work: workers and the comm/progress pollers all park
+  (only a blocking MPI call, ``MpiRank.wait``, waits on an event);
 
 - a process is itself an :class:`Event` that triggers when the generator
   returns, so processes can wait on each other.
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.obs.bus import NULL_BUS
@@ -90,8 +90,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "K_EVT",
     "K_CALL",
     "K_RESUME",
@@ -377,55 +375,6 @@ class Process(Event):
             obs.emit("process_end", -1, key=self.name, info=status, time=self.sim.now)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf combinators."""
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self.succeed([])
-        else:
-            for evt in self._events:
-                evt.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has triggered; value is their values."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            self.fail(event.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e.value for e in self._events])
-
-
-class AnyOf(_Condition):
-    """Triggers when the first child event triggers; value is (index, value)."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            self.fail(event.value)
-            return
-        self.succeed((self._events.index(event), event.value))
-
-
 class Simulator:
     """Owns simulated time, the timestamp buckets, and the epoch batch.
 
@@ -563,14 +512,6 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator coroutine as a simulation process."""
         return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event firing when every child event has fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when the first child event fires."""
-        return AnyOf(self, events)
 
     @property
     def events_processed(self) -> int:

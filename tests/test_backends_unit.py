@@ -18,7 +18,7 @@ from repro.network import Fabric
 from repro.runtime.comm_engine import TAG_PUT_COMPLETE
 from repro.runtime.lci_backend import LciBackend
 from repro.runtime.mpi_backend import MpiBackend
-from repro.sim.core import Simulator
+from repro.sim.core import PARK, Simulator
 from repro.units import KiB, MiB
 
 TAG_TEST = 7
@@ -72,36 +72,35 @@ def register_put_recorder(engine):
 
 
 def drive(sim, engines, body, lci_progress=True, until=5.0):
-    """Run `body` as a process while progress loops service both engines."""
-    stop = {"v": False}
+    """Run `body` as a process while progress loops service both engines.
 
-    def progress_loop(engine):
-        while not stop["v"]:
-            n = yield from engine.progress()
-            if n == 0:
-                idx = yield sim.any_of([engine.activity_event(), sim.timeout(1e-4)])
-                del idx
+    The loops idle the way the runtime's comm and progress threads do:
+    each parks on its engine (or LCI device) and is woken by it, or by
+    the stop event at the end."""
+    stop = sim.event()
 
-    def device_loop(engine):
-        while not stop["v"]:
-            n = yield from engine.device.progress()
-            if n == 0:
-                idx = yield sim.any_of(
-                    [engine.device.activity_event(), sim.timeout(1e-4)]
-                )
-                del idx
+    def poll_loop(target, me):
+        while not stop.triggered:
+            n = yield from target.progress()
+            if n == 0 and target.park(me[0]):
+                yield PARK
+
+    def spawn(target):
+        me = []
+        me.append(sim.process(poll_loop(target, me)))
+        stop.add_callback(lambda _evt, p=me[0]: p.wake())
 
     def main():
         yield from engines[0].start()
         yield from engines[1].start()
         for e in engines:
-            sim.process(progress_loop(e))
+            spawn(e)
             if lci_progress and hasattr(e, "device"):
-                sim.process(device_loop(e))
+                spawn(e.device)
         result = yield from body()
         # Allow in-flight traffic to land.
         yield sim.timeout(1e-3)
-        stop["v"] = True
+        stop.succeed()
         return result
 
     result = sim.run_process(main(), until=until)

@@ -28,36 +28,6 @@ class TestErrorHierarchy:
 
 
 class TestSimFailurePropagation:
-    def test_all_of_fails_when_child_fails(self):
-        sim = Simulator()
-        bad = sim.event()
-
-        def failer():
-            yield sim.timeout(0.5)
-            bad.fail(RuntimeError("child died"))
-
-        def waiter():
-            yield sim.all_of([sim.timeout(1.0), bad])
-
-        sim.process(failer())
-        with pytest.raises(RuntimeError, match="child died"):
-            sim.run_process(waiter())
-
-    def test_any_of_fails_when_child_fails_first(self):
-        sim = Simulator()
-        bad = sim.event()
-
-        def failer():
-            yield sim.timeout(0.1)
-            bad.fail(ValueError("early failure"))
-
-        def waiter():
-            yield sim.any_of([sim.timeout(10.0), bad])
-
-        sim.process(failer())
-        with pytest.raises(ValueError):
-            sim.run_process(waiter())
-
     def test_exception_in_callback_surfaces(self):
         sim = Simulator()
         evt = sim.event()

@@ -21,12 +21,10 @@ CONFIGS = [
     {"backend": "mpi"},
     {"backend": "mpi", "multithreaded_activate": True},
     {"backend": "mpi", "mpi_put_mode": "rma"},
-    {"backend": "mpi", "scheduler": "ws"},
     {"backend": "lci"},
     {"backend": "lci", "multithreaded_activate": True},
     {"backend": "lci", "native_put": True},
     {"backend": "lci", "num_comm_threads": 2, "num_progress_threads": 2},
-    {"backend": "lci", "scheduler": "ws"},
 ]
 
 

@@ -13,7 +13,7 @@ from repro.lci import (
     Synchronizer,
 )
 from repro.network import Fabric
-from repro.sim.core import Simulator
+from repro.sim.core import PARK, Simulator
 from repro.units import KiB, MiB
 
 
@@ -25,17 +25,31 @@ def make_world(n=2, costs=None):
 
 
 def progress_loop(sim, dev, stop):
-    """Background progress thread: drains the device until `stop` is set."""
+    """Background progress thread: drains the device until the `stop`
+    event fires, parking when idle as the runtime's progress thread does."""
 
-    def loop():
-        while not stop():
+    def loop(me):
+        while not stop.triggered:
             worked = yield from dev.progress()
-            if not worked:
-                idx_val = yield sim.any_of([dev.activity_event(), sim.timeout(1e-4)])
-                del idx_val
+            if not worked and dev.park(me[0]):
+                yield PARK
         return None
 
-    return sim.process(loop())
+    me = []
+    me.append(sim.process(loop(me)))
+    stop.add_callback(lambda _evt: me[0].wake())
+    return me[0]
+
+
+def run_main(sim, main):
+    """Run ``main(me)`` to completion and return its value; ``me[0]`` is
+    the main process itself, so it can park on a device."""
+    me = []
+    me.append(sim.process(main(me)))
+    sim.run()
+    if not me[0].ok:
+        raise me[0].value
+    return me[0].value
 
 
 class TestImmediate:
@@ -50,17 +64,17 @@ class TestImmediate:
 
         d1.am_handler = handler
 
-        def main():
+        def main(me):
             status = yield from d0.sendi(dst=1, tag=3, size=32, data="ping")
             assert status == LCI_OK
             # Drive receiver progress until the AM lands.
             while not got:
                 yield from d1.progress()
-                if not got:
-                    yield d1.activity_event()
+                if not got and d1.park(me[0]):
+                    yield PARK
             return got[0]
 
-        assert sim.run_process(main()) == (0, 3, "ping")
+        assert run_main(sim, main) == (0, 3, "ping")
 
     def test_sendi_over_limit_raises(self):
         sim, world = make_world()
@@ -92,18 +106,18 @@ class TestBuffered:
         d1.am_handler = lambda rec: (got.append(rec.payload), d1.free_rx_packet())
         sync = Synchronizer(sim)
 
-        def main():
+        def main(me):
             status = yield from d0.sendb(dst=1, tag=5, size=4 * KiB, data="bulk", comp=sync)
             assert status == LCI_OK
             rec = yield from sync.wait()
             assert rec.op == "sendb"
             while not got:
                 yield from d1.progress()
-                if not got:
-                    yield d1.activity_event()
+                if not got and d1.park(me[0]):
+                    yield PARK
             return got[0]
 
-        assert sim.run_process(main()) == "bulk"
+        assert run_main(sim, main) == "bulk"
 
     def test_sendb_over_limit_raises(self):
         sim, world = make_world()
@@ -177,9 +191,9 @@ class TestDirect:
         d0, d1 = world.devices
         send_cq = CompletionQueue(sim)
         recv_cq = CompletionQueue(sim)
-        stop = {"v": False}
-        p0 = progress_loop(sim, d0, lambda: stop["v"])
-        p1 = progress_loop(sim, d1, lambda: stop["v"])
+        stop = sim.event()
+        p0 = progress_loop(sim, d0, stop)
+        p1 = progress_loop(sim, d1, stop)
 
         def main():
             status = yield from d1.recvd(src=0, tag=9, size=size, comp=recv_cq)
@@ -188,7 +202,7 @@ class TestDirect:
             assert status == LCI_OK
             rrec = yield from recv_cq.pop()
             srec = yield from send_cq.pop()
-            stop["v"] = True
+            stop.succeed()
             return (sim.now, srec, rrec)
 
         t, srec, rrec = sim.run_process(main())
@@ -238,16 +252,16 @@ class TestDirect:
         sim, world = make_world()
         d0, d1 = world.devices
         sync = Synchronizer(sim)
-        stop = {"v": False}
-        progress_loop(sim, d0, lambda: stop["v"])
-        progress_loop(sim, d1, lambda: stop["v"])
+        stop = sim.event()
+        progress_loop(sim, d0, stop)
+        progress_loop(sim, d1, stop)
 
         def main():
             yield from d0.sendd(dst=1, tag=4, size=64 * KiB, data="late-post")
             yield sim.timeout(1e-3)  # RTS arrives; no receive posted yet
             yield from d1.recvd(src=0, tag=4, size=64 * KiB, comp=sync)
             rec = yield from sync.wait()
-            stop["v"] = True
+            stop.succeed()
             return rec.payload
 
         assert sim.run_process(main()) == "late-post"

@@ -231,7 +231,3 @@ class TestStressPressure:
     def test_unknown_backend_rejected(self):
         with pytest.raises(RuntimeBackendError, match="unknown backend"):
             ParsecContext(platform(), backend="gasnet")
-
-    def test_unknown_scheduler_rejected_at_construction(self):
-        with pytest.raises(RuntimeBackendError, match="unknown scheduler 'bogus'"):
-            ParsecContext(platform(), scheduler="bogus")

@@ -1,120 +1,25 @@
-"""Tests for the scheduler policies (central vs. work stealing)."""
-
-import pytest
+"""Tests for the central priority scheduler."""
 
 from repro.config import scaled_platform
-from repro.errors import RuntimeBackendError
 from repro.runtime import ParsecContext, TaskGraph
-from repro.runtime.scheduler import (
-    CentralScheduler,
-    WorkStealingScheduler,
-    make_scheduler,
-)
+from repro.runtime.scheduler import CentralScheduler
 from repro.sim.core import Simulator
 from repro.units import KiB
-
-
-class TestFactory:
-    def test_kinds(self):
-        sim = Simulator()
-        assert isinstance(make_scheduler("central", sim, 2), CentralScheduler)
-        assert isinstance(make_scheduler("ws", sim, 2), WorkStealingScheduler)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(RuntimeBackendError):
-            make_scheduler("fifo", Simulator(), 2)
-
-    def test_ws_needs_workers(self):
-        with pytest.raises(RuntimeBackendError):
-            WorkStealingScheduler(Simulator(), 0)
 
 
 class TestCentralScheduler:
     def test_priority_order(self):
         sim = Simulator()
-        sched = CentralScheduler(sim, 1)
+        sched = CentralScheduler(sim)
         sched.push(-5.0, "high")
         sched.push(-1.0, "low")
 
         def worker():
-            a = yield from sched.pop(0)
-            b = yield from sched.pop(0)
+            a = yield from sched.pop()
+            b = yield from sched.pop()
             return (a, b)
 
         assert sim.run_process(worker()) == ("high", "low")
-
-
-class TestWorkStealingScheduler:
-    def test_local_queue_preferred(self):
-        sim = Simulator()
-        sched = WorkStealingScheduler(sim, 2)
-        sched.push(0.0, "mine", origin=1)
-        sched.push(0.0, "other", origin=0)
-
-        def worker():
-            task = yield from sched.pop(1)
-            return task
-
-        assert sim.run_process(worker()) == "mine"
-        assert sched.local_hits == 1
-        assert sched.steals == 0
-
-    def test_steals_when_local_empty(self):
-        sim = Simulator()
-        sched = WorkStealingScheduler(sim, 3)
-        sched.push(0.0, "victim-task", origin=2)
-
-        def worker():
-            task = yield from sched.pop(0)
-            return task
-
-        assert sim.run_process(worker()) == "victim-task"
-        assert sched.steals == 1
-
-    def test_blocks_until_push(self):
-        sim = Simulator()
-        sched = WorkStealingScheduler(sim, 1)
-        got = []
-
-        def worker():
-            task = yield from sched.pop(0)
-            got.append((task, sim.now))
-
-        def producer():
-            yield sim.timeout(2.0)
-            sched.push(0.0, "late")
-
-        sim.process(worker())
-        sim.process(producer())
-        sim.run()
-        assert got == [("late", 2.0)]
-
-    def test_priority_within_local_queue(self):
-        sim = Simulator()
-        sched = WorkStealingScheduler(sim, 1)
-        sched.push(-1.0, "low", origin=0)
-        sched.push(-9.0, "high", origin=0)
-
-        def worker():
-            a = yield from sched.pop(0)
-            b = yield from sched.pop(0)
-            return (a, b)
-
-        assert sim.run_process(worker()) == ("high", "low")
-
-    def test_round_robin_for_external_pushes(self):
-        sim = Simulator()
-        sched = WorkStealingScheduler(sim, 4)
-        for i in range(8):
-            sched.push(0.0, i)  # no origin: round robin
-        assert all(len(q) == 2 for q in sched.queues)
-
-    def test_len(self):
-        sim = Simulator()
-        sched = WorkStealingScheduler(sim, 2)
-        assert len(sched) == 0
-        sched.push(0.0, "x")
-        assert len(sched) == 1
 
 
 class TestSchedulerIntegration:
@@ -126,36 +31,11 @@ class TestSchedulerIntegration:
             g.add_task(node=1, duration=5e-6, inputs=[f])
         return g
 
-    @pytest.mark.parametrize("policy", ["central", "ws"])
-    def test_policies_complete_workload(self, policy):
+    def test_completes_workload(self):
         ctx = ParsecContext(
             scaled_platform(num_nodes=2, cores_per_node=4),
             backend="lci",
-            scheduler=policy,
         )
         g = self.graph()
         stats = ctx.run(g, until=10.0)
         assert stats.tasks_executed == g.num_tasks
-
-    def test_ws_records_activity(self):
-        ctx = ParsecContext(
-            scaled_platform(num_nodes=2, cores_per_node=4),
-            backend="lci",
-            scheduler="ws",
-        )
-        ctx.run(self.graph(), until=10.0)
-        sched = ctx.nodes[0].sched
-        assert sched.local_hits + sched.steals > 0
-
-    def test_policies_agree_on_results(self):
-        """Scheduling policy may change timing but never the executed set."""
-        counts = {}
-        for policy in ("central", "ws"):
-            ctx = ParsecContext(
-                scaled_platform(num_nodes=2, cores_per_node=4),
-                backend="mpi",
-                scheduler=policy,
-            )
-            g = self.graph()
-            counts[policy] = ctx.run(g, until=10.0).tasks_executed
-        assert counts["central"] == counts["ws"]

@@ -223,40 +223,6 @@ def test_interrupt_after_completion_is_noop():
     assert p.ok
 
 
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-
-    def waiter():
-        values = yield sim.all_of([sim.timeout(1.0, "a"), sim.timeout(3.0, "b")])
-        return (sim.now, values)
-
-    t, values = sim.run_process(waiter())
-    assert t == pytest.approx(3.0)
-    assert values == ["a", "b"]
-
-
-def test_all_of_empty_triggers_immediately():
-    sim = Simulator()
-
-    def waiter():
-        values = yield sim.all_of([])
-        return values
-
-    assert sim.run_process(waiter()) == []
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-
-    def waiter():
-        idx, value = yield sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-        return (sim.now, idx, value)
-
-    t, idx, value = sim.run_process(waiter())
-    assert t == pytest.approx(1.0)
-    assert (idx, value) == (1, "fast")
-
-
 def test_run_until_stops_clock():
     sim = Simulator()
 

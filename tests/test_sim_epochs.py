@@ -3,7 +3,7 @@
 Covers the contracts the epoch rewrite must preserve: same-timestamp
 entries drain as one epoch in seq order, callbacks scheduled during an
 epoch fire inside it, a :class:`SchedulePolicy` sees the complete
-runnable set, Interrupt/AnyOf/AllOf behave at epoch boundaries, and the
+runnable set, Interrupt behaves at epoch boundaries, and the
 ``yield PARK`` / :meth:`Process.wake` typed path.
 """
 
@@ -280,29 +280,6 @@ class TestEpochBoundaries:
         sim.run()
         # The t=1.0 entry from the aborted sleep fires as a stale no-op.
         assert trail == [("interrupted", 0.5), ("slept", 5.5)]
-
-    def test_any_of_with_simultaneous_children(self):
-        """AnyOf resolves to the first-triggered child of the epoch."""
-        sim = Simulator()
-
-        def proc():
-            idx, value = yield sim.any_of(
-                [sim.timeout(1.0, "t1"), sim.timeout(1.0, "t2")]
-            )
-            return idx, value
-
-        assert sim.run_process(proc()) == (0, "t1")
-
-    def test_all_of_across_epochs(self):
-        sim = Simulator()
-
-        def proc():
-            values = yield sim.all_of(
-                [sim.timeout(2.0, "late"), sim.timeout(1.0, "early")]
-            )
-            return (sim.now, values)
-
-        assert sim.run_process(proc()) == (2.0, ["late", "early"])
 
 
 # ----------------------------------------------------------------------

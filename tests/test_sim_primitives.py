@@ -1,10 +1,9 @@
-"""Unit tests for stores and semaphores."""
+"""Unit tests for the stores and the notify queue."""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.core import Simulator
-from repro.sim.primitives import Store, PriorityStore, Semaphore
+from repro.sim.core import PARK, Simulator
+from repro.sim.primitives import NotifyQueue, PriorityStore, Store
 
 
 @pytest.fixture()
@@ -39,32 +38,12 @@ class TestStore:
         sim.process(producer())
         assert sim.run_process(consumer()) == (pytest.approx(2.0), "item")
 
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put(1)
-            log.append(("put1", sim.now))
-            yield store.put(2)
-            log.append(("put2", sim.now))
-
-        def consumer():
-            yield sim.timeout(5.0)
-            item = yield store.get()
-            log.append(("got", sim.now, item))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert log == [("put1", 0.0), ("got", 5.0, 1), ("put2", 5.0)]
-
     def test_try_put_try_get(self, sim):
-        store = Store(sim, capacity=1)
+        store = Store(sim)
         assert store.try_put("x") is True
-        assert store.try_put("y") is False
-        ok, item = store.try_get()
-        assert (ok, item) == (True, "x")
+        assert store.try_put("y") is True
+        assert store.try_get() == (True, "x")
+        assert store.try_get() == (True, "y")
         ok, item = store.try_get()
         assert ok is False
 
@@ -87,10 +66,6 @@ class TestStore:
         sim.process(producer())
         sim.run()
         assert got == [("a", 0), ("b", 1), ("c", 2)]
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(SimulationError):
-            Store(sim, capacity=0)
 
     def test_len_and_items(self, sim):
         store = Store(sim)
@@ -137,38 +112,34 @@ class TestPriorityStore:
         assert sim.run_process(consumer()) == "direct"
 
 
-class TestSemaphore:
-    def test_initial_value(self, sim):
-        sem = Semaphore(sim, value=2)
+class TestNotifyQueue:
+    def test_park_refused_while_items_queued(self, sim):
+        q = NotifyQueue(sim)
+        q.push("x")
+        proc = object()  # park only registers it
+        assert q.park(proc) is False
+        assert q.try_pop() == (True, "x")
+        assert q.park(proc) is True
 
-        def proc():
-            yield sem.acquire()
-            yield sem.acquire()
-            return sim.now
+    def test_push_wakes_a_process_parked_on_two_queues_once(self, sim):
+        a, b = NotifyQueue(sim), NotifyQueue(sim)
+        woken = []
 
-        assert sim.run_process(proc()) == 0.0
-        assert sem.value == 0
+        def poller(me):
+            while True:
+                # Registering with ``a`` twice must still leave one slot.
+                if a.park(me[0]) and b.park(me[0]) and a.park(me[0]):
+                    yield PARK
+                woken.append(sim.now)
+                while a.try_pop()[0] or b.try_pop()[0]:
+                    pass
+                if len(woken) == 2:
+                    return
 
-    def test_blocks_at_zero(self, sim):
-        sem = Semaphore(sim)
-
-        def waiter():
-            yield sem.acquire()
-            return sim.now
-
-        def releaser():
-            yield sim.timeout(3.0)
-            sem.release()
-
-        sim.process(releaser())
-        assert sim.run_process(waiter()) == pytest.approx(3.0)
-
-    def test_release_many(self, sim):
-        sem = Semaphore(sim)
-        sem.release(5)
-        assert sem.value == 5
-
-    def test_negative_initial_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            Semaphore(sim, value=-1)
-
+        holder = []
+        holder.append(sim.process(poller(holder)))
+        sim.call_later(1.0, a.push, "x")
+        sim.call_later(1.0, b.push, "y")
+        sim.call_later(2.0, b.push, "z")
+        sim.run()
+        assert woken == [1.0, 2.0]

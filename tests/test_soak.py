@@ -25,8 +25,8 @@ class TestSoakRandomDag:
         assert 0 < stats.worker_utilization <= 1.0
 
     def test_all_features_combined_soak(self):
-        """Native put + work stealing + 2 comm threads + MT activate +
-        tracing, all at once, on a random DAG."""
+        """Native put + 2 comm threads + MT activate + tracing, all at
+        once, on a random DAG."""
         g = random_layered_dag(
             layers=[30] * 20, num_nodes=3, fan_in=2, flow_bytes=64 * KiB, seed=41
         )
@@ -34,7 +34,6 @@ class TestSoakRandomDag:
             scaled_platform(num_nodes=3, cores_per_node=4),
             backend="lci",
             native_put=True,
-            scheduler="ws",
             num_comm_threads=2,
             multithreaded_activate=True,
             observability=True,

@@ -21,13 +21,13 @@ from repro.sim.primitives import PriorityStore
 class _StoreScheduler:
     """Reference: the Event-based handoff through a priority store."""
 
-    def __init__(self, sim, num_workers):
+    def __init__(self, sim):
         self.store = PriorityStore(sim)
 
-    def push(self, key, task, origin=None):
+    def push(self, key, task):
         self.store.put((key, task))
 
-    def pop(self, worker_id, me=None):
+    def pop(self, me=None):
         return (yield self.store.get())
 
     def __len__(self):
@@ -47,17 +47,17 @@ _PUSHES = st.lists(
 
 def _trace(make_scheduler, pushes, num_workers):
     sim = Simulator()
-    sched = make_scheduler(sim, num_workers)
+    sched = make_scheduler(sim)
     trace = []
 
     def worker(wid, me):
         while True:
-            task = yield from sched.pop(wid, me)
+            task = yield from sched.pop(me)
             name, duration, follow = task
             trace.append((sim.now, wid, name))
             yield duration
             if follow:
-                sched.push(0, (name + "+", 0, False), wid)
+                sched.push(0, (name + "+", 0, False))
 
     for wid in range(num_workers):
         holder = []
@@ -78,11 +78,11 @@ def test_central_handoff_matches_event_handoff(pushes, num_workers):
 
 def test_idle_worker_receives_task_by_wake():
     sim = Simulator()
-    sched = CentralScheduler(sim, 1)
+    sched = CentralScheduler(sim)
     got = []
 
     def worker(me):
-        got.append((yield from sched.pop(0, me)))
+        got.append((yield from sched.pop(me)))
 
     holder = []
     holder.append(sim.process(worker(holder)))
@@ -94,9 +94,9 @@ def test_idle_worker_receives_task_by_wake():
 
 def test_idle_pop_without_holder_is_rejected():
     sim = Simulator()
-    sched = CentralScheduler(sim, 1)
+    sched = CentralScheduler(sim)
     with pytest.raises(RuntimeBackendError, match="holder"):
-        sim.run_process(sched.pop(0))
+        sim.run_process(sched.pop())
 
 
 def test_try_put_takes_the_entries_of_put():

@@ -129,9 +129,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="NetworkConfig.bandwidth"):
             NetworkConfig(bandwidth=0)
 
-    def test_network_bad_mtu_and_topology(self):
-        with pytest.raises(ConfigError, match="NetworkConfig.mtu"):
-            NetworkConfig(mtu=0)
+    def test_network_bad_topology(self):
         with pytest.raises(ConfigError, match="NetworkConfig.fat_tree_levels"):
             NetworkConfig(fat_tree_levels=0)
         with pytest.raises(ConfigError, match="NetworkConfig.nodes_per_leaf"):

@@ -332,11 +332,12 @@ class TestThirdPartyPlugin:
         assert result.tasks == 6
 
     def test_visible_everywhere(self, dummy_plugin):
-        from repro.explore.scenarios import SCENARIO_KINDS, scenario_kinds
+        from repro.explore.scenarios import default_scenario
 
         assert "dummyplug" in workload_names()
-        assert "dummyplug" in scenario_kinds()
-        assert "dummyplug" in SCENARIO_KINDS
+        scenario = default_scenario("dummyplug")
+        assert scenario.workload == "dummyplug"
+        assert scenario.params == {"length": 4}
 
     def test_swept_serially(self, dummy_plugin):
         # jobs=1 keeps execution in-process: pool workers would import a
