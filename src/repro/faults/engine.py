@@ -147,12 +147,15 @@ class FaultEngine:
     # wire-level verdicts
     # ------------------------------------------------------------------
 
-    def judge(self, msg, now: float) -> tuple[bool, bool, bool, float, list]:
+    def judge(
+        self, msg, now: float, control: bool = False
+    ) -> tuple[bool, bool, bool, float, list]:
         """Fault verdict for one transmission attempt of ``msg``.
 
         Returns ``(drop, duplicate, corrupt, extra_delay, kinds)``.  Draws a
         fixed number of variates per call so the stream stays aligned no
-        matter which branches fire.
+        matter which branches fire.  A ``control`` message (the transport's
+        ACK/NACK probe) is never duplicated, so no ``dup`` is counted for it.
         """
         cfg = self.cfg
         u = self._wire.random(4)
@@ -166,7 +169,7 @@ class FaultEngine:
             drop = True
             kinds.append("drop")
             self._count_injected("drop", msg)
-        dup = u[1] < cfg.dup_rate
+        dup = not control and u[1] < cfg.dup_rate
         if dup:
             kinds.append("dup")
             self._count_injected("dup", msg)

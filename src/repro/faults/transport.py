@@ -121,9 +121,12 @@ class ReliableTransport:
     # sender side
     # ------------------------------------------------------------------
 
-    def send(self, msg: WireMessage, handler: Callable) -> float:
-        """Stamp, track, and transmit ``msg``; returns the *estimated*
-        delivery time of the first attempt (faults may make it later)."""
+    def send(self, msg: WireMessage, handler: Callable) -> None:
+        """Stamp, track and transmit ``msg`` until the receiver ACKs it.
+
+        The receiver's handler, and then the message's ``_fin`` hint, run
+        at the first intact delivery (duplicates are dropped).
+        """
         now = self.sim.now
         route = (msg.src, msg.dst, msg.channel)
         seq = self._next_seq.get(route, 0)
@@ -133,11 +136,10 @@ class ReliableTransport:
         key = route + (seq,)
         pend = _Pending(msg, handler, now)
         self.inflight[key] = pend
-        est = self._transmit(key, pend)
+        self._transmit(key, pend)
         self._arm_timer(key, pend)
-        return est
 
-    def _transmit(self, key: tuple, pend: _Pending) -> float:
+    def _transmit(self, key: tuple, pend: _Pending) -> None:
         fabric = self.fabric
         msg = pend.msg
         now = self.sim.now
@@ -153,7 +155,7 @@ class ReliableTransport:
         arrival = depart + fabric.base_latency(msg.src, msg.dst)
         if drop:
             # Left the NIC, died in the network: the RTO timer recovers.
-            return arrival
+            return
         deliver = fabric.nics[msg.dst].eject(
             now, arrival + extra_delay, msg.size, msg.msg_class
         )
@@ -174,7 +176,6 @@ class ReliableTransport:
             self.sim.call_later(
                 dup_deliver - now, self._on_deliver, key, pend.handler, wire
             )
-        return deliver
 
     def _arm_timer(self, key: tuple, pend: _Pending) -> None:
         serial = pend.serial
@@ -225,6 +226,7 @@ class ReliableTransport:
             return
         self._send_ctrl(wire.dst, wire.src, wire.channel, ("ack", key))
         handler(wire)
+        self.fabric._fin(wire, self.sim.now)
 
     def _send_ctrl(self, src: int, dst: int, channel: str, ctrl: tuple) -> None:
         """Transmit an ACK/NACK — itself subject to the fault injectors."""
@@ -235,7 +237,9 @@ class ReliableTransport:
             msg_class=MessageClass.CONTROL, channel=channel,
             msg_id=next(fabric.msg_ids),
         )
-        drop, _dup, corrupt, extra_delay, _kinds = self.engine.judge(probe, now)
+        drop, _dup, corrupt, extra_delay, _kinds = self.engine.judge(
+            probe, now, control=True
+        )
         depart = fabric.nics[src].inject(now, _ACK_SIZE, MessageClass.CONTROL)
         if drop or corrupt:
             return  # lost/garbled control message; the sender's RTO recovers

@@ -65,13 +65,6 @@ class LciWorld:
         #: Direct-operation ids, unique across the job's devices.
         self.op_ids = itertools.count()
         self.devices = [LciDevice(self, node) for node in range(fabric.num_nodes)]
-        # Deferred wire sends carry their sender-side FIN as a ``_fin``
-        # payload hint; the fabric raises it here once the destination NIC
-        # resolves the delivery time.
-        fabric.register_fin_applier("lci", self._apply_fin)
-
-    def _apply_fin(self, node: int, ref: int) -> None:
-        self.devices[node]._push_hw(("fin", ref))
 
     @property
     def size(self) -> int:
@@ -105,7 +98,6 @@ class LciDevice:
         self.sim = world.sim
         self.costs = world.costs
         self.node = node
-        self.faults = world.fabric.faults
         self._op_ids = world.op_ids
         # Resource pools.
         self.tx_packets_free = self.costs.packet_pool_size
@@ -152,36 +144,14 @@ class LciDevice:
         if kind == "am":
             self._rx_am.append(msg)
         elif kind == "rdma":
-            if self.faults.enabled:
-                # Fault mode: completions must follow the *actual* delivery
-                # (the sender's predicted times would complete transfers
-                # whose data was dropped).  Raise the local CQE now and the
-                # sender's FIN one hardware-ack latency later.
-                p = msg.payload
-                if p.get("one_sided"):
-                    self._push_hw(("pcomp",) + p["pcomp"])
-                else:
-                    self._push_hw(("rcomp", p["rd"], p["data"]))
-                ack = self.world.fabric.base_latency(self.node, msg.src)
-                src_dev = self.world.devices[msg.src]
-                self.sim.call_later(ack, src_dev._push_hw, ("fin", p["sd"]))
-                return
-            if self.world.fabric.defers_wire and msg.src != self.node:
-                # Deferred-ejection mode (end-of-epoch flush): the delivery
-                # time is only resolved at the destination NIC, so
-                # completions are delivery-driven — the receiver raises
-                # its CQE here, and the sender's FIN is raised from the
-                # ``_fin`` payload hint by the fabric's fin applier.
-                p = msg.payload
-                if p.get("one_sided"):
-                    self._push_hw(("pcomp",) + p["pcomp"])
-                else:
-                    self._push_hw(("rcomp", p["rd"], p["data"]))
-                return
-            # Loopback RDMA lands directly in registered memory; the
-            # matching hardware completion ("rcomp") is enqueued separately
-            # by the sender at delivery time, so the wire message itself
-            # needs no software handling.
+            # RDMA data landed in registered memory: raise the local CQE.
+            # The sender's FIN is the message's ``_fin`` hint, which the
+            # fabric fires one hardware-ack latency after this delivery.
+            p = msg.payload
+            if p.get("one_sided"):
+                self._push_hw(("pcomp",) + p["pcomp"])
+            else:
+                self._push_hw(("rcomp", p["rd"], p["data"]))
             return
         else:
             self._rx_proto.append(msg)
@@ -329,36 +299,18 @@ class LciDevice:
         op = _DirectOp(next(self._op_ids), dst, tag, size, data, comp, user_ctx)
         self._send_ops[op.op_id] = op
         yield self.costs.direct_post
-        fabric = self.world.fabric
-        payload = {"kind": "rdma", "one_sided": True}
-        deferred = fabric.defers_wire and dst != self.node
-        if self.faults.enabled:
-            # Completion material travels with the message so the receiver
-            # can raise both CQEs at actual delivery (see :meth:`_on_wire`).
-            payload["sd"] = op.op_id
-            payload["pcomp"] = (tag, size, self.node, data, remote_meta)
-        elif deferred:
-            # Deferred wire put: the receiver raises the pcomp at the
-            # resolved delivery and the FIN comes back through the ``_fin``
-            # hint one hardware-ack latency after delivery.
-            payload["pcomp"] = (tag, size, self.node, data, remote_meta)
-            payload["_fin"] = (op.op_id, fabric.base_latency(dst, self.node))
-        deliver = fabric.send(
+        self.world.fabric.send(
             WireMessage(
-                self.node, dst, size + _HEADER, _DATA, payload, "lci"
+                self.node, dst, size + _HEADER, _DATA,
+                {
+                    "kind": "rdma",
+                    "one_sided": True,
+                    "pcomp": (tag, size, self.node, data, remote_meta),
+                    "_fin": (self._push_hw, ("fin", op.op_id), True),
+                },
+                "lci",
             )
         )
-        if not self.faults.enabled and not deferred:
-            peer = self.world.devices[dst]
-            self.sim.call_later(
-                deliver - self.sim.now,
-                peer._push_hw,
-                ("pcomp", tag, size, self.node, data, remote_meta),
-            )
-            ack = fabric.base_latency(dst, self.node)
-            self.sim.call_later(
-                deliver - self.sim.now + ack, self._push_hw, ("fin", op.op_id)
-            )
         return LCI_OK
 
     def recvd(
@@ -476,32 +428,20 @@ class LciDevice:
             op = self._send_ops.get(p["sd"])
             if op is None:
                 raise LciError(f"RTR for unknown direct send {p['sd']}")
-            fabric = self.world.fabric
-            data_payload = {"kind": "rdma", "rd": p["rd"], "sd": op.op_id, "data": op.payload}
-            deferred = fabric.defers_wire and op.peer != self.node
-            if deferred and not self.faults.enabled:
-                data_payload["_fin"] = (
-                    op.op_id, fabric.base_latency(op.peer, self.node)
+            # RDMA write: the receiver raises its CQE at delivery and the
+            # FIN comes back one hardware-ack latency later (``_fin``).
+            self.world.fabric.send(
+                WireMessage(
+                    self.node, op.peer, op.size + _HEADER, _DATA,
+                    {
+                        "kind": "rdma",
+                        "rd": p["rd"],
+                        "data": op.payload,
+                        "_fin": (self._push_hw, ("fin", op.op_id), True),
+                    },
+                    "lci",
                 )
-            data_msg = WireMessage(
-                self.node, op.peer, op.size + _HEADER, _DATA,
-                data_payload, "lci",
             )
-            deliver = fabric.send(data_msg)
-            if not self.faults.enabled and not deferred:
-                # Loopback RDMA write: receiver CQE at delivery; sender CQE
-                # one wire latency later (hardware ack), both drained by
-                # progress.  (In fault mode the receiver raises both at
-                # actual delivery; deferred wire sends raise the receiver
-                # CQE at the resolved delivery and the FIN via ``_fin``.)
-                peer_dev = self.world.devices[op.peer]
-                self.sim.call_later(
-                    deliver - self.sim.now,
-                    peer_dev._push_hw,
-                    ("rcomp", p["rd"], op.payload),
-                )
-                ack = fabric.base_latency(op.peer, self.node)
-                self.sim.call_later(deliver - self.sim.now + ack, self._push_hw, ("fin", op.op_id))
         else:  # pragma: no cover - defensive
             raise LciError(f"unknown protocol message {p['kind']!r}")
 

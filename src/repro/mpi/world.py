@@ -91,13 +91,6 @@ class MpiWorld:
         self.ranks = [
             MpiRank(self, rank) for rank in range(fabric.num_nodes)
         ]
-        # Deferred wire sends carry their source-side completion as a
-        # ``_fin`` payload hint; the fabric applies it through this hook
-        # once the destination NIC resolves the delivery time.
-        fabric.register_fin_applier("mpi", self._apply_fin)
-
-    def _apply_fin(self, node: int, ref: int) -> None:
-        self.ranks[node]._apply_fin(ref)
 
     @property
     def size(self) -> int:
@@ -114,15 +107,11 @@ class MpiRank:
         self.costs = world.costs
         self.rank = rank
         self._n_ranks = world.fabric.num_nodes
-        self.faults = world.fabric.faults
         self._req_ids = world.req_ids
         self.match = MatchEngine()
         self._inbox: deque[WireMessage] = deque()
         self._sends: dict[int, SendRequest] = {}
         self._rndv_recvs: dict[int, RecvRequest] = {}
-        # Requests whose completion is delivery-driven (deferred wire
-        # sends, keyed by req_id; see ``_apply_fin``).
-        self._pending_fin: dict[int, tuple[str, Request]] = {}
         self._waiters: list[Event] = []
         self._locked = False
         self._lock_queue: deque[Event] = deque()
@@ -144,15 +133,9 @@ class MpiRank:
 
     def _on_wire(self, msg: WireMessage) -> None:
         if msg.payload["kind"] == "rma_put":
-            if self.faults.enabled:
-                # Fault mode: origin-side completion must follow the actual
-                # delivery (the origin's predicted time would complete puts
-                # whose data was dropped).  Remote ack ≈ one wire latency.
-                ack = self.world.fabric.base_latency(self.rank, msg.src)
-                origin = self.world.ranks[msg.src]
-                self.sim.call_later(ack, origin._complete_rma, msg.payload["req"])
             # One-sided data lands directly in window memory; the target's
-            # software stack never sees it (completion is origin-side only).
+            # software stack never sees it (completion is origin-side only,
+            # through the message's ``_fin`` hint).
             return
         self._inbox.append(msg)
         self._notify()
@@ -446,36 +429,23 @@ class MpiRank:
         try:
             req = Request(self.sim, next(self._req_ids))
             yield self.costs.rma_put_post
-            fabric = self.world.fabric
-            wire_payload = {"kind": "rma_put", "size": size, "data": payload}
-            deferred = fabric.defers_wire and dst != self.rank
-            if self.faults.enabled:
-                # The request rides along so the target can schedule the
-                # origin-side completion at actual delivery (see _on_wire).
-                wire_payload["req"] = req
-            elif deferred:
-                # Deferred wire put (end-of-epoch flush): origin
-                # completion is applied one ack latency after the
-                # resolved delivery via the ``_fin`` hint.
-                ack = fabric.base_latency(dst, self.rank)
-                wire_payload["_fin"] = (req.req_id, ack)
-                self._pending_fin[req.req_id] = ("rma", req)
-            deliver = fabric.send(
+            # Remote completion, detected by a flush, one ack latency
+            # after the data lands.
+            self.world.fabric.send(
                 WireMessage(
                     src=self.rank,
                     dst=dst,
                     size=size + _HEADER,
                     msg_class=_DATA,
                     channel="mpi",
-                    payload=wire_payload,
+                    payload={
+                        "kind": "rma_put",
+                        "size": size,
+                        "data": payload,
+                        "_fin": (self._complete_rma, req, True),
+                    },
                 )
             )
-            if not self.faults.enabled and not deferred:
-                # Remote completion detected by flush ≈ one ack latency later.
-                ack = fabric.base_latency(dst, self.rank)
-                self.sim.call_later(
-                    deliver - self.sim.now + ack, self._complete_rma, req
-                )
             return req
         finally:
             if self._lock_queue:
@@ -576,33 +546,21 @@ class MpiRank:
                 key=(sreq.dst, self.rank, sreq.tag), info=sreq.size,
             )
         yield self.costs.rendezvous_ctrl + self.costs.post_request
-        fabric = self.world.fabric
-        rdata_payload = {
-            "kind": "rdata",
-            "rreq": p["rreq"],
-            "size": sreq.size,
-            "data": sreq.payload,
-        }
-        deferred = fabric.defers_wire and sreq.dst != self.rank
-        if deferred:
-            # Deferred wire send: local completion is modelled at data
-            # delivery, which is only resolved at ejection (the
-            # end-of-epoch flush) — it comes back through the ``_fin``
-            # hint (extra 0.0 keeps the timestamp identical).
-            rdata_payload["_fin"] = (sreq.req_id, 0.0)
-            self._pending_fin[sreq.req_id] = ("send", sreq)
-        deliver = fabric.send(
+        # Local completion when the NIC has read the buffer, modelled at
+        # the data's delivery (``_fin`` without the ack latency).
+        self.world.fabric.send(
             WireMessage(
-                self.rank, sreq.dst, sreq.size + _HEADER, _DATA, rdata_payload, "mpi"
+                self.rank, sreq.dst, sreq.size + _HEADER, _DATA,
+                {
+                    "kind": "rdata",
+                    "rreq": p["rreq"],
+                    "size": sreq.size,
+                    "data": sreq.payload,
+                    "_fin": (self._complete_send, sreq, False),
+                },
+                "mpi",
             )
         )
-        if not deferred:
-            # Local completion when the NIC has read the buffer; modelled
-            # at data delivery (a FIN would arrive one latency later —
-            # folded in).
-            self.sim.call_later(
-                deliver - self.sim.now, self._complete_send, sreq
-            )
 
     # A match runs in two halves around one CPU charge, written as plain
     # calls rather than a generator (one fewer frame per match):
@@ -651,16 +609,3 @@ class MpiRank:
     def _complete_send(self, sreq: SendRequest) -> None:
         sreq._complete()
         self._notify()
-
-    def _apply_fin(self, ref: int) -> None:
-        """Apply a deferred source-side completion (``_fin`` hint).
-
-        ``ref`` is the ``req_id`` registered in ``_pending_fin`` when the
-        send/put was issued.  The fabric's end-of-epoch flush schedules
-        it one ``extra`` delay after the resolved delivery.
-        """
-        kind, req = self._pending_fin.pop(ref)
-        if kind == "send":
-            self._complete_send(req)
-        else:
-            self._complete_rma(req)

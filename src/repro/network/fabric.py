@@ -4,6 +4,12 @@ Communication libraries register one handler per (node, channel); the
 fabric calls ``handler(msg)`` at the simulated delivery time.  Loopback
 (src == dst) skips the wire entirely and is delivered after a small
 constant memory-copy latency.
+
+Sender-side completions are delivery-driven: a message whose dict payload
+carries ``_fin = (fn, arg, ack)`` gets ``fn(arg)`` scheduled by whatever
+code resolves the delivery the receiver accepts (the loopback branch of
+:meth:`Fabric.send`, the end-of-epoch flush, or the reliable transport),
+at ``deliver + (base_latency(dst, src) if ack else 0.0)``.
 """
 
 from __future__ import annotations
@@ -43,17 +49,6 @@ class Fabric:
 
     #: Delivery latency of a loopback (shared-memory) message.
     LOOPBACK_LATENCY = 0.4 * US
-
-    #: True when wire sends do not resolve a delivery time at the
-    #: ``send()`` call: destination-NIC ejection is deferred to the end of
-    #: the injecting epoch and happens in canonical ``(inject, src, seq)``
-    #: order.  ``NicState.eject`` depends on call order, so this keeps
-    #: equal-timestamp arrivals at one NIC independent of the order the
-    #: sends were issued in.  ``send()`` returns ``nan`` for wire messages
-    #: and source-side completions are delivery-driven (the ``_fin``
-    #: payload hint).  False only when the reliable transport owns
-    #: delivery scheduling (fault-injection mode).  Set per instance.
-    defers_wire = True
 
     def __init__(
         self,
@@ -96,7 +91,6 @@ class Fabric:
 
             self._rel: Optional[ReliableTransport] = ReliableTransport(self, self.faults)
             self.faults.bind(self)
-            self.defers_wire = False
         else:
             self._rel = None
         #: Message ids: :meth:`send` stamps one on every message, in send
@@ -110,9 +104,6 @@ class Fabric:
         #: ejection: ``(src, seq, msg, arrival, handler)``, flushed in
         #: ``(src, seq)`` order at epoch end (all share one inject time).
         self._pending_wire: list = []
-        #: Per-channel source-side completion appliers (``fn(node, ref)``)
-        #: for the ``_fin`` payload hint (see :meth:`register_fin_applier`).
-        self._fin_appliers: dict[str, Callable[[int, int], None]] = {}
 
     def register_handler(self, node: int, channel: str, handler: Handler) -> None:
         """Install the delivery handler for (node, channel)."""
@@ -125,18 +116,6 @@ class Fabric:
         if col is None:
             col = self._hcols[channel] = [None] * self.num_nodes
         col[node] = handler
-
-    def register_fin_applier(
-        self, channel: str, fn: Callable[[int, int], None]
-    ) -> None:
-        """Install ``fn(node, ref)`` applying a source-side completion.
-
-        Deferred wire sends carry their source-side completion as a
-        ``_fin = (ref, extra)`` payload hint; once the destination NIC
-        resolves the delivery time the fabric schedules ``fn(src, ref)``
-        at ``inject + ((deliver - inject) + extra)``.
-        """
-        self._fin_appliers[channel] = fn
 
     def invalidate_route(self, src: int, dst: int) -> None:
         """Forget the cached base latency for one route (fault-engine hook:
@@ -155,19 +134,15 @@ class Fabric:
             self._lat_flat[src * self.num_nodes + dst] = lat
         return lat
 
-    def send(self, msg: WireMessage) -> float:
-        """Inject ``msg``; returns the scheduled delivery time.
+    def send(self, msg: WireMessage) -> None:
+        """Inject ``msg`` and arrange its delivery.
 
         The send itself is instantaneous for the caller — CPU injection
         overheads are charged by the *library* models, not the fabric.
-
-        Wire sends (``src != dst``, faults disabled) return ``nan``: the
-        source NIC is charged immediately, but destination-NIC ejection is
-        deferred to the end of the injecting epoch and performed in
-        canonical ``(inject, src, seq)`` order (see :meth:`_flush_epoch`),
-        so the delivery time is not knowable at the call.  Callers use the
-        delivery-driven ``_fin`` payload hint for source-side completions
-        instead of the return value.
+        ``msg.depart_time`` is stamped at the call; the delivery time is
+        resolved at once for loopback, at the end of the injecting epoch
+        for wire sends (:meth:`_flush_epoch`), and by the reliable
+        transport under a fault plan.
         """
         src = msg.src
         dst = msg.dst
@@ -191,12 +166,14 @@ class Fabric:
             self._emit_wire(msg, now, deliver, now)
             # Schedule the handler itself — no trampoline per delivery.
             self.sim.call_later(deliver - now, handler, msg)
-            return deliver
+            self._fin(msg, deliver)
+            return
         if self._rel is not None:
             # Fault-injection mode: the reliable transport owns stamping,
             # delivery scheduling, and retransmission for wire traffic.
             # Loopback never touches the wire and stays on the fast path.
-            return self._rel.send(msg, handler)
+            self._rel.send(msg, handler)
+            return
         depart = self.nics[src].inject(now, msg.size, msg.msg_class)
         lat = self._lat_flat[src * n + dst]
         if lat != lat:  # not cached yet
@@ -211,7 +188,6 @@ class Fabric:
         if not pending:
             self.sim.at_epoch_end(self._flush_epoch)
         pending.append((src, seq, msg, arrival, handler))
-        return math.nan
 
     def _flush_epoch(self) -> None:
         """Eject the epoch's wire sends at their destination NICs.
@@ -224,10 +200,8 @@ class Fabric:
         so sorting makes equal-timestamp arrivals at one NIC resolve the
         same way whatever order the sends were issued in.  For each record
         the delivery handler is scheduled at ``inject + (deliver -
-        inject)`` and any ``_fin`` payload hint becomes a source-side
-        completion at ``inject + ((deliver - inject) + extra)``, in record
-        order, delivery before fin, so equal-fire-time heap ties are
-        canonical too.
+        inject)``, then its ``_fin`` hint (:meth:`_fin`), in record order,
+        so equal-fire-time heap ties are canonical too.
         """
         buf = self._pending_wire
         self._pending_wire = []
@@ -245,15 +219,25 @@ class Fabric:
             if obs_on:
                 self._emit_wire(msg, msg.depart_time, deliver, now)
             sim.call_at(now + (deliver - now), handler, msg)
-            payload = msg.payload
-            if type(payload) is dict:
-                fin = payload.get("_fin")
-                if fin is not None:
-                    ref, extra = fin
-                    sim.call_at(
-                        now + ((deliver - now) + extra),
-                        self._fin_appliers[msg.channel], src, ref,
-                    )
+            self._fin(msg, deliver)
+
+    def _fin(self, msg: WireMessage, deliver: float) -> None:
+        """Schedule ``msg``'s sender-side completion for its accepted
+        delivery at ``deliver``.
+
+        A dict payload may carry ``_fin = (fn, arg, ack)``: ``fn(arg)``
+        fires at ``deliver``, plus one route latency back to the sender
+        (a hardware ack) when ``ack`` is true.  The route latency is read
+        now, when the delivery is resolved: degraded routes change it.
+        """
+        payload = msg.payload
+        if type(payload) is dict:
+            fin = payload.get("_fin")
+            if fin is not None:
+                fn, arg, ack = fin
+                now = self.sim.now
+                extra = self.base_latency(msg.dst, msg.src) if ack else 0.0
+                self.sim.call_at(now + ((deliver - now) + extra), fn, arg)
 
     def _emit_wire(self, msg: WireMessage, depart: float, deliver: float, now: float) -> None:
         """Emit the ``wire_msg`` event + fabric instruments for one send."""

@@ -211,7 +211,9 @@ class ParsecContext:
         self.faults.bind_stop(lambda: self.stopped)
         #: Per-flow release plans shared by every node's runtime.
         self.flow_plans: dict = {}
-        self.nodes = [NodeRuntime(self, r) for r in range(n)]
+        self.nodes = [
+            NodeRuntime(self, r, self.faults.compute_scale(r)) for r in range(n)
+        ]
         # Measurement clocks (§6.1.3 methodology), optional.
         self.clock_sync = clock_sync
         if clock_sync:

@@ -119,10 +119,12 @@ class _FlowState:
 class NodeRuntime:
     """One node of the simulated AMT runtime."""
 
-    def __init__(self, ctx: "ParsecContext", rank: int):
+    def __init__(self, ctx: "ParsecContext", rank: int, compute_scale: float):
         self.ctx = ctx
         self.sim = ctx.sim
         self.rank = rank
+        #: Task-duration multiplier of this node (> 1 for a straggler).
+        self.compute_scale = compute_scale
         self.rt = ctx.platform.runtime
         self.engine = ctx.engines[rank]
         self.sched = None  # created in load()
@@ -229,7 +231,7 @@ class NodeRuntime:
     def _worker(self, wid: int, me: list) -> Generator:
         rt = self.rt
         obs = self.ctx.obs
-        faults = self.ctx.faults
+        scale = self.compute_scale
         durations = self._t_dur
         try:
             while True:
@@ -238,11 +240,7 @@ class NodeRuntime:
                 yield rt.sched_op + rt.task_spawn
                 duration = durations[tid]
                 if duration > 0:
-                    if faults.enabled:
-                        # Straggler injection stretches this node's compute.
-                        yield duration * faults.compute_scale(self.rank)
-                    else:
-                        yield duration
+                    yield duration * scale
                 self.busy_time += self.sim.now - start
                 if obs.enabled:
                     obs.emit(

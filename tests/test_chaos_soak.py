@@ -59,9 +59,11 @@ class TestChaosSoak:
 #: The CLI's default chaos pair (``python -m repro chaos``: hicma N=7200,
 #: tile 1200, 2 nodes, seed 0): tasks, makespan and injections per
 #: backend, which the registry's hicma graph builder must reproduce.
+#: ``dup`` counts duplicated data copies only (ACK/NACK probes are never
+#: duplicated).
 DEFAULT_PAIR = {
     "mpi": (56, 0.002264557792789068,
-            {"corrupt": 4, "delay": 11, "drop": 2, "dup": 1, "flap": 3,
+            {"corrupt": 4, "delay": 11, "drop": 2, "dup": 0, "flap": 3,
              "pool_spike": 0, "straggler": 1}),
     "lci": (56, 0.0019332319124704535,
             {"corrupt": 4, "delay": 11, "drop": 2, "dup": 1, "flap": 0,

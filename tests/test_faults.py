@@ -134,6 +134,25 @@ class TestReliableDelivery:
         assert sorted(seen) == list(range(40))
         assert bus.counter_totals()["rel.dup_dropped"] > 0
 
+    def test_dup_counts_only_duplicates_sent(self):
+        # Every data transmission is duplicated; ACK/NACK probes never are,
+        # so they must not count as injected duplicates.
+        from repro.config import scaled_platform
+        from repro.runtime import ParsecContext
+        from repro.workloads import get_workload
+
+        platform = scaled_platform(num_nodes=2, cores_per_node=4)
+        spec = get_workload("stencil")
+        params = dict(spec.explore_params, num_nodes=2, seed=0)
+        graph = spec.build_graph(spec.build_config(**params), platform)
+        ctx = ParsecContext(
+            platform, backend="lci", faults=FaultConfig(dup_rate=1.0),
+            observability=True,
+        )
+        counters = ctx.run(graph, until=30.0).obs_counters
+        assert counters["net.wire_msgs"] > 0
+        assert counters["fault.injected.dup"] == counters["net.wire_msgs"]
+
     def test_reorder_still_delivers_all(self):
         seen, fabric, bus = self._run(FaultConfig(reorder_rate=0.5,
                                                   reorder_delay=50e-6))
