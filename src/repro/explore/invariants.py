@@ -188,6 +188,9 @@ def check_quiescence(ctx) -> list:
             if report["unexpected_rts"]:
                 flag("quiescence",
                      f"node {i}: {report['unexpected_rts']} unexpected RTS left")
+            if report["posted_recvd"]:
+                flag("quiescence",
+                     f"node {i}: {report['posted_recvd']} posted-receive keys left")
         else:
             if report["deferred"]:
                 flag("quiescence",

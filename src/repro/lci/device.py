@@ -330,7 +330,14 @@ class LciDevice:
                 del self._unexpected_rts[i]
                 self._reply_rtr(src, p, op)
                 return LCI_OK
-        self._posted_recvd.setdefault((src, tag), deque()).append(op)
+        # One queue per (src, tag) with posted receives; the RTS that drains
+        # it removes the key, so the map is bounded by in-flight receives.
+        key = (src, tag)
+        queue = self._posted_recvd.get(key)
+        if queue is None:
+            self._posted_recvd[key] = deque((op,))
+        else:
+            queue.append(op)
         return LCI_OK
 
     # ------------------------------------------------------------------
@@ -418,9 +425,12 @@ class LciDevice:
     def _handle_proto(self, msg: WireMessage) -> None:
         p = msg.payload
         if p["kind"] == "rts":
-            queue = self._posted_recvd.get((msg.src, p["tag"]))
+            key = (msg.src, p["tag"])
+            queue = self._posted_recvd.get(key)
             if queue:
                 op = queue.popleft()
+                if not queue:
+                    del self._posted_recvd[key]
                 self._reply_rtr(msg.src, p, op)
             else:
                 self._unexpected_rts.append((msg.src, p))

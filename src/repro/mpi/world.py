@@ -41,7 +41,7 @@ from repro.mpi.requests import (
 )
 from repro.network.fabric import Fabric
 from repro.network.message import MessageClass, WireMessage
-from repro.obs.bus import NULL_BUS, ObsBus
+from repro.obs.bus import ObsBus
 from repro.sim.core import Event, Process, Simulator
 from repro.units import KiB
 

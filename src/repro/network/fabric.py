@@ -9,7 +9,8 @@ Sender-side completions are delivery-driven: a message whose dict payload
 carries ``_fin = (fn, arg, ack)`` gets ``fn(arg)`` scheduled by whatever
 code resolves the delivery the receiver accepts (the loopback branch of
 :meth:`Fabric.send`, the end-of-epoch flush, or the reliable transport),
-at ``deliver + (base_latency(dst, src) if ack else 0.0)``.
+at ``deliver`` plus, when ``ack`` is set, ``base_latency(dst, src)``
+(``LOOPBACK_LATENCY`` for loopback).
 """
 
 from __future__ import annotations
@@ -227,8 +228,10 @@ class Fabric:
 
         A dict payload may carry ``_fin = (fn, arg, ack)``: ``fn(arg)``
         fires at ``deliver``, plus one route latency back to the sender
-        (a hardware ack) when ``ack`` is true.  The route latency is read
-        now, when the delivery is resolved: degraded routes change it.
+        (a hardware ack) when ``ack`` is true; a loopback ack costs one
+        :attr:`LOOPBACK_LATENCY`, like the copy it acknowledges.  The route
+        latency is read now, when the delivery is resolved: degraded routes
+        change it.
         """
         payload = msg.payload
         if type(payload) is dict:
@@ -236,7 +239,12 @@ class Fabric:
             if fin is not None:
                 fn, arg, ack = fin
                 now = self.sim.now
-                extra = self.base_latency(msg.dst, msg.src) if ack else 0.0
+                if not ack:
+                    extra = 0.0
+                elif msg.src == msg.dst:
+                    extra = self.LOOPBACK_LATENCY
+                else:
+                    extra = self.base_latency(msg.dst, msg.src)
                 self.sim.call_at(now + ((deliver - now) + extra), fn, arg)
 
     def _emit_wire(self, msg: WireMessage, depart: float, deliver: float, now: float) -> None:

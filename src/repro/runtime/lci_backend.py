@@ -91,7 +91,8 @@ class LciBackend(CommEngine):
         Reports the device resource pools against their configured sizes
         (a mismatch means a leaked or double-freed packet/slot — pools must
         return to full and never go negative), plus the depths of the
-        progress-to-comm FIFOs and the unexpected-RTS queue, all of which a
+        progress-to-comm FIFOs, the unexpected-RTS queue and the number of
+        ``(src, tag)`` keys with posted direct receives, all of which a
         clean termination leaves empty.  Read by the schedule explorer's
         quiescence invariant.
         """
@@ -106,6 +107,7 @@ class LciBackend(CommEngine):
             "am_fifo": len(self.am_fifo),
             "data_fifo": len(self.data_fifo),
             "unexpected_rts": len(dev._unexpected_rts),
+            "posted_recvd": len(dev._posted_recvd),
         }
 
     def _tag_reg_backend(self, tag: int, max_len: int) -> None:

@@ -20,7 +20,7 @@ Implements the execution semantics of §4.1/§4.3 and Fig. 1:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.errors import RuntimeBackendError
 from repro.runtime.comm_engine import TAG_ACTIVATE, TAG_GETDATA, TAG_PUT_COMPLETE

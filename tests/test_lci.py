@@ -266,6 +266,35 @@ class TestDirect:
 
         assert sim.run_process(main()) == "late-post"
         sim.run()
+        # The late post matched the stored RTS: no receive key is filed.
+        assert not d1._posted_recvd
+        assert not d1._unexpected_rts
+
+    def test_posted_recvd_matched_fifo_and_key_retired_when_drained(self):
+        sim, world = make_world()
+        d0, d1 = world.devices
+        got = []
+
+        def main():
+            yield from d1.recvd(src=0, tag=7, size=1 * MiB, comp=got.append, user_ctx="first")
+            yield from d1.recvd(src=0, tag=7, size=1 * MiB, comp=got.append, user_ctx="second")
+            assert len(d1._posted_recvd[(0, 7)]) == 2
+            yield from d0.sendd(dst=1, tag=7, size=1 * MiB, data="a")
+            yield sim.timeout(1e-3)
+            yield from d1.progress()  # first RTS matches the first post
+            assert [op.user_ctx for op in d1._posted_recvd[(0, 7)]] == ["second"]
+            yield from d0.sendd(dst=1, tag=7, size=1 * MiB, data="b")
+            yield sim.timeout(1e-3)
+            yield from d1.progress()  # second RTS drains the queue
+            assert (0, 7) not in d1._posted_recvd
+            yield sim.timeout(1e-3)
+            yield from d0.progress()  # both RTRs: RDMA writes go out
+            yield sim.timeout(1e-3)
+            yield from d1.progress()  # both data arrivals complete
+
+        sim.run_process(main())
+        assert [(r.user_ctx, r.payload) for r in got] == [("first", "a"), ("second", "b")]
+        assert not d1._posted_recvd and not d1._unexpected_rts
 
     def test_recv_too_small_raises(self):
         sim, world = make_world()

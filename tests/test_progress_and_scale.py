@@ -75,6 +75,13 @@ class TestFlowRelease:
                     f"entries leaked"
                 )
             retired += report["flows_retired"]
+        if backend == "lci":
+            # Every direct receive's (src, tag) key is retired with it.
+            for rank, engine in enumerate(ctx.engines):
+                left = engine.quiescence_report()["posted_recvd"]
+                assert left == 0, (
+                    f"lci node {rank}: {left} posted-receive keys leaked"
+                )
         # Every flow is retired on its producer node, and again on every
         # intermediate multicast-tree node that re-released it locally.
         assert retired >= graph.num_flows

@@ -89,8 +89,8 @@ class TestLoopback:
             )
 
         done = _lci_loopback(main)
-        assert hw_log == [(0, "rcomp", 3.3e-06), (0, "fin", 4.4e-06)]
-        assert done == [("recvd", 3.5000000000000004e-06), ("sendd", 4.6e-06)]
+        assert hw_log == [(0, "rcomp", 3.3e-06), (0, "fin", 3.7e-06)]
+        assert done == [("recvd", 3.5000000000000004e-06), ("sendd", 3.9e-06)]
 
     def test_lci_putd(self, hw_log):
         def main(dev, done):
@@ -101,8 +101,8 @@ class TestLoopback:
             )
 
         done = _lci_loopback(main)
-        assert hw_log == [(0, "pcomp", 1.2499999999999999e-06), (0, "fin", 2.35e-06)]
-        assert done == [("put", 1.4499999999999999e-06), ("putd", 2.55e-06)]
+        assert hw_log == [(0, "pcomp", 1.2499999999999999e-06), (0, "fin", 1.6499999999999999e-06)]
+        assert done == [("put", 1.4499999999999999e-06), ("putd", 1.8499999999999999e-06)]
 
     def test_mpi_rendezvous_isend(self, mpi_log):
         sim = Simulator()
@@ -132,8 +132,8 @@ class TestLoopback:
             yield from r0.flush(req)
             return sim.now
 
-        assert sim.run_process(main()) == 2.1000000000000002e-06
-        assert mpi_log == [("rma", 2.1000000000000002e-06)]
+        assert sim.run_process(main()) == 1.6e-06
+        assert mpi_log == [("rma", 1.4e-06)]
 
 
 class TestFaultMode:

@@ -145,12 +145,14 @@ class TestRepoCheckers:
     def test_paper_scale_budget(self, tmp_path):
         # Build-only mode (~5 s): asserts the NT=150 graph build/memory
         # budgets; --out keeps the checked-in BENCH_scale.json untouched.
-        # A second (smaller, NT=50) run into the same file must append a
-        # history entry, not overwrite the first one or other keys.
+        # A second (smaller, NT=50, --backend mpi) run into the same file
+        # must append a history entry, not overwrite the first one or
+        # other keys.
         out = tmp_path / "BENCH_scale.json"
         out.write_text(json.dumps({"full_run": {"run_wall_seconds": 54.5}}))
         tool = str(ROOT / "tools" / "check_paper_scale_budget.py")
-        for extra in ([], ["--tile", "7200", "--no-deadline-smoke"]):
+        for extra in ([], ["--tile", "7200", "--no-deadline-smoke",
+                           "--backend", "mpi"]):
             proc = subprocess.run(
                 [sys.executable, tool, "--out", str(out), *extra],
                 capture_output=True,
@@ -161,8 +163,9 @@ class TestRepoCheckers:
         doc = json.loads(out.read_text())
         assert doc["full_run"] == {"run_wall_seconds": 54.5}
         history = doc["history"]
-        assert [(h["nodes"], h["tile"], h["nt"]) for h in history] == [
-            (16, 2400, 150), (16, 7200, 50),
+        assert [(h["backend"], h["nodes"], h["tile"], h["nt"])
+                for h in history] == [
+            ("lci", 16, 2400, 150), ("mpi", 16, 7200, 50),
         ]
         for entry in history:
             assert entry["host_cpus"] >= 1 and entry["python"] and entry["rev"]

@@ -21,12 +21,11 @@ meet:
 
 Each invocation appends one entry to the ``"history"`` list of
 ``BENCH_scale.json`` next to the repo root: host facts (``rev``,
-``host_cpus``, ``python``), the point (``nodes``, ``tile``, ``nt``),
-build, freeze and validate seconds, peak RSS, tasks/flows and — with
-``--full`` — the end-to-end simulated run's wall time, kernel
-events/second and makespan
-(``run_wall_seconds``/``events_per_second`` are ``null`` for a
-build-only entry).  Every other key already in the output file is left
+``host_cpus``, ``python``), the point (``backend``, ``nodes``,
+``tile``, ``nt``), build, freeze and validate seconds, peak RSS,
+tasks/flows and — with ``--full`` — the end-to-end simulated run's wall
+time, kernel events/second and makespan (``run_wall_seconds``/
+``events_per_second`` are ``null`` for a build-only entry).  Every other key already in the output file is left
 as it is, so earlier records stay readable.  The default mode checks
 construction only, so it is cheap enough for the test suite; the
 ``--full`` run is the acceptance gate behind the EXPERIMENTS.md
@@ -34,8 +33,8 @@ paper-scale runbook.
 
 Run as::
 
-    python tools/check_paper_scale_budget.py [--full] [--nodes 16]
-        [--tile 2400] [--build-budget 60] [--rss-budget 4.0]
+    python tools/check_paper_scale_budget.py [--full] [--backend lci]
+        [--nodes 16] [--tile 2400] [--build-budget 60] [--rss-budget 4.0]
         [--wall-budget 1800] [--out PATH]
 """
 
@@ -140,13 +139,13 @@ def deadline_smoke() -> "tuple[dict, list]":
     return doc, problems
 
 
-def full_run(nodes: int, tile: int) -> dict:
+def full_run(backend: str, nodes: int, tile: int) -> dict:
     """Simulate the paper-scale point end to end; return run metrics."""
     from repro import Experiment
     from repro.config import expanse_platform
     from repro.obs.progress import ProgressReporter
 
-    experiment = Experiment(workload="hicma", backend="lci", nodes=nodes,
+    experiment = Experiment(workload="hicma", backend=backend, nodes=nodes,
                             matrix_size=PAPER_N, tile_size=tile)
     reporter = ProgressReporter(interval=10.0, stream=sys.stderr)
     seen = []
@@ -190,13 +189,14 @@ def _git_rev() -> str:
     return rev or "unknown"
 
 
-def history_entry(doc: dict) -> dict:
+def history_entry(doc: dict, backend: str) -> dict:
     """One ``history`` record: host facts, the point, build and run."""
     run = doc.get("full_run", {})
     entry = {
         "rev": _git_rev(),
         "host_cpus": os.cpu_count(),
         "python": platform.python_version(),
+        "backend": backend,
         "nodes": doc["num_nodes"],
         "tile": doc["tile_size"],
         "nt": doc["nt"],
@@ -221,6 +221,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true",
                     help="also simulate the run end to end (minutes)")
+    ap.add_argument("--backend", choices=("lci", "mpi"), default="lci",
+                    help="communication backend of the --full run")
     ap.add_argument("--nodes", type=int, default=16)
     ap.add_argument("--tile", type=int, default=2400)
     ap.add_argument("--build-budget", type=float, default=60.0,
@@ -271,7 +273,7 @@ def main(argv=None) -> int:
             )
 
     if args.full:
-        run = full_run(args.nodes, args.tile)
+        run = full_run(args.backend, args.nodes, args.tile)
         doc["full_run"] = run
         if run["peak_rss_gib"] > args.rss_budget:
             problems.append(
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
                 f"(> {args.wall_budget:.0f}s budget)"
             )
         print(
-            f"paper-scale run: {run['tasks_executed']:,} tasks, "
+            f"paper-scale {args.backend} run: {run['tasks_executed']:,} tasks, "
             f"makespan {run['makespan_seconds']:.1f}s simulated in "
             f"{run['run_wall_seconds']:.0f}s wall "
             f"({run['events_total']:,} events, "
@@ -304,7 +306,7 @@ def main(argv=None) -> int:
             out = json.load(fp)
     except FileNotFoundError:
         pass
-    out.setdefault("history", []).append(history_entry(doc))
+    out.setdefault("history", []).append(history_entry(doc, args.backend))
     with open(args.out, "w") as fp:
         json.dump(out, fp, indent=2, sort_keys=True)
         fp.write("\n")
