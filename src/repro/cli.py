@@ -265,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--workload", choices=list(workload_names()),
                     default="hicma",
                     help="which registered workload to run under the plan")
-    ch.add_argument("--matrix", type=int, default=7200,
+    ch.add_argument("--matrix-size", type=int, default=7200,
                     help="hicma workload only: matrix dimension")
-    ch.add_argument("--tile", type=int, default=1200,
+    ch.add_argument("--tile-size", type=int, default=1200,
                     help="hicma workload only: tile size")
 
     sub.add_parser("info", help="print calibrated platform constants")
@@ -451,7 +451,7 @@ def cmd_chaos(args) -> int:
 
     params = {}
     if args.workload == "hicma":
-        params = {"matrix_size": args.matrix, "tile_size": args.tile}
+        params = {"matrix_size": args.matrix_size, "tile_size": args.tile_size}
     cfg = ChaosConfig(
         plan_name=args.plan,
         plan=fault_plan(args.plan),

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import HicmaError
 from repro.hicma.ranks import RankModel
 from repro.hicma.timing import KernelTimeModel
@@ -73,39 +75,35 @@ def build_tlr_cholesky_graph(
     dense_bytes = b * b * 8
     # Everything a task needs besides its flows depends only on the tile's
     # distance d = i − j from the diagonal (dense when d < band), so it is
-    # tabulated per distance once.  At paper scale (NT=150) the loop below
-    # runs ~575k times and the builder appends are then most of its cost.
+    # tabulated per distance once, as arrays the per-step batches index.
     rank_at = [0 if d < band else ranks.rank(d, 0) for d in range(nt)]
-    trsm_at = [times.trsm_dense(b) if d < band else times.trsm(b, rank_at[d])
-               for d in range(nt)]
-    syrk_at = [times.syrk_dense(b) if d < band else times.syrk(b, rank_at[d])
-               for d in range(nt)]
+    trsm_d = np.array([times.trsm_dense(b) if d < band else times.trsm(b, rank_at[d])
+                       for d in range(nt)])
+    syrk_d = np.array([times.syrk_dense(b) if d < band else times.syrk(b, rank_at[d])
+                       for d in range(nt)])
     # A TRSM output ships as one dense tile, or, low rank, as the U and V
-    # factors in two flows (two-flow variant) or one packed flow.
-    panel_at = [
-        (dense_bytes,) if d < band
+    # factors in two flows (two-flow variant) or one packed flow; -1 marks
+    # no second flow.
+    panel_size = np.array([
+        (dense_bytes, -1) if d < band
         else (b * rank_at[d] * 8,) * 2 if two_flow
-        else (2 * b * rank_at[d] * 8,)
+        else (2 * b * rank_at[d] * 8, -1)
         for d in range(nt)
-    ]
-    gemm_out_at = [dense_bytes if d < band else 2 * b * rank_at[d] * 8
-                   for d in range(nt)]
+    ])
+    gemm_out = np.array([dense_bytes if d < band else 2 * b * rank_at[d] * 8
+                         for d in range(nt)])
     # GEMM(i, j, k) durations by (A = tile (i, k) dense, B = tile (j, k)
     # dense), then by the distance of its C = tile (i, j).
-    gemm_at = {
-        (a_dense, b_dense): [
-            times.gemm_mixed(b, max(rank_at[d], 1), d < band, a_dense, b_dense)
-            for d in range(nt)
-        ]
-        for a_dense in (False, True) for b_dense in (False, True)
-    }
+    gemm_d = np.array([[
+        [times.gemm_mixed(b, max(rank_at[d], 1), d < band, a_dense, b_dense)
+         for d in range(nt)]
+        for b_dense in (False, True)] for a_dense in (False, True)])
     potrf_d = times.potrf(b)
-    add_task = g.add_task
-    add_flow = g.add_flow
-    # tile[i][j]: the flow holding the latest version of tile (i, j) (its
-    # accumulation chain), or () before any update.  The owner of tile
-    # (i, j) is block_cyclic_node(i, j, p, q), inlined.
-    tile: list[list[tuple]] = [[()] * nt for _ in range(nt)]
+    # tile[i, j]: the flow holding the latest version of tile (i, j) (its
+    # accumulation chain), or -1 before any update.
+    tile = np.full((nt, nt), -1)
+    # Each step emits its tasks in id order, one batch per kernel group,
+    # each followed by its flows: every input of a batch exists before it.
     for k in range(nt):
         # Higher = sooner.  Panel ops of early steps dominate the critical
         # path; within a step POTRF > TRSM > SYRK > GEMM (DPLASMA-style).
@@ -113,30 +111,50 @@ def build_tlr_cholesky_graph(
             base + (nt - k) * 1e3 for base in (3e9, 2e9, 1e9, 0.0)
         )
         col = k % q
-        potrf_t = add_task((k % p) * q + col, potrf_d, potrf_p, tile[k][k], "potrf")
+        chain = int(tile[k, k])
+        potrf_t = g.add_task((k % p) * q + col, potrf_d, potrf_p,
+                             () if chain < 0 else (chain,), "potrf")
         if k == nt - 1:
             break
         # L_kk flows to every TRSM in column k (broadcast).
-        lkk = (add_flow(potrf_t, dense_bytes),)
+        lkk = g.add_flow(potrf_t, dense_bytes)
+        m = nt - 1 - k
+        rows = np.arange(k + 1, nt)
+        ins = np.stack([np.full(m, lkk), tile[k + 1:, k]], axis=1)
+        has = ins >= 0
+        trsm0 = g.add_tasks((rows % p) * q + col, trsm_d[rows - k], trsm_p,
+                            ins[has], has.sum(axis=1), "trsm")
         # panel[i]: the flows of TRSM(i, k)'s output, read by SYRK(i, k)
-        # and by every GEMM in row and column i.
-        panel: list[tuple] = [()] * nt
-        for i in range(k + 1, nt):
-            trsm_t = add_task((i % p) * q + col, trsm_at[i - k], trsm_p,
-                              lkk + tile[i][k], "trsm")
-            panel[i] = tuple(add_flow(trsm_t, size) for size in panel_at[i - k])
-        for i in range(k + 1, nt):
-            row, tile_i, panel_i = (i % p) * q, tile[i], panel[i]
-            syrk_t = add_task(row + i % q, syrk_at[i - k], syrk_p,
-                              panel_i + tile_i[i], "syrk")
-            # SYRK's output is the updated (i,i) tile: a node-local chain
-            # flow consumed by the next update or the POTRF of step i.
-            tile_i[i] = (add_flow(syrk_t, dense_bytes),)
-            a_dense = i - k < band
-            for j in range(k + 1, i):
-                gemm_t = add_task(row + j % q, gemm_at[a_dense, j - k < band][i - j],
-                                  gemm_p, panel_i + panel[j] + tile_i[j], "gemm")
-                tile_i[j] = (add_flow(gemm_t, gemm_out_at[i - j]),)
+        # and by every GEMM in row and column i (-1: no second flow).
+        sizes = panel_size[rows - k]
+        ships = sizes >= 0
+        fid = g.add_flows(np.repeat(np.arange(trsm0, trsm0 + m), ships.sum(axis=1)),
+                          sizes[ships])
+        panel = np.full((nt, 2), -1)
+        panel[k + 1:][ships] = np.arange(fid, fid + ships.sum())
+        # Row by row: SYRK(i, k), then GEMM(i, j, k) for j = k+1 .. i-1 —
+        # each row of the lower triangle rotated so its diagonal is first.
+        r, c = np.tril_indices(m)
+        i = k + 1 + r
+        j = k + 1 + (c + r) % (r + 1)
+        syrk = i == j
+        ins = np.concatenate([
+            panel[i], np.where(syrk[:, None], -1, panel[j]), tile[i, j][:, None],
+        ], axis=1)
+        has = ins >= 0
+        dense_a, dense_b = (i - k < band).astype(int), (j - k < band).astype(int)
+        first = g.add_tasks(
+            (i % p) * q + j % q,
+            np.where(syrk, syrk_d[i - k], gemm_d[dense_a, dense_b, i - j]),
+            np.where(syrk, syrk_p, gemm_p),
+            ins[has], has.sum(axis=1),
+            np.where(syrk, "syrk", "gemm"),
+        )
+        # SYRK's output is the updated (i,i) tile: a node-local chain flow
+        # consumed by the next update or the POTRF of step i.
+        fid = g.add_flows(np.arange(first, first + len(i)),
+                          np.where(syrk, dense_bytes, gemm_out[i - j]))
+        tile[i, j] = np.arange(fid, fid + len(i))
     return g
 
 

@@ -184,6 +184,22 @@ class CommEngine:
         work is already pending, so the caller polls instead of parking."""
         raise NotImplementedError
 
+    def quiescence_report(self) -> dict:
+        """Counts of the protocol state this engine holds, by kind.
+
+        Every entry is zero once the engine is drained; a negative count
+        means an entry was released twice.
+        """
+        raise NotImplementedError
+
+    def held_state(self) -> dict:
+        """The non-zero entries of :meth:`quiescence_report`.
+
+        Empty exactly when the engine is drained: the one drain predicate
+        of abort snapshots and the schedule explorer's quiescence check.
+        """
+        return {key: n for key, n in self.quiescence_report().items() if n}
+
     # -- shared helpers ----------------------------------------------------
 
     def _am_entry(self, tag: int) -> tuple[AmCallback, Any]:

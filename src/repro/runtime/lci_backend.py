@@ -86,24 +86,20 @@ class LciBackend(CommEngine):
         return self.device.costs.buffered_max
 
     def quiescence_report(self) -> dict:
-        """Leftover device/engine state after a drained run (diagnostic).
+        """Packets, slots and queue entries the device and engine hold.
 
-        Reports the device resource pools against their configured sizes
-        (a mismatch means a leaked or double-freed packet/slot — pools must
-        return to full and never go negative), plus the depths of the
-        progress-to-comm FIFOs, the unexpected-RTS queue and the number of
-        ``(src, tag)`` keys with posted direct receives, all of which a
-        clean termination leaves empty.  Read by the schedule explorer's
-        quiescence invariant.
+        See :meth:`CommEngine.quiescence_report`.  The TX/RX packets and send/recv direct slots in use (pool size
+        minus free), the depths of the progress-to-comm FIFOs and of the
+        unexpected-RTS queue, and the number of ``(src, tag)`` keys with
+        posted direct receives.
         """
         dev = self.device
+        packets, slots = dev.costs.packet_pool_size, dev.costs.direct_slots
         return {
-            "tx_packets_free": dev.tx_packets_free,
-            "rx_packets_free": dev.rx_packets_free,
-            "send_slots_free": dev.send_slots_free,
-            "recv_slots_free": dev.recv_slots_free,
-            "packet_pool_size": dev.costs.packet_pool_size,
-            "direct_slots": dev.costs.direct_slots,
+            "tx_packets_in_use": packets - dev.tx_packets_free,
+            "rx_packets_in_use": packets - dev.rx_packets_free,
+            "send_slots_in_use": slots - dev.send_slots_free,
+            "recv_slots_in_use": slots - dev.recv_slots_free,
             "am_fifo": len(self.am_fifo),
             "data_fifo": len(self.data_fifo),
             "unexpected_rts": len(dev._unexpected_rts),

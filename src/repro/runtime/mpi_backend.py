@@ -122,13 +122,12 @@ class MpiBackend(CommEngine):
         return self.rank.costs.rendezvous_threshold
 
     def quiescence_report(self) -> dict:
-        """Leftover protocol state after a drained run (diagnostic).
+        """Transfers, windows and envelopes the engine holds.
 
-        A clean termination leaves every queue here empty: no deferred
-        transfers awaiting array slots, no announced-but-unserved RMA
-        windows, no in-flight send/recv requests, and no unexpected
-        envelopes in the match engine.  The schedule explorer's quiescence
-        invariant flags any non-zero entry.
+        Counts (see :meth:`CommEngine.quiescence_report`) of deferred
+        transfers awaiting array slots, announced-but-unserved RMA windows,
+        in-flight send/recv requests and unexpected envelopes in the match
+        engine.
         """
         return {
             "deferred": len(self._deferred),

@@ -17,7 +17,9 @@ edges) made an object-per-task design the memory and build-time bottleneck,
 so the graph is **columnar** and append-only: one flat ``array`` per field
 (placement, duration, priority, kind id, flow size, flow producer) plus CSR
 adjacency for task inputs, appended by :meth:`TaskGraph.add_task` and
-:meth:`TaskGraph.add_flow`, its only mutators.  The derived adjacency —
+:meth:`TaskGraph.add_flow` or their array-at-a-time twins
+:meth:`TaskGraph.add_tasks` and :meth:`TaskGraph.add_flows`, its only
+mutators.  The derived adjacency —
 task → output flows and flow → consumer tasks — is computed once by
 :meth:`TaskGraph.freeze` with two stable counting sorts (NumPy), in id
 order.  Every field has one accessor: scalar ``task_*``/``flow_*`` readers
@@ -40,7 +42,8 @@ _INF = float("inf")
 class TaskGraph:
     """A complete task graph in columnar storage.
 
-    Build with :meth:`add_task` / :meth:`add_flow` (ids are assigned
+    Build with :meth:`add_task` / :meth:`add_flow`, or a whole batch at a
+    time with :meth:`add_tasks` / :meth:`add_flows` (ids are assigned
     automatically), then :meth:`validate` before execution.  The derived
     adjacency (task outputs, flow consumers) is computed lazily by
     :meth:`freeze` on first use and invalidated by further construction.
@@ -103,17 +106,13 @@ class TaskGraph:
         """
         tid = len(self._t_node)
         if not (0 <= duration < _INF and -_INF < priority < _INF):
-            if duration < 0:
-                raise RuntimeBackendError(f"task {tid}: negative duration")
-            raise RuntimeBackendError(
-                f"task {tid}: non-finite duration {duration!r} "
-                f"or priority {priority!r}"
-            )
+            raise _timing_error(tid, duration, priority)
         num_flows = len(self._f_size)
         in_flat = self._in_flat
         n_in = 0
         for fid in inputs:
             if not 0 <= fid < num_flows:
+                del in_flat[len(in_flat) - n_in:]  # leave the graph unchanged
                 raise RuntimeBackendError(f"task {tid}: unknown input flow {fid}")
             in_flat.append(fid)
             n_in += 1
@@ -121,11 +120,7 @@ class TaskGraph:
         self._t_node.append(node)
         self._t_dur.append(duration)
         self._t_prio.append(priority)
-        kid = self._kind_ids.get(kind)
-        if kid is None:
-            kid = self._kind_ids[kind] = len(self._kind_names)
-            self._kind_names.append(kind)
-        self._t_kind.append(kid)
+        self._t_kind.append(self._kind_id(kind))
         self._frozen = False
         self._validated = None
         return tid
@@ -143,6 +138,123 @@ class TaskGraph:
         self._validated = None
         return fid
 
+    def add_tasks(
+        self,
+        nodes,
+        duration,
+        priority=0.0,
+        inputs=(),
+        input_counts=0,
+        kind="task",
+    ) -> int:
+        """Add one task per entry of ``nodes``; returns the first new id.
+
+        The array-at-a-time twin of :meth:`add_task`; a batch's ids are
+        consecutive.  Each argument is a
+        sequence or NumPy array with one entry per task; ``duration``,
+        ``priority``, ``input_counts`` and ``kind`` may also be scalars,
+        broadcast to every task.  ``inputs`` holds the batch's input flow
+        ids back to back: each task reads the next ``input_counts`` of
+        them.  The batch passes the checks of :meth:`add_task` called once
+        per task in order, and raises the error that sequence would raise
+        first; a rejected batch leaves the graph unchanged.
+        """
+        import numpy as np
+
+        tid = len(self._t_node)
+        node_col = _column(nodes, None, "nodes", np.int64)
+        n = len(node_col)
+        dur = _column(duration, n, "duration", np.float64)
+        prio = _column(priority, n, "priority", np.float64)
+        counts = _column(input_counts, n, "input_counts", np.int64)
+        flat = _column(inputs, None, "inputs", np.int64)
+        ends = np.cumsum(counts)
+        if (counts < 0).any() or (ends[-1] if n else 0) != len(flat):
+            raise RuntimeBackendError(
+                f"input_counts must be non-negative and sum to the "
+                f"{len(flat)} inputs given"
+            )
+        bad_timing = np.flatnonzero(
+            ~((dur >= 0) & (dur < _INF) & (prio > -_INF) & (prio < _INF))
+        )
+        unknown = np.flatnonzero((flat < 0) | (flat >= len(self._f_size)))
+        if len(bad_timing) or len(unknown):
+            # The first bad row; within a row timing is checked first.
+            row = n if not len(unknown) else \
+                int(np.searchsorted(ends, unknown[0], side="right"))
+            if len(bad_timing) and bad_timing[0] <= row:
+                row = int(bad_timing[0])
+                raise _timing_error(tid + row, float(dur[row]), float(prio[row]))
+            raise RuntimeBackendError(
+                f"task {tid + row}: unknown input flow {int(flat[unknown[0]])}"
+            )
+        if not n:
+            return tid  # register no kind name for an empty batch
+        kinds = self._kind_column(kind, n)
+        _extend(self._t_node, node_col)
+        _extend(self._t_dur, dur)
+        _extend(self._t_prio, prio)
+        _extend(self._t_kind, kinds)
+        _extend(self._in_flat, flat)
+        _extend(self._in_ptr, ends + self._in_ptr[-1])
+        self._frozen = False
+        self._validated = None
+        return tid
+
+    def add_flows(self, producers, size) -> int:
+        """Add one flow per entry of ``producers``; returns the first id.
+
+        The array-at-a-time twin of :meth:`add_flow`; a batch's ids are
+        consecutive.  ``size`` is a scalar, broadcast to every flow, or
+        one entry per flow.  Checks
+        and errors are those of :meth:`add_flow` called once per flow in
+        order; a rejected batch leaves the graph unchanged.
+        """
+        import numpy as np
+
+        fid = len(self._f_size)
+        prod = _column(producers, None, "producers", np.int64)
+        sizes = _column(size, len(prod), "size", np.int64)
+        bad = np.flatnonzero(
+            (prod < 0) | (prod >= len(self._t_node)) | (sizes < 0)
+        )
+        if len(bad):
+            row = int(bad[0])
+            if not 0 <= prod[row] < len(self._t_node):
+                raise RuntimeBackendError(
+                    f"flow producer task {int(prod[row])} unknown"
+                )
+            raise RuntimeBackendError(f"flow {fid + row}: negative size")
+        _extend(self._f_size, sizes)
+        _extend(self._f_prod, prod)
+        self._frozen = False
+        self._validated = None
+        return fid
+
+    def _kind_column(self, kind, n: int):
+        """Kind ids (int32) of ``n`` tasks labelled ``kind`` — one name or
+        one per task — registering new names in order of first use."""
+        import numpy as np
+
+        if isinstance(kind, str):
+            return np.full(n, self._kind_id(kind), dtype=np.int32)
+        names, first, inverse = np.unique(
+            np.asarray(kind, dtype=str), return_index=True, return_inverse=True
+        )
+        if len(inverse) != n:
+            raise RuntimeBackendError(f"kind: {len(inverse)} entries for {n} tasks")
+        ids = np.empty(len(names), dtype=np.int32)
+        for u in np.argsort(first):
+            ids[u] = self._kind_id(str(names[u]))
+        return ids[inverse]
+
+    def _kind_id(self, kind: str) -> int:
+        kid = self._kind_ids.get(kind)
+        if kid is None:
+            kid = self._kind_ids[kind] = len(self._kind_names)
+            self._kind_names.append(kind)
+        return kid
+
     def freeze(self) -> "TaskGraph":
         """Derive the output/consumer CSR adjacency from the build columns.
 
@@ -150,7 +262,7 @@ class TaskGraph:
         task's outputs in flow-id order; input-CSR positions sorted by flow
         give each flow's consumers in task-id order.  The same pass derives
         the local-flow column (:meth:`flow_is_local`).  Idempotent; re-run
-        automatically after further :meth:`add_task`/:meth:`add_flow`.
+        automatically after further construction.
         """
         if self._frozen:
             return self
@@ -309,13 +421,14 @@ class TaskGraph:
 
         The graph must be non-empty and, given ``num_nodes``, place every
         task on a node in ``[0, num_nodes)``.  A graph built through
-        :meth:`add_task`/:meth:`add_flow` is acyclic by construction:
+        :meth:`add_task`/:meth:`add_flow` (or :meth:`add_tasks`/
+        :meth:`add_flows`) is acyclic by construction:
         every input flow's producer has a lower id than its consumer, so
         id order is a topological order.  One vectorised comparison
         confirms it and names the first edge that breaks it.
 
         A repeat call with the same ``num_nodes`` on an unmodified graph
-        is a no-op (:meth:`add_task`/:meth:`add_flow` clear the memo).
+        is a no-op (construction clears the memo).
         """
         if self._validated == (num_nodes,):
             return
@@ -345,7 +458,7 @@ class TaskGraph:
     def _first_late_edge(self) -> Optional[tuple[int, int, int]]:
         """The first ``(task, input flow, producer)`` whose producer does
         not have a lower id than the task, or None when id order is a
-        topological order (as :meth:`add_task`/:meth:`add_flow` ensure)."""
+        topological order (as construction ensures)."""
         import numpy as np
 
         if not len(self._in_flat):
@@ -363,8 +476,43 @@ class TaskGraph:
         return int(owner[edge]), int(in_flat[edge]), int(prod[edge])
 
 
+def _timing_error(tid: int, duration: float, priority: float) -> RuntimeBackendError:
+    """The error for task ``tid``'s negative or non-finite duration, or
+    non-finite priority."""
+    if duration < 0:
+        return RuntimeBackendError(f"task {tid}: negative duration")
+    return RuntimeBackendError(
+        f"task {tid}: non-finite duration {duration!r} or priority {priority!r}"
+    )
+
+
+def _column(values, n: Optional[int], name: str, dtype):
+    """``values`` as a 1-D NumPy column of ``dtype``: ``n`` entries, a
+    scalar broadcast to ``n``, or any length when ``n`` is None.  Integer
+    columns accept only integer input (no silent float truncation)."""
+    import numpy as np
+
+    col = np.asarray(values)
+    if dtype is np.int64 and col.size and col.dtype.kind not in "iu":
+        raise RuntimeBackendError(f"{name}: integers expected, got {col.dtype}")
+    if col.ndim == 0 and n is not None:
+        return np.full(n, col, dtype=dtype)
+    if col.ndim != 1 or (n is not None and len(col) != n):
+        expected = "a 1-D sequence" if n is None else f"{n} entries"
+        raise RuntimeBackendError(f"{name}: shape {col.shape}, expected {expected}")
+    return np.ascontiguousarray(col, dtype=dtype)
+
+
+def _extend(column: array, values) -> None:
+    """Append the 1-D NumPy array ``values`` (of ``column``'s item type)
+    to ``column``, copying straight from its buffer."""
+    import numpy as np
+
+    column.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
+
+
 def _as_q(np_array) -> array:
     """Copy an int64 NumPy array into a plain ``array('q')``."""
     out = array("q")
-    out.frombytes(np_array.tobytes())
+    _extend(out, np_array)
     return out

@@ -43,8 +43,10 @@ def diagnostic_snapshot(ctx, events: int = SNAPSHOT_EVENTS) -> dict:
 
     Returns a plain dict (JSON-able apart from event ``info`` payloads)
     with progress counters, simulated/wall clocks, observability counter
-    totals, each backend engine's quiescence report, and the last
-    ``events`` observability events when an in-memory sink is attached.
+    totals, the state each backend engine still holds (the non-zero
+    entries of its quiescence report; drained ranks are left out), and
+    the last ``events`` observability events when an in-memory sink is
+    attached.
     Never raises: a snapshot taken from a half-wedged run degrades to
     whatever state is still reachable.
     """
@@ -64,9 +66,9 @@ def diagnostic_snapshot(ctx, events: int = SNAPSHOT_EVENTS) -> dict:
     quiescence = []
     try:
         for rank, engine in enumerate(ctx.engines):
-            report = engine.quiescence_report()
-            if any(report.values()):
-                quiescence.append({"rank": rank, **report})
+            held = engine.held_state()
+            if held:
+                quiescence.append({"rank": rank, **held})
     except Exception:  # pragma: no cover
         pass
     snap["quiescence"] = quiescence

@@ -2,7 +2,9 @@
 
 Two families, each emitting directly onto the columnar
 :class:`~repro.runtime.taskpool.TaskGraph` builder so paper-scale
-instances stay cheap to construct:
+instances stay cheap to construct (the regular ones a whole step at a
+time, through :meth:`~repro.runtime.taskpool.TaskGraph.add_tasks` and
+:meth:`~repro.runtime.taskpool.TaskGraph.add_flows`):
 
 - the communication patterns §2.1 describes as typical of dynamic
   runtimes — a dependency ``chain``, a multicast ``fan_out``, a 1D
@@ -90,31 +92,22 @@ def halo_exchange(
     if num_nodes < 2:
         raise BenchmarkError("halo exchange needs at least two nodes")
     g = TaskGraph()
-    # state[node][tile] = flow feeding the next step's task there.
-    state = [[None] * tiles_per_node for _ in range(num_nodes)]
+    nodes = np.repeat(np.arange(num_nodes), tiles_per_node)
+    state = None  # (node, tile) flow ids of the previous step
     for step in range(steps):
-        new_state = [[None] * tiles_per_node for _ in range(num_nodes)]
-        for node in range(num_nodes):
-            for tile in range(tiles_per_node):
-                inputs = []
-                if state[node][tile] is not None:
-                    inputs.append(state[node][tile])
-                    # Boundary tiles also need the neighbour's halo.
-                    if tile == 0:
-                        left = (node - 1) % num_nodes
-                        inputs.append(state[left][tiles_per_node - 1])
-                    elif tile == tiles_per_node - 1:
-                        right = (node + 1) % num_nodes
-                        inputs.append(state[right][0])
-                t = g.add_task(
-                    node=node,
-                    duration=duration,
-                    priority=float(steps - step),
-                    inputs=inputs,
-                    kind=f"step{step}",
-                )
-                new_state[node][tile] = g.add_flow(t, halo_bytes)
-        state = new_state
+        inputs, count = (), 0
+        if state is not None:
+            # Own tile, then on a boundary tile the neighbour's halo: the
+            # left one's last tile for tile 0, else the right one's first.
+            halo = np.full_like(state, -1)
+            halo[:, -1] = np.roll(state[:, 0], -1)
+            halo[:, 0] = np.roll(state[:, -1], 1)
+            pairs = np.stack([state, halo], axis=-1).reshape(-1, 2)
+            inputs, count = pairs[pairs >= 0], (pairs >= 0).sum(axis=1)
+        first = g.add_tasks(nodes, duration, float(steps - step), inputs,
+                            count, f"step{step}")
+        fid = g.add_flows(np.arange(first, first + len(nodes)), halo_bytes)
+        state = np.arange(fid, fid + len(nodes)).reshape(num_nodes, tiles_per_node)
     return g
 
 
@@ -160,19 +153,14 @@ def all_to_all_rounds(
     """Each round, every node produces one flow consumed by every other
     node — maximal incast/multicast pressure."""
     g = TaskGraph()
-    prev: dict[int, list[int]] = {n: [] for n in range(num_nodes)}
+    nodes = np.arange(num_nodes)
+    inputs, count = (), 0
     for _round in range(rounds):
-        flows = {}
-        for node in range(num_nodes):
-            t = g.add_task(node=node, duration=duration, inputs=prev[node])
-            flows[node] = g.add_flow(t, flow_bytes)
-        prev = {
-            node: [flows[other] for other in range(num_nodes)]
-            for node in range(num_nodes)
-        }
+        first = g.add_tasks(nodes, duration, inputs=inputs, input_counts=count)
+        fid = g.add_flows(nodes + first, flow_bytes)
+        inputs, count = np.tile(nodes + fid, num_nodes), num_nodes
     # Sink tasks consume the final round everywhere.
-    for node in range(num_nodes):
-        g.add_task(node=node, duration=duration, inputs=prev[node])
+    g.add_tasks(nodes, duration, inputs=inputs, input_counts=count)
     return g
 
 
@@ -201,32 +189,22 @@ def stencil2d(
     if steps < 1:
         raise ConfigError("stencil needs at least one step")
     g = TaskGraph()
-
-    def owner(i: int) -> int:
-        # Block-row decomposition: contiguous rows per node.
-        return (i * num_nodes) // grid
-
-    state = [[None] * grid for _ in range(grid)]
+    n = grid * grid
+    # Block-row decomposition: contiguous rows per node, tiles row-major.
+    nodes = np.repeat(np.arange(grid) * num_nodes // grid, grid)
+    state = None  # (grid, grid) flow ids of the previous step's tiles
     for step in range(steps):
-        new_state = [[None] * grid for _ in range(grid)]
-        for i in range(grid):
-            for j in range(grid):
-                inputs = []
-                if state[i][j] is not None:
-                    inputs.append(state[i][j])
-                    inputs.append(state[(i - 1) % grid][j])
-                    inputs.append(state[(i + 1) % grid][j])
-                    inputs.append(state[i][(j - 1) % grid])
-                    inputs.append(state[i][(j + 1) % grid])
-                t = g.add_task(
-                    node=owner(i),
-                    duration=duration,
-                    priority=float(steps - step),
-                    inputs=inputs,
-                    kind=f"stencil{step}",
-                )
-                new_state[i][j] = g.add_flow(t, halo_bytes)
-        state = new_state
+        inputs, count = (), 0
+        if state is not None:
+            # Own state, then the north, south, west and east neighbours.
+            inputs, count = np.stack([
+                state, np.roll(state, 1, 0), np.roll(state, -1, 0),
+                np.roll(state, 1, 1), np.roll(state, -1, 1),
+            ], axis=-1).ravel(), 5
+        first = g.add_tasks(nodes, duration, float(steps - step), inputs,
+                            count, f"stencil{step}")
+        fid = g.add_flows(np.arange(first, first + n), halo_bytes)
+        state = np.arange(fid, fid + n).reshape(grid, grid)
     return g
 
 
@@ -336,23 +314,15 @@ def ring_shift(
     if steps < 1:
         raise ConfigError("ring needs at least one step")
     g = TaskGraph()
-    state = [None] * num_nodes
+    nodes = np.arange(num_nodes)
+    state = None  # flow ids of the previous step, by node
     for step in range(steps):
-        new_state = [None] * num_nodes
-        for node in range(num_nodes):
-            inputs = []
-            if state[node] is not None:
-                inputs.append(state[node])
-                inputs.append(state[(node - 1) % num_nodes])
-            t = g.add_task(
-                node=node,
-                duration=duration,
-                priority=float(steps - step),
-                inputs=inputs,
-                kind=f"ring{step}",
-            )
-            new_state[node] = g.add_flow(t, flow_bytes)
-        state = new_state
+        # Own previous flow, then the left neighbour's.
+        inputs = () if state is None else \
+            np.stack([state, np.roll(state, 1)], axis=1).ravel()
+        first = g.add_tasks(nodes, duration, float(steps - step), inputs,
+                            0 if state is None else 2, f"ring{step}")
+        state = nodes + g.add_flows(nodes + first, flow_bytes)
     return g
 
 
@@ -407,28 +377,31 @@ def fork_join(
     return g
 
 
-def _pattern_deps(pattern: str, width: int, layer: int, col: int,
-                  fan_in: int, rng) -> list:
-    """Previous-layer columns task ``(layer, col)`` depends on."""
+def _layer_inputs(pattern: str, prev, layer: int, fan_in: int, rng):
+    """Input flow ids, back to back, and per-task input counts of layer
+    ``layer`` (> 0), whose previous layer's flows are ``prev``."""
+    width = len(prev)
+    cols = np.arange(width)
     if pattern == "trivial":
-        return []
+        return (), 0
     if pattern == "serial":
-        return [col]
-    if pattern == "stencil":
-        return [c for c in (col - 1, col, col + 1) if 0 <= c < width]
-    if pattern == "fft":
-        span = max(1, width.bit_length() - 1)
-        partner = col ^ (1 << ((layer - 1) % span))
-        deps = [col]
-        if partner != col and partner < width:
-            deps.append(partner)
-        return deps
+        return prev, 1
     if pattern == "all_to_all":
-        return list(range(width))
-    # "random": a seeded draw of fan_in distinct previous columns.
-    take = min(fan_in, width)
-    picks = rng.choice(width, size=take, replace=False)
-    return sorted(int(c) for c in picks)
+        return np.tile(prev, width), width
+    if pattern == "random":
+        # Per task, in column order: a seeded draw of fan_in distinct
+        # previous columns, read in ascending order.
+        take = min(fan_in, width)
+        picks = [np.sort(rng.choice(width, size=take, replace=False))
+                 for _ in range(width)]
+        return prev[np.concatenate(picks)], take
+    if pattern == "stencil":
+        deps = np.stack([cols - 1, cols, cols + 1], axis=1)
+    else:  # "fft": the column and its butterfly partner, if in range
+        span = max(1, width.bit_length() - 1)
+        deps = np.stack([cols, cols ^ (1 << ((layer - 1) % span))], axis=1)
+    valid = (deps >= 0) & (deps < width)
+    return prev[deps[valid]], valid.sum(axis=1)
 
 
 def taskbench_graph(
@@ -461,21 +434,13 @@ def taskbench_graph(
         raise ConfigError("taskbench fan_in must be at least 1")
     rng = np.random.default_rng(seed)
     g = TaskGraph()
-    prev = [None] * width
+    nodes = np.arange(width) % num_nodes
+    prev = None  # flow ids of the previous layer, by column
     for layer in range(depth):
-        new = [None] * width
-        for col in range(width):
-            deps = (
-                _pattern_deps(pattern, width, layer, col, fan_in, rng)
-                if layer > 0 else []
-            )
-            t = g.add_task(
-                node=col % num_nodes,
-                duration=granularity,
-                priority=float(depth - layer),
-                inputs=[prev[c] for c in deps],
-                kind=f"tb{layer}",
-            )
-            new[col] = g.add_flow(t, flow_bytes)
-        prev = new
+        inputs, count = ((), 0) if prev is None else \
+            _layer_inputs(pattern, prev, layer, fan_in, rng)
+        first = g.add_tasks(nodes, granularity, float(depth - layer), inputs,
+                            count, f"tb{layer}")
+        fid = g.add_flows(np.arange(first, first + width), flow_bytes)
+        prev = np.arange(fid, fid + width)
     return g

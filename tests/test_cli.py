@@ -98,10 +98,10 @@ class TestCommands:
         assert "time-to-solution" in out and "MB wire" in out
 
     def test_chaos_rejects_indivisible_matrix(self):
-        """``--matrix`` must divide by ``--tile``, as for ``run hicma``;
-        a silently rounded-down matrix is not the job asked for."""
+        """``--matrix-size`` must divide by ``--tile-size``, as for ``run
+        hicma``; a silently rounded-down matrix is not the job asked for."""
         with pytest.raises(BenchmarkError, match="not divisible"):
-            main(["chaos", "--matrix", "7000", "--tile", "1200"])
+            main(["chaos", "--matrix-size", "7000", "--tile-size", "1200"])
 
     HICMA_SMALL = ["run", "hicma", "--matrix-size", "7200",
                    "--tile-size", "1200", "--nodes", "2"]
@@ -198,7 +198,7 @@ class TestNewCommands:
     def test_chaos(self, capsys):
         assert main([
             "chaos", "--plan", "drop", "--backend", "lci",
-            "--matrix", "4800", "--tile", "1200", "--nodes", "2",
+            "--matrix-size", "4800", "--tile-size", "1200", "--nodes", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "numerics OK" in out

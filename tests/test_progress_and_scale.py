@@ -75,13 +75,10 @@ class TestFlowRelease:
                     f"entries leaked"
                 )
             retired += report["flows_retired"]
-        if backend == "lci":
-            # Every direct receive's (src, tag) key is retired with it.
-            for rank, engine in enumerate(ctx.engines):
-                left = engine.quiescence_report()["posted_recvd"]
-                assert left == 0, (
-                    f"lci node {rank}: {left} posted-receive keys leaked"
-                )
+        # No engine holds protocol state: no packet or slot in use, every
+        # direct receive's (src, tag) key retired, no request in flight.
+        for rank, engine in enumerate(ctx.engines):
+            assert engine.held_state() == {}, f"{backend} node {rank}"
         # Every flow is retired on its producer node, and again on every
         # intermediate multicast-tree node that re-released it locally.
         assert retired >= graph.num_flows

@@ -158,6 +158,21 @@ class TestRunGuards:
         assert 0 < len(trail) <= 25
         assert all("kind" in e and "time" in e for e in trail)
 
+    def test_abort_snapshot_lists_only_ranks_holding_state(self):
+        """The snapshot's quiescence list leaves drained ranks out and
+        shows only the state each listed rank holds, on both backends."""
+        listed = {}
+        for backend in ("lci", "mpi"):
+            with pytest.raises(RunBudgetExceeded) as exc_info:
+                Experiment(workload="hicma", backend=backend, **SMALL).run(
+                    guards=RunGuards(max_events=1000))
+            listed[backend] = exc_info.value.snapshot["quiescence"]
+        assert listed == {
+            "lci": [{"rank": 2, "tx_packets_in_use": 1, "send_slots_in_use": 2},
+                    {"rank": 3, "recv_slots_in_use": 1, "posted_recvd": 1}],
+            "mpi": [{"rank": 0, "transfers": 2}, {"rank": 1, "transfers": 1}],
+        }
+
 
 class TestClassifyFailure:
     def test_deterministic_kinds(self):
