@@ -24,6 +24,7 @@ from repro.hicma.dag import build_tlr_cholesky_graph
 from repro.hicma.ranks import RankModel
 from repro.hicma.timing import KernelTimeModel
 from repro.runtime.taskpool import TaskGraph
+from repro.workloads.registry import param
 
 __all__ = [
     "HicmaConfig",
@@ -51,15 +52,23 @@ def default_tile_sizes() -> list[int]:
 class HicmaConfig(DictCodec):
     """One TLR Cholesky execution."""
 
-    matrix_size: int
-    tile_size: int
-    num_nodes: int = 16
-    maxrank: int = 150
-    two_flow: bool = True
-    multithreaded_activate: bool = False
-    clock_sync: bool = False
-    native_put: bool = False
-    seed: int = 0
+    matrix_size: int = param(
+        doc="Matrix dimension N (must divide by tile_size).", minimum=1)
+    tile_size: int = param(
+        doc="Tile dimension (the Figure 4 sweep axis).", minimum=1)
+    num_nodes: int = param(
+        16, "Cluster size (2D block-cyclic tile placement).", minimum=1)
+    maxrank: int = param(
+        150, "Maximum off-diagonal tile rank of the TLR model.", minimum=1)
+    two_flow: bool = param(True, "Emit separate U/V flows per low-rank tile.")
+    multithreaded_activate: bool = param(
+        False,
+        "Spray ACTIVATE sends across worker threads (paper's MT variant).")
+    clock_sync: bool = param(
+        False, "Model per-node clock skew in latency reporting.")
+    native_put: bool = param(
+        False, "LCI one-sided put for the data transfer (§7 future work).")
+    seed: int = param(0, "Deterministic simulation seed.")
 
     @property
     def nt(self) -> int:

@@ -27,6 +27,7 @@ from repro.errors import BenchmarkError
 from repro.bench.pingpong import PingPongConfig, build_pingpong_graph
 from repro.runtime.taskpool import TaskGraph
 from repro.units import MiB
+from repro.workloads.registry import param
 
 __all__ = [
     "OverlapConfig",
@@ -41,14 +42,19 @@ __all__ = [
 class OverlapConfig(DictCodec):
     """Parameters of one overlap-benchmark execution."""
 
-    fragment_size: int
-    total_bytes: Optional[int] = None
-    #: Iterations at the *largest* fragment; scaled up as fragments shrink
-    #: to hold total FLOPs constant.
-    base_iterations: int = 2
-    reference_fragment: Optional[int] = None
-    num_nodes: int = 2
-    seed: int = 0
+    fragment_size: int = param(
+        doc="Bytes per fragment (the Figure sweep axis).", minimum=1)
+    total_bytes: Optional[int] = param(
+        None, "Total data per iteration (None = scale default).", minimum=1)
+    #: Scaled up as fragments shrink to hold total FLOPs constant.
+    base_iterations: int = param(
+        2, "Iterations at the largest fragment size.", minimum=1)
+    reference_fragment: Optional[int] = param(
+        None, "Fragment anchoring constant-FLOPs scaling (None = total/4).",
+        minimum=1)
+    num_nodes: int = param(
+        2, "Cluster size (the exchange uses two).", minimum=2)
+    seed: int = param(0, "Deterministic simulation seed.")
 
     def resolved_total(self) -> int:
         """Total data per iteration (paper vs CI scale)."""

@@ -24,6 +24,7 @@ from repro.config import paper_scale_enabled
 from repro.errors import BenchmarkError
 from repro.runtime.taskpool import TaskGraph
 from repro.units import KiB, MiB
+from repro.workloads.registry import param
 
 __all__ = [
     "PingPongConfig",
@@ -48,16 +49,21 @@ def default_granularities() -> list[int]:
 class PingPongConfig(DictCodec):
     """Parameters of one ping-pong execution."""
 
-    fragment_size: int
-    streams: int = 1
-    #: Total data per iteration per stream (window = total / fragment).
-    total_bytes: Optional[int] = None
-    iterations: int = 6
-    sync: bool = True
-    #: FMA operations per 8-byte element (0 = pure bandwidth test).
-    intensity: float = 0.0
-    num_nodes: int = 2
-    seed: int = 0
+    fragment_size: int = param(
+        doc="Bytes per fragment (the Figure 2 sweep axis).", minimum=1)
+    streams: int = param(1, "Concurrent ping-pong streams.", minimum=1)
+    total_bytes: Optional[int] = param(
+        None, "Total data per iteration per stream (None = scale default).",
+        minimum=1)
+    iterations: int = param(6, "Ping-pong rounds (first is warmup).",
+                            minimum=2)
+    sync: bool = param(
+        True, "Force serialization between iterations (paper §6.2).")
+    intensity: float = param(
+        0.0, "FMA operations per 8-byte element (0 = pure BW).", minimum=0)
+    num_nodes: int = param(
+        2, "Cluster size (ping-pong itself uses two).", minimum=2)
+    seed: int = param(0, "Deterministic simulation seed.")
 
     def resolved_total(self) -> int:
         """Total data per iteration (paper vs CI scale)."""

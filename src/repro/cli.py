@@ -23,6 +23,7 @@ aliases.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -58,7 +59,7 @@ def _common_flags(
     Pass a default to include a flag on the verb; leave it ``None`` to
     omit it.  ``--num-nodes`` is kept as a hidden alias for ``--nodes``.
     """
-    p = argparse.ArgumentParser(add_help=False)
+    p = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     if backend is not None:
         p.add_argument("--backend", choices=list(backend_choices),
                        default=backend)
@@ -113,12 +114,9 @@ def _workload_param_flags() -> dict:
 
     flags: dict = {}
     for spec in workload_specs():
-        # param_docs (not params()) so listing flags never imports the
-        # simulator — the docs are literal registration metadata.
-        for name, doc in spec.param_docs:
-            if name in ("num_nodes", "seed"):
-                continue
-            flags.setdefault(name, doc)
+        for param in spec.params():
+            if param.name not in ("num_nodes", "seed"):
+                flags.setdefault(param.name, param.doc)
     return flags
 
 
@@ -126,12 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
         prog="repro",
+        allow_abbrev=False,
         description="Reproduction harness for 'Improving the Scaling of an "
         "Asynchronous Many-Task Runtime with a Lightweight Communication "
         "Engine' (ICPP 2023).",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No verb accepts a prefix of a flag: ``--matrix`` is not ``--matrix-size``.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
 
     from repro.faults.plans import FAULT_PLANS
     from repro.workloads import workload_names
@@ -356,8 +359,9 @@ def cmd_workloads(args) -> int:
         if args.params:
             for param in spec.params():
                 default = "required" if param.required else repr(param.default)
+                bounds = f" ({param.bounds()})" if param.bounds() else ""
                 print(f"    --{param.name.replace('_', '-'):<22} "
-                      f"[{default}] {param.doc}")
+                      f"[{default}] {param.doc}{bounds}")
     return 0
 
 

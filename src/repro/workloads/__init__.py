@@ -5,18 +5,17 @@
 :func:`run_workload` is the one run path every spec takes;
 :func:`register`/:func:`get_workload`/:func:`workload_names` are the
 registry surface every layer — ``repro.Experiment``, the CLI,
-sweeps, chaos, explore — resolves workloads through.  External packages
-contribute specs via the ``repro.workloads`` entry-point group
-(:data:`ENTRY_POINT_GROUP`).
+sweeps, chaos, explore — resolves workloads through; :func:`param`
+declares one documented, bounded config field.
 
 See ``docs/workloads.md`` for the generated scenario catalog.
 """
 
 from repro.workloads.registry import (
-    ENTRY_POINT_GROUP,
     Param,
     WorkloadSpec,
     get_workload,
+    param,
     register,
     unregister,
     workload_names,
@@ -25,8 +24,8 @@ from repro.workloads.registry import (
 from repro.workloads.runner import graph_result, run_workload
 
 __all__ = [
-    "ENTRY_POINT_GROUP",
     "Param",
+    "param",
     "WorkloadSpec",
     "register",
     "unregister",

@@ -35,17 +35,6 @@ iter t          iter t+1
     config="repro.bench.pingpong:PingPongConfig",
     graph="repro.bench.pingpong:pingpong_graph",
     result="repro.bench.pingpong:pingpong_result",
-    param_docs=(
-        ("fragment_size", "Bytes per fragment (the Figure 2 sweep axis)."),
-        ("streams", "Concurrent ping-pong streams."),
-        ("total_bytes",
-         "Total data per iteration per stream (None = scale default)."),
-        ("iterations", "Ping-pong rounds (first is warmup)."),
-        ("sync", "Force serialization between iterations (paper §6.2)."),
-        ("intensity", "FMA operations per 8-byte element (0 = pure BW)."),
-        ("num_nodes", "Cluster size (ping-pong itself uses two)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(
         ("fragment_size", 256 * 1024),
         ("total_bytes", 1024 * 1024),
@@ -72,15 +61,6 @@ OVERLAP = register(WorkloadSpec(
     config="repro.bench.overlap:OverlapConfig",
     graph="repro.bench.overlap:overlap_graph",
     result="repro.bench.overlap:overlap_result",
-    param_docs=(
-        ("fragment_size", "Bytes per fragment (the Figure sweep axis)."),
-        ("total_bytes", "Total data per iteration (None = scale default)."),
-        ("base_iterations", "Iterations at the largest fragment size."),
-        ("reference_fragment",
-         "Fragment anchoring constant-FLOPs scaling (None = total/4)."),
-        ("num_nodes", "Cluster size (the exchange uses two)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(
         ("fragment_size", 1024 * 1024),
         ("total_bytes", 4 * 1024 * 1024),
@@ -109,18 +89,6 @@ HICMA = register(WorkloadSpec(
     graph="repro.bench.hicma_bench:hicma_graph",
     result="repro.bench.hicma_bench:hicma_result",
     context="repro.bench.hicma_bench:hicma_context",
-    param_docs=(
-        ("matrix_size", "Matrix dimension N (must divide by tile_size)."),
-        ("tile_size", "Tile dimension (the Figure 4 sweep axis)."),
-        ("num_nodes", "Cluster size (2D block-cyclic tile placement)."),
-        ("maxrank", "Maximum off-diagonal tile rank of the TLR model."),
-        ("two_flow", "Emit separate U/V flows per low-rank tile."),
-        ("multithreaded_activate",
-         "Spray ACTIVATE sends across worker threads (paper's MT variant)."),
-        ("clock_sync", "Model per-node clock skew in latency reporting."),
-        ("native_put", "LCI one-sided put for the data transfer (§7 future work)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(
         ("matrix_size", 3600),
         ("tile_size", 1200),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.codec import DictCodec
 from repro.errors import ConfigError
 from repro.units import KiB
-from repro.workloads.registry import WorkloadSpec, register
+from repro.workloads.registry import WorkloadSpec, param, register
 
 __all__ = [
     "ChainConfig",
@@ -38,11 +38,6 @@ __all__ = [
 ]
 
 
-def _positive(name: str, value, minimum=1) -> None:
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # §2.1 patterns
 # ---------------------------------------------------------------------------
@@ -52,16 +47,12 @@ def _positive(name: str, value, minimum=1) -> None:
 class ChainConfig(DictCodec):
     """One dependency-chain execution."""
 
-    length: int = 64
-    flow_bytes: int = 64 * KiB
-    duration: float = 5e-6
-    num_nodes: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("length", self.length)
-        _positive("flow_bytes", self.flow_bytes)
-        _positive("num_nodes", self.num_nodes)
+    length: int = param(64, "Tasks in the chain.", minimum=1)
+    flow_bytes: int = param(64 * KiB, "Bytes per inter-task flow.", minimum=1)
+    duration: float = param(5e-6, "Compute seconds per task.")
+    num_nodes: int = param(
+        2, "Cluster size (chain hops round-robin).", minimum=1)
+    seed: int = param(0, "Deterministic simulation seed.")
 
 
 def _chain_graph(cfg: ChainConfig, platform):
@@ -74,16 +65,12 @@ def _chain_graph(cfg: ChainConfig, platform):
 class FanOutConfig(DictCodec):
     """One multicast fan-out execution."""
 
-    consumers_per_node: int = 8
-    flow_bytes: int = 64 * KiB
-    duration: float = 5e-6
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("consumers_per_node", self.consumers_per_node)
-        _positive("flow_bytes", self.flow_bytes)
-        _positive("num_nodes", self.num_nodes)
+    consumers_per_node: int = param(8, "Consumer tasks per node.", minimum=1)
+    flow_bytes: int = param(
+        64 * KiB, "Bytes of the multicast payload.", minimum=1)
+    duration: float = param(5e-6, "Compute seconds per task.")
+    num_nodes: int = param(4, "Cluster size.", minimum=1)
+    seed: int = param(0, "Deterministic simulation seed.")
 
 
 def _fanout_graph(cfg: FanOutConfig, platform):
@@ -97,17 +84,14 @@ def _fanout_graph(cfg: FanOutConfig, platform):
 class HaloConfig(DictCodec):
     """One 1D halo-exchange execution."""
 
-    steps: int = 8
-    tiles_per_node: int = 4
-    halo_bytes: int = 32 * KiB
-    duration: float = 20e-6
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("steps", self.steps)
-        _positive("tiles_per_node", self.tiles_per_node)
-        _positive("num_nodes", self.num_nodes, minimum=2)
+    steps: int = param(8, "Stencil steps (DAG depth).", minimum=1)
+    tiles_per_node: int = param(
+        4, "Tiles per node (two are boundary tiles).", minimum=1)
+    halo_bytes: int = param(32 * KiB, "Bytes per halo/tile flow.")
+    duration: float = param(20e-6, "Compute seconds per tile task.")
+    num_nodes: int = param(
+        4, "Cluster size (periodic ring of nodes).", minimum=2)
+    seed: int = param(0, "Deterministic simulation seed.")
 
 
 def _halo_graph(cfg: HaloConfig, platform):
@@ -121,19 +105,16 @@ def _halo_graph(cfg: HaloConfig, platform):
 class RandomDagConfig(DictCodec):
     """One irregular layered-DAG execution."""
 
-    layers: int = 8
-    width: int = 16
-    fan_in: int = 2
-    flow_bytes: int = 16 * KiB
-    duration: float = 5e-6
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("layers", self.layers)
-        _positive("width", self.width)
-        _positive("fan_in", self.fan_in)
-        _positive("num_nodes", self.num_nodes)
+    layers: int = param(8, "DAG depth (number of layers).", minimum=1)
+    width: int = param(16, "Tasks per layer.", minimum=1)
+    fan_in: int = param(2, "Random parents drawn per task.", minimum=1)
+    flow_bytes: int = param(
+        16 * KiB, "Mean bytes per flow (sizes vary ±: 0.25–2×).")
+    duration: float = param(
+        5e-6, "Mean compute seconds per task (varies 0.5–1.5×).")
+    num_nodes: int = param(
+        4, "Cluster size (uniform random placement).", minimum=1)
+    seed: int = param(0, "Seed for structure, placement, and simulation.")
 
 
 def _randomdag_graph(cfg: RandomDagConfig, platform):
@@ -148,15 +129,12 @@ def _randomdag_graph(cfg: RandomDagConfig, platform):
 class AllToAllConfig(DictCodec):
     """One all-to-all-rounds execution."""
 
-    rounds: int = 4
-    flow_bytes: int = 64 * KiB
-    duration: float = 5e-6
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("rounds", self.rounds)
-        _positive("num_nodes", self.num_nodes, minimum=2)
+    rounds: int = param(4, "Exchange rounds (DAG depth).", minimum=1)
+    flow_bytes: int = param(64 * KiB, "Bytes per node-to-node flow.")
+    duration: float = param(5e-6, "Compute seconds per task.")
+    num_nodes: int = param(
+        4, "Cluster size (flows scale as nodes squared).", minimum=2)
+    seed: int = param(0, "Deterministic simulation seed.")
 
 
 def _alltoall_graph(cfg: AllToAllConfig, platform):
@@ -175,17 +153,16 @@ def _alltoall_graph(cfg: AllToAllConfig, platform):
 class StencilConfig(DictCodec):
     """One 2D stencil/halo-exchange execution (FleCSI-like)."""
 
-    grid: int = 16
-    steps: int = 8
-    halo_bytes: int = 32 * KiB
-    duration: float = 20e-6
-    num_nodes: int = 4
-    seed: int = 0
+    grid: int = param(
+        16, "Tiles per side (the mesh is grid × grid).", minimum=2)
+    steps: int = param(8, "Stencil steps (DAG depth).", minimum=1)
+    halo_bytes: int = param(32 * KiB, "Bytes per halo flow.")
+    duration: float = param(20e-6, "Compute seconds per tile task.")
+    num_nodes: int = param(
+        4, "Cluster size (block-row partition; <= grid).", minimum=1)
+    seed: int = param(0, "Deterministic simulation seed.")
 
     def __post_init__(self):
-        _positive("grid", self.grid, minimum=2)
-        _positive("steps", self.steps)
-        _positive("num_nodes", self.num_nodes)
         if self.num_nodes > self.grid:
             raise ConfigError(
                 f"stencil grid of {self.grid} rows cannot span "
@@ -204,25 +181,17 @@ def _stencil_graph(cfg: StencilConfig, platform):
 class TreeConfig(DictCodec):
     """One collective-tree execution (reduce/broadcast/allreduce)."""
 
-    fanout: int = 2
-    depth: int = 4
-    rounds: int = 2
-    mode: str = "allreduce"
-    payload_bytes: int = 64 * KiB
-    duration: float = 5e-6
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("fanout", self.fanout, minimum=2)
-        _positive("depth", self.depth)
-        _positive("rounds", self.rounds)
-        _positive("num_nodes", self.num_nodes)
-        if self.mode not in ("broadcast", "reduce", "allreduce"):
-            raise ConfigError(
-                f"unknown tree mode {self.mode!r} "
-                f"(known: broadcast, reduce, allreduce)"
-            )
+    fanout: int = param(2, "Tree arity (children per vertex).", minimum=2)
+    depth: int = param(4, "Tree depth (leaves = fanout ** depth).", minimum=1)
+    rounds: int = param(
+        2, "Collective rounds chained back to back.", minimum=1)
+    mode: str = param("allreduce", "One of broadcast, reduce, allreduce.",
+                      choices=("broadcast", "reduce", "allreduce"))
+    payload_bytes: int = param(64 * KiB, "Bytes per tree-edge flow.")
+    duration: float = param(5e-6, "Compute seconds per vertex task.")
+    num_nodes: int = param(
+        4, "Cluster size (vertices placed round-robin).", minimum=1)
+    seed: int = param(0, "Deterministic simulation seed.")
 
 
 def _tree_graph(cfg: TreeConfig, platform):
@@ -236,15 +205,11 @@ def _tree_graph(cfg: TreeConfig, platform):
 class RingConfig(DictCodec):
     """One nearest-neighbor ring-shift execution."""
 
-    steps: int = 16
-    flow_bytes: int = 64 * KiB
-    duration: float = 5e-6
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("steps", self.steps)
-        _positive("num_nodes", self.num_nodes, minimum=2)
+    steps: int = param(16, "Shift steps (DAG depth).", minimum=1)
+    flow_bytes: int = param(64 * KiB, "Bytes per neighbour flow.")
+    duration: float = param(5e-6, "Compute seconds per task.")
+    num_nodes: int = param(4, "Ring size (>= 2).", minimum=2)
+    seed: int = param(0, "Deterministic simulation seed.")
 
 
 def _ring_graph(cfg: RingConfig, platform):
@@ -257,17 +222,13 @@ def _ring_graph(cfg: RingConfig, platform):
 class ForkJoinConfig(DictCodec):
     """One recursive fork-join execution."""
 
-    fanout: int = 3
-    depth: int = 4
-    flow_bytes: int = 16 * KiB
-    duration: float = 5e-6
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        _positive("fanout", self.fanout, minimum=2)
-        _positive("depth", self.depth)
-        _positive("num_nodes", self.num_nodes)
+    fanout: int = param(3, "Children per fork (and join arity).", minimum=2)
+    depth: int = param(4, "Fork levels (leaves = fanout ** depth).", minimum=1)
+    flow_bytes: int = param(16 * KiB, "Bytes per fork/join flow.")
+    duration: float = param(5e-6, "Compute seconds per task.")
+    num_nodes: int = param(
+        4, "Cluster size (children scatter round-robin).", minimum=1)
+    seed: int = param(0, "Deterministic simulation seed.")
 
 
 def _forkjoin_graph(cfg: ForkJoinConfig, platform):
@@ -277,35 +238,30 @@ def _forkjoin_graph(cfg: ForkJoinConfig, platform):
                      cfg.duration)
 
 
+#: The tunable dependence patterns of
+#: :func:`~repro.workloads.generators.taskbench_graph`, mirroring the Task
+#: Bench study's named patterns.
+TASKBENCH_PATTERNS = (
+    "trivial", "serial", "stencil", "fft", "random", "all_to_all",
+)
+
+
 @dataclass(frozen=True)
 class TaskBenchConfig(DictCodec):
     """One Task Bench-style tunable-graph execution."""
 
-    width: int = 16
-    depth: int = 16
-    pattern: str = "stencil"
-    granularity: float = 5e-6
-    flow_bytes: int = 16 * KiB
-    fan_in: int = 3
-    num_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        from repro.workloads.generators import TASKBENCH_PATTERNS
-
-        _positive("width", self.width)
-        _positive("depth", self.depth)
-        _positive("fan_in", self.fan_in)
-        _positive("num_nodes", self.num_nodes)
-        if self.pattern not in TASKBENCH_PATTERNS:
-            raise ConfigError(
-                f"unknown taskbench pattern {self.pattern!r} "
-                f"(known: {', '.join(TASKBENCH_PATTERNS)})"
-            )
-        if self.granularity < 0:
-            raise ConfigError(
-                f"granularity must be >= 0, got {self.granularity}"
-            )
+    width: int = param(16, "Columns (parallel tasks per layer).", minimum=1)
+    depth: int = param(16, "Layers (DAG depth).", minimum=1)
+    pattern: str = param(
+        "stencil", "Dependence pattern: trivial, serial, stencil, fft, "
+        "all_to_all, or random.", choices=TASKBENCH_PATTERNS)
+    granularity: float = param(5e-6, "Compute seconds per task.", minimum=0)
+    flow_bytes: int = param(16 * KiB, "Bytes per dependence flow.")
+    fan_in: int = param(
+        3, "Parents per task for the random pattern.", minimum=1)
+    num_nodes: int = param(
+        4, "Cluster size (columns map round-robin).", minimum=1)
+    seed: int = param(0, "Seed for the random pattern and simulation.")
 
 
 def _taskbench_graph(cfg: TaskBenchConfig, platform):
@@ -333,13 +289,6 @@ register(WorkloadSpec(
     example="python -m repro run chain --nodes 4 --length 128",
     config=ChainConfig,
     graph=_chain_graph,
-    param_docs=(
-        ("length", "Tasks in the chain."),
-        ("flow_bytes", "Bytes per inter-task flow."),
-        ("duration", "Compute seconds per task."),
-        ("num_nodes", "Cluster size (chain hops round-robin)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("length", 16),),
     tags=("scenario", "latency"),
 ))
@@ -360,13 +309,6 @@ register(WorkloadSpec(
     example="python -m repro run fanout --nodes 8 --consumers-per-node 16",
     config=FanOutConfig,
     graph=_fanout_graph,
-    param_docs=(
-        ("consumers_per_node", "Consumer tasks per node."),
-        ("flow_bytes", "Bytes of the multicast payload."),
-        ("duration", "Compute seconds per task."),
-        ("num_nodes", "Cluster size."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("consumers_per_node", 4),),
     tags=("scenario", "multicast"),
 ))
@@ -387,14 +329,6 @@ step s+1: [tile0..tileT]@n0  <-halo->  ...""",
     example="python -m repro run halo --nodes 4 --steps 16",
     config=HaloConfig,
     graph=_halo_graph,
-    param_docs=(
-        ("steps", "Stencil steps (DAG depth)."),
-        ("tiles_per_node", "Tiles per node (two are boundary tiles)."),
-        ("halo_bytes", "Bytes per halo/tile flow."),
-        ("duration", "Compute seconds per tile task."),
-        ("num_nodes", "Cluster size (periodic ring of nodes)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("steps", 3), ("tiles_per_node", 2)),
     tags=("scenario", "stencil"),
 ))
@@ -415,15 +349,6 @@ layer 1: [t]@n? [t]@n? ...  parents from the layer above)""",
     example="python -m repro run randomdag --nodes 4 --layers 12 --width 24",
     config=RandomDagConfig,
     graph=_randomdag_graph,
-    param_docs=(
-        ("layers", "DAG depth (number of layers)."),
-        ("width", "Tasks per layer."),
-        ("fan_in", "Random parents drawn per task."),
-        ("flow_bytes", "Mean bytes per flow (sizes vary ±: 0.25–2×)."),
-        ("duration", "Mean compute seconds per task (varies 0.5–1.5×)."),
-        ("num_nodes", "Cluster size (uniform random placement)."),
-        ("seed", "Seed for structure, placement, and simulation."),
-    ),
     explore_params=(("layers", 3), ("width", 6)),
     tags=("scenario", "irregular"),
 ))
@@ -444,13 +369,6 @@ round r+1: [t]@n0   [t]@n1   [t]@n2    every node's next task)""",
     example="python -m repro run alltoall --nodes 8 --rounds 4",
     config=AllToAllConfig,
     graph=_alltoall_graph,
-    param_docs=(
-        ("rounds", "Exchange rounds (DAG depth)."),
-        ("flow_bytes", "Bytes per node-to-node flow."),
-        ("duration", "Compute seconds per task."),
-        ("num_nodes", "Cluster size (flows scale as nodes squared)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("rounds", 2),),
     tags=("scenario", "collective"),
 ))
@@ -473,14 +391,6 @@ node 1:  rows k+1..2k   | every step""",
     example="python -m repro run stencil --nodes 16",
     config=StencilConfig,
     graph=_stencil_graph,
-    param_docs=(
-        ("grid", "Tiles per side (the mesh is grid × grid)."),
-        ("steps", "Stencil steps (DAG depth)."),
-        ("halo_bytes", "Bytes per halo flow."),
-        ("duration", "Compute seconds per tile task."),
-        ("num_nodes", "Cluster size (block-row partition; <= grid)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("grid", 4), ("steps", 2), ("num_nodes", 2)),
     tags=("scenario", "stencil", "flecsi"),
 ))
@@ -501,16 +411,6 @@ allreduce:  leaves -> [root] -> leaves   (per round)""",
     example="python -m repro run tree --nodes 8 --fanout 4 --depth 3",
     config=TreeConfig,
     graph=_tree_graph,
-    param_docs=(
-        ("fanout", "Tree arity (children per vertex)."),
-        ("depth", "Tree depth (leaves = fanout ** depth)."),
-        ("rounds", "Collective rounds chained back to back."),
-        ("mode", "One of broadcast, reduce, allreduce."),
-        ("payload_bytes", "Bytes per tree-edge flow."),
-        ("duration", "Compute seconds per vertex task."),
-        ("num_nodes", "Cluster size (vertices placed round-robin)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("depth", 2), ("rounds", 1)),
     tags=("scenario", "collective"),
 ))
@@ -532,13 +432,6 @@ step s+1: [t]@n0 -> [t]@n1 -> [t]@n2    next step)""",
     example="python -m repro run ring --nodes 8 --steps 32",
     config=RingConfig,
     graph=_ring_graph,
-    param_docs=(
-        ("steps", "Shift steps (DAG depth)."),
-        ("flow_bytes", "Bytes per neighbour flow."),
-        ("duration", "Compute seconds per task."),
-        ("num_nodes", "Ring size (>= 2)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("steps", 4), ("num_nodes", 3)),
     tags=("scenario", "latency"),
 ))
@@ -560,14 +453,6 @@ register(WorkloadSpec(
     example="python -m repro run forkjoin --nodes 8 --fanout 3 --depth 5",
     config=ForkJoinConfig,
     graph=_forkjoin_graph,
-    param_docs=(
-        ("fanout", "Children per fork (and join arity)."),
-        ("depth", "Fork levels (leaves = fanout ** depth)."),
-        ("flow_bytes", "Bytes per fork/join flow."),
-        ("duration", "Compute seconds per task."),
-        ("num_nodes", "Cluster size (children scatter round-robin)."),
-        ("seed", "Deterministic simulation seed."),
-    ),
     explore_params=(("fanout", 2), ("depth", 3)),
     tags=("scenario", "spawn"),
 ))
@@ -594,18 +479,6 @@ layer 1:  [c0] [c1] [c2] ... [cW]   fft: butterfly; ...)""",
     ),
     config=TaskBenchConfig,
     graph=_taskbench_graph,
-    param_docs=(
-        ("width", "Columns (parallel tasks per layer)."),
-        ("depth", "Layers (DAG depth)."),
-        ("pattern",
-         "Dependence pattern: trivial, serial, stencil, fft, "
-         "all_to_all, or random."),
-        ("granularity", "Compute seconds per task."),
-        ("flow_bytes", "Bytes per dependence flow."),
-        ("fan_in", "Parents per task for the random pattern."),
-        ("num_nodes", "Cluster size (columns map round-robin)."),
-        ("seed", "Seed for the random pattern and simulation."),
-    ),
     explore_params=(("width", 4), ("depth", 3)),
     tags=("scenario", "taskbench"),
 ))

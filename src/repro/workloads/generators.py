@@ -30,6 +30,7 @@ import numpy as np
 from repro.errors import BenchmarkError, ConfigError
 from repro.runtime.taskpool import TaskGraph
 from repro.units import KiB
+from repro.workloads.catalog import TASKBENCH_PATTERNS
 
 __all__ = [
     "chain",
@@ -162,13 +163,6 @@ def all_to_all_rounds(
     # Sink tasks consume the final round everywhere.
     g.add_tasks(nodes, duration, inputs=inputs, input_counts=count)
     return g
-
-
-#: The tunable dependence patterns of :func:`taskbench_graph`, mirroring
-#: the Task Bench study's named patterns.
-TASKBENCH_PATTERNS = (
-    "trivial", "serial", "stencil", "fft", "random", "all_to_all",
-)
 
 
 def stencil2d(

@@ -1,4 +1,4 @@
-"""The workload plugin registry: specs, parameters, and discovery.
+"""The workload plugin registry: specs, parameters, and registration.
 
 A :class:`WorkloadSpec` is the complete, self-documenting description of
 one runnable workload: a name, catalog prose (description, DAG sketch,
@@ -12,11 +12,14 @@ resolve workloads through this module.
 
 Specs reference their config/builder/result lazily as ``"module:attr"``
 strings so that listing workload *names* never imports the simulator;
-the heavy modules load only when a workload actually runs.  External
-packages contribute workloads through the ``repro.workloads`` entry-point
-group (each entry point resolves to a :class:`WorkloadSpec` or a callable
-returning one/iterable of them); in-process plugins — tests, notebooks —
-just call :func:`register` directly.
+the heavy modules load only when a workload actually runs.  In-process
+plugins — tests, notebooks — call :func:`register` directly.
+
+A config dataclass declares each parameter once, as a :func:`param`
+field: its default, its one-line doc and its bounds (``minimum`` or
+``choices``).  :meth:`WorkloadSpec.params` reads the docs and bounds back,
+and :meth:`WorkloadSpec.build_config` enforces the bounds on every entry
+path.
 
 The registry is also the single source of truth for the documentation:
 ``tools/gen_api_docs.py`` renders ``docs/workloads.md`` from the specs'
@@ -27,15 +30,15 @@ registry ever disagree, so the scenario docs cannot drift.
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigError
 
 __all__ = [
-    "ENTRY_POINT_GROUP",
     "Param",
+    "param",
     "WorkloadSpec",
     "register",
     "unregister",
@@ -43,11 +46,6 @@ __all__ = [
     "workload_names",
     "workload_specs",
 ]
-
-#: The ``importlib.metadata`` entry-point group external packages use to
-#: contribute workloads (``[project.entry-points."repro.workloads"]``).
-ENTRY_POINT_GROUP = "repro.workloads"
-
 
 @dataclass(frozen=True)
 class Param:
@@ -61,6 +59,40 @@ class Param:
     doc: str
     #: The config dataclass declares no default — callers must pass it.
     required: bool = False
+    #: Smallest accepted value (``None`` = unbounded).
+    minimum: Any = None
+    #: The accepted values (``()`` = any).
+    choices: tuple = ()
+
+    def bounds(self) -> str:
+        """The declared bounds as text (``">= 1"``, ``"one of a, b"``)."""
+        return _bounds(self.minimum, self.choices)
+
+
+def _bounds(minimum: Any, choices: tuple) -> str:
+    if choices:
+        return "one of " + ", ".join(map(str, choices))
+    return "" if minimum is None else f">= {minimum}"
+
+
+def _in_bounds(value: Any, minimum: Any, choices: tuple) -> bool:
+    if choices:
+        return value in choices
+    return minimum is None or (isinstance(value, numbers.Real)
+                               and value >= minimum)
+
+
+def param(default: Any = dataclasses.MISSING, doc: str = "", *,
+          minimum: Any = None, choices: tuple = ()) -> Any:
+    """Declare one workload parameter: a config-dataclass field.
+
+    ``default`` is the field default (omit it for a required parameter),
+    ``doc`` the one-line catalog description; ``minimum``/``choices`` are
+    the bounds :meth:`WorkloadSpec.build_config` enforces.  A field whose
+    default is ``None`` also accepts ``None``.
+    """
+    return dataclasses.field(default=default, metadata={
+        "doc": doc, "minimum": minimum, "choices": tuple(choices)})
 
 
 def _resolve(ref: Any) -> Any:
@@ -81,8 +113,9 @@ class WorkloadSpec:
     use.  The contract:
 
     - ``config`` is a frozen dataclass with at least ``num_nodes`` and
-      ``seed`` fields; constructing it validates values (raising
-      :class:`~repro.errors.ConfigError` family errors).
+      ``seed`` fields, each declared with :func:`param` (doc line and
+      bounds).  :meth:`build_config` validates the declared bounds; the
+      dataclass's ``__post_init__`` holds only cross-field rules.
     - ``graph(config, platform)`` builds the workload's
       :class:`~repro.runtime.taskpool.TaskGraph` without running it.
     - ``result(workload, config, ctx)`` is called once the run's
@@ -97,9 +130,9 @@ class WorkloadSpec:
       workload needs beyond backend/seed/faults: a default ``platform``
       and any runtime options its config carries.  Omitted, the platform
       is the CI-scale cluster sized to ``num_nodes``.
-    - ``param_docs`` must document **every** public config field;
-      :meth:`params` raises on an undocumented field, which is what keeps
-      the generated catalog complete.
+    - Every config field carries a :func:`param` doc; :meth:`params`
+      raises on an undocumented field, which is what keeps the generated
+      catalog complete.
     """
 
     #: Registry key; also the ``Experiment(workload=...)``/CLI name.
@@ -120,8 +153,6 @@ class WorkloadSpec:
     result: Any = None
     #: ``config -> ParsecContext keywords`` (``platform``, options) or ref.
     context: Any = None
-    #: ``((field_name, one_line_doc), ...)`` for every public field.
-    param_docs: tuple = ()
     #: Small fast parameter overrides for the schedule explorer.
     explore_params: tuple = ()
     #: Free-form labels (``"paper"``, ``"taskbench"``, ``"collective"``).
@@ -148,38 +179,33 @@ class WorkloadSpec:
     def params(self) -> tuple:
         """The documented parameter schema, one :class:`Param` per field.
 
-        Raises :class:`~repro.errors.ConfigError` if any public config
-        field lacks an entry in ``param_docs`` (or vice versa) — the
-        registration-time guarantee that the generated catalog documents
-        every knob.
+        Raises :class:`~repro.errors.ConfigError` if any config field was
+        declared without a :func:`param` doc — the guarantee that the
+        generated catalog documents every knob.
         """
-        docs = dict(self.param_docs)
         params = []
         for f in dataclasses.fields(self.config_cls()):
-            if f.name not in docs:
+            if not f.metadata.get("doc"):
                 raise ConfigError(
                     f"workload {self.name!r}: config field {f.name!r} has "
-                    f"no param_docs entry — every parameter must be "
-                    f"documented"
+                    f"no param() doc — every parameter must be documented"
                 )
             required = f.default is dataclasses.MISSING
             params.append(Param(name=f.name,
                                 default=None if required else f.default,
-                                doc=docs.pop(f.name), required=required))
-        if docs:
-            raise ConfigError(
-                f"workload {self.name!r}: param_docs documents unknown "
-                f"field(s) {sorted(docs)}"
-            )
+                                doc=f.metadata["doc"], required=required,
+                                minimum=f.metadata["minimum"],
+                                choices=f.metadata["choices"]))
         return tuple(params)
 
     def build_config(self, **kwargs: Any):
         """Validate ``kwargs`` against the schema and build the config.
 
         Unknown parameter names (the error lists the valid set), missing
-        required ones, and a non-bool value for a ``bool`` field raise
-        :class:`~repro.errors.ConfigError`; any other value validation is
-        the config dataclass's own ``__post_init__`` job.
+        required ones, a non-bool value for a ``bool`` field, and a value
+        outside a field's declared ``minimum``/``choices`` raise
+        :class:`~repro.errors.ConfigError`; cross-field rules are the
+        config dataclass's own ``__post_init__`` job.
         """
         fields = dataclasses.fields(self.config_cls())
         valid = {f.name for f in fields}
@@ -196,13 +222,22 @@ class WorkloadSpec:
                 f"workload {self.name!r} requires parameter(s) {missing}"
             )
         for f in fields:
+            if f.name not in kwargs:
+                continue
+            value, meta = kwargs[f.name], f.metadata
+            minimum, choices = meta.get("minimum"), meta.get("choices")
             # Under postponed annotations ``f.type`` is the string "bool".
-            value = kwargs.get(f.name, False)
             if f.type in ("bool", bool) and not isinstance(value, bool):
-                raise ConfigError(
-                    f"workload {self.name!r}: parameter {f.name!r} must be "
-                    f"true or false, got {value!r}"
-                )
+                problem = "true or false"
+            elif (value is None and f.default is None
+                  or _in_bounds(value, minimum, choices)):
+                continue
+            else:
+                problem = _bounds(minimum, choices)
+            raise ConfigError(
+                f"workload {self.name!r}: parameter {f.name!r} must be "
+                f"{problem}, got {value!r}"
+            )
         return self.config_cls()(**kwargs)
 
     def run(
@@ -269,37 +304,8 @@ def unregister(name: str) -> None:
     _REGISTRY.pop(name, None)
 
 
-def _load_entry_points() -> None:
-    """Load external workloads from the ``repro.workloads`` entry points.
-
-    A broken plugin must not take the harness down: load failures become
-    warnings and the plugin is skipped.
-    """
-    try:
-        from importlib.metadata import entry_points
-
-        eps = entry_points(group=ENTRY_POINT_GROUP)
-    except Exception:  # pragma: no cover - importlib.metadata quirk
-        return
-    for ep in eps:
-        try:
-            obj = ep.load()
-            if callable(obj) and not isinstance(obj, WorkloadSpec):
-                obj = obj()
-            specs = obj if isinstance(obj, (list, tuple)) else [obj]
-            for spec in specs:
-                if spec.name not in _REGISTRY:
-                    register(spec)
-        except Exception as exc:  # noqa: BLE001 - plugin isolation
-            warnings.warn(
-                f"failed to load workload plugin {ep.name!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
 def _ensure_loaded() -> None:
-    """Import the bundled workload modules and entry-point plugins once."""
+    """Import the bundled workload modules once."""
     global _LOADED
     if _LOADED:
         return
@@ -308,8 +314,6 @@ def _ensure_loaded() -> None:
     # refs, so this stays cheap (no simulator import).
     import repro.workloads.builtin  # noqa: F401
     import repro.workloads.catalog  # noqa: F401
-
-    _load_entry_points()
 
 
 def get_workload(name: str) -> WorkloadSpec:

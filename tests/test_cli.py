@@ -141,6 +141,41 @@ class TestCommands:
                      "--sync", "no"]) == 2
         assert "'sync' must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,field", [
+        (["hicma", "--matrix-size", "7200", "--tile-size", "0"], "tile_size"),
+        (["hicma", "--matrix-size", "0", "--tile-size", "1200"],
+         "matrix_size"),
+        (["hicma", "--matrix-size", "7200", "--tile-size", "1200",
+          "--nodes", "0"], "num_nodes"),
+        (["hicma", "--matrix-size", "7200", "--tile-size", "1200",
+          "--maxrank", "-1"], "maxrank"),
+        (["pingpong", "--fragment-size", "0"], "fragment_size"),
+        (["overlap", "--fragment-size", "0"], "fragment_size"),
+        (["pingpong", "--fragment-size", "1M", "--nodes", "1"], "num_nodes"),
+        (["overlap", "--fragment-size", "1M", "--nodes", "1"], "num_nodes"),
+        (["pingpong", "--fragment-size", "1M", "--iterations", "1"],
+         "iterations"),
+    ])
+    def test_run_out_of_bounds_param_exits_2(self, capsys, argv, field):
+        """A value below a declared bound is a one-line ``error:`` naming
+        the field, not a traceback or a result from a broken config."""
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert f"parameter {field!r} must be >=" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--matrix", "7200"],
+        ["run", "hicma", "--matrix", "7200", "--tile", "1200"],
+    ])
+    def test_flag_prefix_is_not_a_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --matrix 7200" in capsys.readouterr().err
+
     def test_run_guard_abort_exits_3(self, capsys):
         assert main(["run", "hicma", "--nodes", "4", "--matrix-size", "7200",
                      "--tile-size", "600", "--max-events", "5000"]) == 3

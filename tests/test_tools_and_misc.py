@@ -99,6 +99,27 @@ class TestRepoCheckers:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 
+    def test_docs_drift_reported(self):
+        """An unknown ``run`` flag and an unregistered workload on a doc
+        command line are both reported."""
+        from repro.cli import _workload_param_flags
+
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", ROOT / "tools" / "check_docs.py")
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        verb_flags = check_docs.cli_verb_flags()
+        verb_flags["run"].update(
+            "--" + name.replace("_", "-") for name in _workload_param_flags())
+        page = ("python -m repro run chain --length 8\n"
+                "python -m repro run chain --no-such-flag 1\n")
+        assert check_docs.check_command_flags("page.md", page, verb_flags) \
+            == ["page.md: verb 'run' has no flag --no-such-flag"]
+        errors = check_docs.check_workload_catalog(
+            "python -m repro run chain\npython -m repro run nosuchload\n")
+        assert errors == ["docs invoke 'python -m repro run nosuchload' but "
+                          "no such workload is registered"]
+
     def test_fault_determinism(self):
         # One backend keeps this under a few seconds; the checker still runs
         # the replay, the disabled-plan==no-plan invariant, and the bundled

@@ -9,6 +9,7 @@ through the sweep engine and the schedule explorer.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.errors import ConfigError, ExploreError, SweepError
 from repro.workloads import (
     WorkloadSpec,
     get_workload,
+    param,
     register,
     unregister,
     workload_names,
@@ -84,51 +86,17 @@ class TestRegistry:
         class Cfg:
             knob: int = 1
 
-        spec = WorkloadSpec(name="x", description="x", config=Cfg,
-                            param_docs=())
-        with pytest.raises(ConfigError, match="no param_docs entry"):
+        spec = WorkloadSpec(name="x", description="x", config=Cfg)
+        with pytest.raises(ConfigError, match=r"'knob' has no param\(\) doc"):
             spec.params()
 
-    def test_param_docs_for_unknown_field_raises(self):
-        @dataclasses.dataclass(frozen=True)
-        class Cfg:
-            knob: int = 1
-
-        spec = WorkloadSpec(name="x", description="x", config=Cfg,
-                            param_docs=(("knob", "k"), ("ghost", "g")))
-        with pytest.raises(ConfigError, match="unknown field"):
-            spec.params()
-
-    def test_entry_point_discovery_isolates_broken_plugins(self, recwarn):
-        from repro.workloads import registry as reg
-
-        good = WorkloadSpec(name="ep_good", description="entry-point spec")
-
-        class _EP:
-            def __init__(self, name, obj=None, broken=False):
-                self.name = name
-                self._obj, self._broken = obj, broken
-
-            def load(self):
-                if self._broken:
-                    raise RuntimeError("plugin import exploded")
-                return self._obj
-
-        import importlib.metadata as ilm
-
-        orig = ilm.entry_points
-        try:
-            ilm.entry_points = lambda group=None: [
-                _EP("good", good), _EP("bad", broken=True),
-            ]
-            reg._load_entry_points()
-        finally:
-            ilm.entry_points = orig
-        try:
-            assert get_workload("ep_good") is good
-            assert any("bad" in str(w.message) for w in recwarn.list)
-        finally:
-            unregister("ep_good")
+    def test_params_read_docs_and_bounds_from_fields(self):
+        by_name = {p.name: p for p in get_workload("tree").params()}
+        assert by_name["fanout"].doc == "Tree arity (children per vertex)."
+        assert by_name["fanout"].bounds() == ">= 2"
+        assert by_name["mode"].bounds() == \
+            "one of broadcast, reduce, allreduce"
+        assert by_name["seed"].bounds() == ""
 
 
 class TestParamValidation:
@@ -155,6 +123,28 @@ class TestParamValidation:
         with pytest.raises(ConfigError, match="matrix_size.*tile_size"):
             get_workload("hicma").build_config(num_nodes=16)
 
+    @pytest.mark.parametrize("workload,params,field", [
+        ("stencil", {"grid": 1}, "grid"),
+        ("taskbench", {"granularity": -1e-6}, "granularity"),
+        ("pingpong", {"fragment_size": 1024, "streams": 0}, "streams"),
+        ("overlap", {"fragment_size": 1024, "total_bytes": 0}, "total_bytes"),
+        ("hicma", {"matrix_size": 7200, "tile_size": None}, "tile_size"),
+        ("chain", {"length": "many"}, "length"),
+    ])
+    def test_declared_minimum_enforced(self, workload, params, field):
+        with pytest.raises(ConfigError,
+                           match=f"parameter '{field}' must be >="):
+            get_workload(workload).build_config(**params)
+
+    def test_none_accepted_where_default_is_none(self):
+        cfg = get_workload("overlap").build_config(
+            fragment_size=1024, total_bytes=None, reference_fragment=None)
+        assert cfg.total_bytes is None and cfg.reference_fragment is None
+
+    def test_cross_field_rule_stays_in_config(self):
+        with pytest.raises(ConfigError, match="cannot span"):
+            get_workload("stencil").build_config(grid=4, num_nodes=5)
+
     @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
     def test_bool_parameter_rejects_non_bool(self, value):
         with pytest.raises(ConfigError, match="'sync' must be true or false"):
@@ -176,6 +166,58 @@ class TestParamValidation:
         if args.nodes is not None:
             params["num_nodes"] = args.nodes
         spec.build_config(seed=args.seed, **params)
+
+
+class TestSchemaPins:
+    """Config JSON and sweep point keys, pinned as SHA-256 values.
+
+    Declaring a field's doc and bounds must not move anything that is
+    hashed: ``to_dict()`` output, sweep point keys and with them every
+    ``.repro-cache`` entry."""
+
+    REQUIRED = {
+        "pingpong": {"fragment_size": 256 * KiB},
+        "overlap": {"fragment_size": 1 * MiB},
+        "hicma": {"matrix_size": 7200, "tile_size": 1200},
+    }
+    CONFIG_SHA256 = {
+        "alltoall": "ab07422bd0c0d63601747ee3e73480587b1f85e080bcb7fdf0c4b4ce4a4180ce",
+        "chain": "a353fe0ad37697eb0acaf1e1b5c6894f674a728c3108befc3036875188947164",
+        "fanout": "5887db32ecfa44ca3eb80887f2f17f6a0d4d62cb11491cf7dc8f1279e1efc004",
+        "forkjoin": "0d78c68f6b137952a171d9b831b0c5f404421c102a0bb94be9bfa2272531035f",
+        "halo": "2b43edde9a0eb69a80d78660dc722449a1c3278422fb5e46060edd06feca7606",
+        "hicma": "ef77f6c9c70ad1472dfe1385efa695fd2ba081fae7a8389867a47ce1080bbd6c",
+        "overlap": "09917f1357434e44bf008d601d9b69fae2ddfb3c7db1af8bc614cbd7370ba1eb",
+        "pingpong": "ecf85fab3c1d3a1da3fae2e17ca4a9fc08c7df43849978851e3c8c75d1ac9cb9",
+        "randomdag": "4da352e889e43038ecc5d83e85a06598b015cee10deb76dfa09781118d64603e",
+        "ring": "7103f0f8b1f5bc6b86998cb275bfe8f07285dd70a2755aa499ac7b70b12945ee",
+        "stencil": "fef4171cbd3126a1dd5f1b80868b97e8c94cefbb62cf092b0847adaf147d7828",
+        "taskbench": "760b5c1e74177b75f84877d06fd052a69e97b47254054d78914378467ff63e54",
+        "tree": "67318e1a480b7604c27b7741d8ee0a6d26c3bd59c2e87e5b7d77b341491a4ba5",
+    }
+    #: SHA-256 of the grid's point keys, one per line, in grid order.
+    GRID_KEYS_SHA256 = {
+        "fig4": (16, "e8763d99f25fa98eec3ca6d28b88bb4aced6623e3cb287b61f01503b41e51ea5"),
+        "taskbench": (32, "fedf8f62803be8fac64cc5745310f7d95982dd899c3d7ee08e5b186558788005"),
+    }
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_config_json(self, name):
+        from repro.codec import canonical_json
+
+        cfg = get_workload(name).build_config(**self.REQUIRED.get(name, {}))
+        text = canonical_json(cfg.to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.CONFIG_SHA256[name], text
+
+    @pytest.mark.parametrize("grid", sorted(GRID_KEYS_SHA256))
+    def test_grid_point_keys(self, grid, monkeypatch):
+        from repro.sweep import named_grid, point_key
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        keys = [point_key(p) for p in named_grid(grid).points]
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert (len(keys), digest) == self.GRID_KEYS_SHA256[grid]
 
 
 class TestBuiltinBitIdentity:
@@ -292,13 +334,9 @@ class TestCatalogEndToEnd:
 class _PluginConfig(DictCodec):
     """Config of the in-test third-party workload."""
 
-    length: int = 4
-    num_nodes: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError("plugin length must be positive")
+    length: int = param(4, "Chain length.", minimum=1)
+    num_nodes: int = param(2, "Cluster size.")
+    seed: int = param(0, "RNG seed.")
 
 
 def _plugin_graph(cfg, platform):
@@ -315,9 +353,6 @@ def dummy_plugin():
         example="python -m repro run dummyplug",
         config=_PluginConfig,
         graph=_plugin_graph,
-        param_docs=(("length", "Chain length."),
-                    ("num_nodes", "Cluster size."),
-                    ("seed", "RNG seed.")),
         explore_params=(("length", 4),),
     ))
     yield spec

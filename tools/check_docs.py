@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Verify that the documentation still matches the tree.
 
-Three families of drift are caught, all statically (no imports, no
-simulation):
+Five families of drift are caught, without running a simulation:
 
 1. **Markdown links** — every relative ``[text](target)`` in the checked
    pages must point at a file that exists (resolved against the page's own
@@ -23,16 +22,15 @@ simulation):
    must be mentioned in some checked page — so load-bearing flags (the
    supervision surface: ``--journal``, ``--resume``, ``--deadline``, ...)
    cannot ship undocumented.  The ``run`` verb generates one flag per
-   registered workload parameter at runtime, so its flag set is
-   reconstructed statically from the ``param_docs`` literals in
-   ``src/repro/workloads/*.py``.
-5. **Scenario catalog** — the workload names registered in
-   ``src/repro/workloads/*.py`` (``WorkloadSpec(name="...")`` literals)
-   and the ``## `name``` sections of ``docs/workloads.md`` must match
-   exactly in both directions, and every ``python -m repro run <name>``
-   command line in the docs must name a registered workload — so a new
-   workload cannot ship without a catalog entry and the catalog cannot
-   describe a workload that no longer exists.
+   registered workload parameter at runtime; that flag set comes from
+   :func:`repro.cli._workload_param_flags`.
+5. **Scenario catalog** — the registered workload names
+   (:func:`repro.workloads.workload_names`) and the ``## `name``` sections
+   of ``docs/workloads.md`` must match exactly in both directions, and
+   every ``python -m repro run <name>`` command line in the docs must name
+   a registered workload — so a new workload cannot ship without a
+   catalog entry and the catalog cannot describe a workload that no
+   longer exists.
 
 Usage:  python tools/check_docs.py    (exit 0 = clean, 1 = drift found)
 """
@@ -45,6 +43,7 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 #: Pages whose links/references are verified (the verify skill included:
 #: it lists every verb as a command line).
@@ -59,9 +58,8 @@ _FLAG = re.compile(r"--[a-z][a-z0-9-]*")
 _RUN_WORKLOAD = re.compile(r"python -m repro run ([A-Za-z0-9_-]+)")
 _CATALOG_HEADING = re.compile(r"^## `([A-Za-z0-9_]+)`$", re.M)
 
-#: The generated scenario catalog (checked against the registry sources).
+#: The generated scenario catalog (checked against the registry).
 WORKLOADS_DOC = "docs/workloads.md"
-WORKLOADS_SRC = ROOT / "src" / "repro" / "workloads"
 
 #: Flags that must be documented somewhere in the checked pages — the
 #: supervised-execution surface (docs/robustness.md); a rename or removal
@@ -245,66 +243,17 @@ def cli_verb_flags() -> dict:
     return flags
 
 
-def _workload_spec_calls():
-    """Every ``WorkloadSpec(...)`` call in the bundled workload modules."""
-    for py in sorted(WORKLOADS_SRC.glob("*.py")):
-        tree = ast.parse(py.read_text())
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute)
-                else None
-            )
-            if name == "WorkloadSpec":
-                yield node
-
-
-def registered_workloads() -> set[str]:
-    """Workload names registered by the tree, read statically from the
-    ``WorkloadSpec(name="...")`` literals in ``src/repro/workloads/``."""
-    names = set()
-    for call in _workload_spec_calls():
-        for kw in call.keywords:
-            if kw.arg == "name" and isinstance(kw.value, ast.Constant):
-                names.add(kw.value.value)
-    return names
-
-
-def workload_param_names() -> set[str]:
-    """Every parameter name documented in a spec's ``param_docs`` literal.
-
-    The ``run`` verb generates one ``--flag`` per name at runtime; this is
-    the static reconstruction of that flag set.
-    """
-    names = set()
-    for call in _workload_spec_calls():
-        for kw in call.keywords:
-            if kw.arg != "param_docs" or not isinstance(
-                kw.value, (ast.Tuple, ast.List)
-            ):
-                continue
-            for elt in kw.value.elts:
-                if (
-                    isinstance(elt, (ast.Tuple, ast.List))
-                    and elt.elts
-                    and isinstance(elt.elts[0], ast.Constant)
-                ):
-                    names.add(elt.elts[0].value)
-    return names
-
-
 def check_workload_catalog(corpus: str) -> list[str]:
     """Registry and scenario catalog must agree in both directions, and
     every ``python -m repro run <name>`` in the docs must be runnable."""
+    from repro.workloads import workload_names
+
     errors = []
     page = ROOT / WORKLOADS_DOC
     if not page.exists():
         return [f"scenario catalog missing: {WORKLOADS_DOC} "
                 "(run tools/gen_api_docs.py)"]
-    registered = registered_workloads()
+    registered = set(workload_names())
     documented = set(_CATALOG_HEADING.findall(page.read_text()))
     for name in sorted(registered - documented):
         errors.append(
@@ -346,15 +295,15 @@ def check_command_flags(rel: str, text: str, verb_flags: dict) -> list[str]:
 
 
 def main() -> int:
+    from repro.cli import _workload_param_flags
+
     errors: list[str] = []
     verbs = cli_verbs()
     verb_flags = cli_verb_flags()
-    # The run verb's per-workload parameter flags are generated at runtime
-    # from the registry; reconstruct them from the param_docs literals.
-    if "run" in verb_flags:
-        verb_flags["run"].update(
-            "--" + name.replace("_", "-") for name in workload_param_names()
-        )
+    # The run verb's per-workload parameter flags come from the registry.
+    verb_flags["run"].update(
+        "--" + name.replace("_", "-") for name in _workload_param_flags()
+    )
     mentioned: set[str] = set()
     all_text = []
     for rel in PAGES:

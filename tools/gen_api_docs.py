@@ -4,9 +4,10 @@
 ``docs/api.md`` is a compact API reference rendered from docstrings (no
 external dependencies — offline-friendly).  ``docs/workloads.md`` is the
 scenario catalog rendered from the :mod:`repro.workloads` registry: each
-registered :class:`WorkloadSpec` carries its own description, DAG sketch,
-parameter docs, and example invocation, so the catalog can never describe
-a workload the registry does not have.  ``tools/check_docs.py`` enforces
+registered :class:`WorkloadSpec` carries its own description, DAG sketch
+and example invocation, and its config fields carry the parameter docs and
+bounds, so the catalog can never describe a workload the registry does not
+have.  ``tools/check_docs.py`` enforces
 the converse (no registered workload missing from the catalog).
 
 Modules listed in ``STRICT_PACKAGES`` must document every public symbol —
@@ -99,12 +100,13 @@ def render_workload(spec) -> list[str]:
         lines += [spec.details.strip(), ""]
     if spec.dag:
         lines += ["```", spec.dag.strip("\n"), "```", ""]
-    lines += ["| parameter | default | description |",
-              "|---|---|---|"]
+    lines += ["| parameter | default | accepts | description |",
+              "|---|---|---|---|"]
     for param in spec.params():
         default = "*required*" if param.required else f"`{param.default!r}`"
+        bounds = f"`{param.bounds()}`" if param.bounds() else ""
         lines.append(f"| `--{param.name.replace('_', '-')}` | {default} | "
-                     f"{param.doc} |")
+                     f"{bounds} | {param.doc} |")
     lines.append("")
     if spec.example:
         lines += ["Example:", "", "```console",
